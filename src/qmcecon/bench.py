@@ -14,14 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import GateTimeModel, ResourceReport, count_stream, lower_gates
-from .distributions import (
-    APPENDIX_SCHEDULE,
-    TrainingSchedule,
-    VariationalAnsatz,
-    discretize_normal,
-    train_ansatz,
-)
+from .circuits import ResourceReport, count_stream, lower_gates
+from .distributions import VariationalAnsatz, discretize_normal
 from .engine import LinearRParams, QMCConfig, assemble_f, normalize_rv, phase_estimation
 from . import econ
 

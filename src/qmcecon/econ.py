@@ -23,7 +23,7 @@ from __future__ import annotations
 import configparser
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .distributions import DiscretizedDistribution, discretize_beta, discretize_
 from .engine import (
     PhaseEstimate,
     QMCConfig,
-    RandomVariableSpec,
     normalize_rv,
     run_qmc,
 )
@@ -189,10 +188,11 @@ class StressResult:
 def stress_qmc(params: StressTestParams, m: int, n: int,
                method: str = "auto", cap: int = 30) -> StressResult:
     """Run the two-register estimation of the expected stress loss."""
-    dist = params.shock_distribution(m)
-    rv = normalize_rv(stress_rv_grid(params, dist))
+    # the config checks the qubit cap before the 2**(2m) grid is built
     config = QMCConfig(dims=2, m=m, n=n, r_mode="exact", a_mode="exact_prep",
                        theta_side="left", method=method, cap=cap)
+    dist = params.shock_distribution(m)
+    rv = normalize_rv(stress_rv_grid(params, dist))
     est = run_qmc(config, [dist, dist], rv)
     coeffs = stress_coefficients(params)
     mu_grid = stress_theoretical_mean(coeffs, params.beta_lev, dist)

@@ -2,18 +2,20 @@
 
 Pipeline: a state-preparation circuit loads the discretized distribution(s),
 a rotation stage writes the normalized random variable onto an ancilla
-(``P(ancilla=1) = sum_i p(i) f(i)``), and phase estimation of the Grover
+(``p1 = P(ancilla=1) = sum_i p(i) f(i)``), and phase estimation of the Grover
 operator built from that encoding reads the expectation back out of an
 eigenphase.  The readout chain is
 
     bitstring -> theta = sum_i b_i / 2**i -> mu_norm = (1 - cos(pi theta)) / 2
     -> de-normalized expectation in original units.
 
-Three numerically identical evaluation paths are provided: a literal
-gate-by-gate simulation ("circuit"), a dense-operator path that squares the
-Grover matrix for the controlled powers ("powers"), and a closed-form
-spectral path ("spectral") usable when the joint register no longer fits in
-memory.  The test suite pins all three against each other.
+Both evaluation paths take p1 from the statevector of the assembled F
+circuit.  The production path ("auto") feeds it to the closed-form spectral
+readout, which is exact: F|0> splits evenly over the two Grover eigenstates
+with phases +-theta, sin^2(pi theta / 2) = p1, so the outcome distribution
+of phase estimation depends on p1 alone.  The reference path ("circuit")
+simulates the whole phase-estimation circuit gate by gate; the test suite
+pins the two against each other and against a brute-force oracle.
 """
 
 from __future__ import annotations
@@ -27,17 +29,13 @@ from .sim import (
     Circuit,
     Gate,
     ResourceLimitError,
-    StateVector,
     apply_circuit,
-    dense_unitary,
     init_state,
     probabilities,
-    rotation_matrix,
     DEFAULT_QUBIT_CAP,
 )
 from .circuits import bit_reversal_permutation, inverse_qft, mcx
 from .distributions import (
-    DiscretizedDistribution,
     VariationalAnsatz,
     _ucry_gates,
     ansatz_circuit,
@@ -365,7 +363,7 @@ class QMCConfig:
     r_mode: str = "exact"          # "exact" | "linear"
     a_mode: str = "exact_prep"     # "exact_prep" | "trained_ansatz"
     theta_side: str = "left"
-    method: str = "auto"           # "circuit" | "powers" | "spectral" | "auto"
+    method: str = "auto"           # "auto" (spectral readout) | "circuit" (reference)
     cap: int = DEFAULT_QUBIT_CAP
 
     def __post_init__(self):
@@ -373,8 +371,17 @@ class QMCConfig:
             raise ValueError(f"unknown r_mode {self.r_mode!r}")
         if self.a_mode not in ("exact_prep", "trained_ansatz"):
             raise ValueError(f"unknown a_mode {self.a_mode!r}")
+        if self.method not in ("auto", "circuit"):
+            raise ValueError(f"unknown method {self.method!r}")
         if self.r_mode == "linear" and self.dims != 1:
             raise ValueError("the linear encoding handles one dimension only")
+        # Fail before anything sized by the registers is allocated.
+        for name, qubits in (("F register", self.dims * self.m + 1),
+                             ("estimation register", self.n)):
+            if qubits > self.cap:
+                raise ResourceLimitError(
+                    f"{name} needs {qubits} qubits, exceeding the cap of {self.cap}"
+                )
 
 
 @dataclass
@@ -440,47 +447,6 @@ def assemble_f(config: QMCConfig, dists, rv: RandomVariableSpec,
     return build_F(a_all, r_circ)
 
 
-def _dense_f(config: QMCConfig, dists, rv, ansatz, linear) -> np.ndarray:
-    """Structure-aware dense F: kron of register preparations, then the
-    block-diagonal ancilla rotation.  Cross-checked against dense_unitary of
-    the assembled circuit in the tests."""
-    mats = []
-    for j, dist in enumerate(dists):
-        if config.a_mode == "exact_prep":
-            c = exact_state_prep(dist)
-        else:
-            c = ansatz_circuit(ansatz)
-        mats.append(dense_unitary(c))
-    a_mat = mats[0]
-    for mat in mats[1:]:
-        a_mat = np.kron(a_mat, mat)
-    total_m = config.dims * config.m
-    dim = 1 << total_m
-    if config.r_mode == "exact":
-        half = 2.0 * np.arcsin(np.sqrt(np.clip(rv.values, 0.0, 1.0)))
-    else:
-        idx = np.arange(dim)
-        half = math.pi / 2 + 2.0 * linear.b + 2.0 * linear.a * idx
-    c, s = np.cos(half / 2.0), np.sin(half / 2.0)
-    f_mat = np.zeros((2 * dim, 2 * dim), dtype=np.complex128)
-    rows = np.arange(dim) * 2
-    big = np.kron(a_mat, np.eye(2))
-    # R is block-diagonal in the register index: scale row pairs of A (x) I.
-    f_mat[rows, :] = c[:, None] * big[rows, :] - s[:, None] * big[rows + 1, :]
-    f_mat[rows + 1, :] = s[:, None] * big[rows, :] + c[:, None] * big[rows + 1, :]
-    return f_mat
-
-
-def _dense_grover(f_mat: np.ndarray) -> np.ndarray:
-    dim = f_mat.shape[0]
-    z0 = np.ones(dim)
-    z0[0] = -1.0
-    v = np.ones(dim)
-    v[1::2] = -1.0
-    g = f_mat @ (z0[:, None] * (f_mat.conj().T * v[None, :]))
-    return g @ g
-
-
 def _kernel(theta: float, n: int) -> np.ndarray:
     """|<y| QFT^-1 |phase theta>|^2 for y = 0..2**n-1 (Dirichlet kernel).
 
@@ -519,56 +485,16 @@ def spectral_distribution(p1: float, n: int) -> np.ndarray:
     return 0.5 * (_kernel(theta, n) + _kernel(-theta, n))
 
 
-def _simulate_distribution(config, f_circuit, f_mat, n):
-    """theta-ordered outcome distribution for the chosen method."""
-    s = f_circuit.num_qubits
-    total = s + n
-    method = config.method
-    if method == "auto":
-        method = "powers" if total <= 24 else "spectral"
-    if method == "circuit":
-        circ = phase_estimation(f_circuit, n, cap=config.cap)
-        state = apply_circuit(init_state(circ.num_qubits, config.cap), circ)
-        measured = probabilities(state, circ.metadata["est_qubits"])
-    elif method == "powers":
-        if total > config.cap:
-            raise ResourceLimitError(
-                f"{total} qubits exceed the cap of {config.cap}"
-            )
-        state = init_state(total, config.cap).amplitudes
-        tensor = state.reshape((2,) * total)
-        # F on the system wires, Hadamards on the estimation wires
-        from .sim import _apply_gate_tensor  # shared in-place kernels
-
-        state_mat = state.reshape(1 << s, 1 << n)
-        chi = np.zeros(1 << s, dtype=np.complex128)
-        chi[0] = 1.0
-        chi = f_mat @ chi
-        state_mat[:, :] = 0.0
-        state_mat[:, :] = chi[:, None] / math.sqrt(1 << n)
-        power = _dense_grover(f_mat)
-        est_index = np.arange(1 << n)
-        for k in range(n - 1, -1, -1):
-            mask = (est_index >> (n - 1 - k)) & 1 == 1
-            state_mat[:, mask] = power @ state_mat[:, mask]
-            if k > 0:
-                power = power @ power
-        iqft = inverse_qft(range(s, s + n))
-        for gate in iqft.gates:
-            _apply_gate_tensor(tensor, gate, total)
-        measured = np.abs(state_mat) ** 2
-        measured = measured.sum(axis=0)
-    else:  # spectral
-        chi = np.zeros(1 << s, dtype=np.complex128)
-        chi[0] = 1.0
-        chi = f_mat @ chi
-        p1 = float(np.sum(np.abs(chi[1::2]) ** 2))
+def _simulate_distribution(config, f_circuit, n):
+    """theta-ordered outcome distribution and the encoded probability p1."""
+    chi = apply_circuit(init_state(f_circuit.num_qubits, config.cap), f_circuit)
+    p1 = float(probabilities(chi, [f_circuit.num_qubits - 1])[1])
+    if config.method == "auto":
         return spectral_distribution(p1, n), p1
-    rev = bit_reversal_permutation(n)
-    theta_ordered = measured[rev]
-    chi = f_mat @ np.eye(1 << s, dtype=np.complex128)[:, 0]
-    p1 = float(np.sum(np.abs(chi[1::2]) ** 2))
-    return theta_ordered, p1
+    circ = phase_estimation(f_circuit, n, cap=config.cap)
+    state = apply_circuit(init_state(circ.num_qubits, config.cap), circ)
+    measured = probabilities(state, circ.metadata["est_qubits"])
+    return measured[bit_reversal_permutation(n)], p1
 
 
 def run_qmc(config: QMCConfig, dists, rv: RandomVariableSpec,
@@ -586,8 +512,7 @@ def run_qmc(config: QMCConfig, dists, rv: RandomVariableSpec,
         increasing = bool(rv.values[-1] >= rv.values[0])
         linear = LinearRParams.for_oracle_budget(config.m, config.n, increasing)
     f_circuit = assemble_f(config, dists, rv, ansatz, linear)
-    f_mat = _dense_f(config, dists, rv, ansatz, linear)
-    distribution, p1 = _simulate_distribution(config, f_circuit, f_mat, config.n)
+    distribution, p1 = _simulate_distribution(config, f_circuit, config.n)
     theta_hat = extract_theta(distribution, config.theta_side)
     mu_norm = theta_to_mu(theta_hat)
     mu = denormalize_mu(mu_norm, rv, linear)

@@ -81,10 +81,10 @@ def simple_run():
 def stress_runs():
     timings = {}
     start = time.perf_counter()
-    r10 = econ.stress_qmc(econ.DEFAULT_STRESS, 5, 10, method="powers")
+    r10 = econ.stress_qmc(econ.DEFAULT_STRESS, 5, 10)
     timings[10] = time.perf_counter() - start
     start = time.perf_counter()
-    r2 = econ.stress_qmc(econ.DEFAULT_STRESS, 5, 2, method="powers")
+    r2 = econ.stress_qmc(econ.DEFAULT_STRESS, 5, 2)
     timings[2] = time.perf_counter() - start
     return {2: r2, 10: r10}, timings
 
@@ -171,7 +171,7 @@ def test_criterion_04_stress_plateau():
     bias = abs(grid - cont) / cont
     errors = {}
     for n in (6, 10, 14, 20, 21, 22):
-        res = econ.stress_qmc(econ.DEFAULT_STRESS, 5, n, method="spectral")
+        res = econ.stress_qmc(econ.DEFAULT_STRESS, 5, n)
         errors[n] = res.fractional_error
     plateau = [errors[n] for n in (20, 21, 22)]
     level_ok = all(0.5 * bias <= e <= 2.0 * bias for e in plateau)

@@ -37,10 +37,25 @@ class TestExitCodes:
 
     def test_resource_cap_exit_2(self, capsys):
         code, _, err = run_cli(
-            ["run", "stress", "--m", "5", "--n", "25", "--method", "powers"],
+            ["run", "stress", "--m", "5", "--n", "25", "--method", "circuit"],
             capsys)
         assert code == 2
         assert "resource" in err.lower()
+
+    @pytest.mark.parametrize("args,allocator", [
+        (["stress", "--m", "15"], "stress_rv_grid"),   # 2**30 grid values
+        (["simple", "--n", "31"], "run_qmc")])         # 2**31 outcomes
+    def test_oversized_register_exit_2_before_allocating(self, capsys,
+                                                         monkeypatch, args,
+                                                         allocator):
+        def refuse(*a, **k):
+            raise AssertionError(f"{allocator} reached before the cap check")
+
+        monkeypatch.setattr(cli.econ, "stress_rv_grid", refuse)
+        monkeypatch.setattr(cli, "run_qmc", refuse)
+        code, _, err = run_cli(["run", *args], capsys)
+        assert code == 2
+        assert "exceeding the cap" in err
 
 
 class TestOracle:
@@ -143,23 +158,24 @@ class TestCrossoverOutput:
         + [{"estimator": "classical", "N": 10**k,
             "error": 0.5 * 10 ** (-0.5 * k)} for k in range(2, 6)])
 
-    @pytest.mark.parametrize("hypothetical,name", [
-        (False, "fig9_crossover.csv"),
-        (True, "fig10_crossover_ideal_slope.csv")])
-    def test_csv_independent_of_measured_tau(self, tmp_path, capsys,
-                                             monkeypatch, hypothetical, name):
+    @pytest.fixture(autouse=True)
+    def synthetic_depths(self, monkeypatch):
         monkeypatch.setattr(
             bench, "resource_rows",
             lambda m, n_values, layers=10: [{"n": n, "depth": 400 * 2**n}
                                             for n in n_values])
+
+    @pytest.mark.parametrize("hypothetical,name", [
+        (False, "fig9_crossover.csv"),
+        (True, "fig10_crossover_ideal_slope.csv")])
+    def test_csv_independent_of_measured_tau(self, tmp_path, capsys,
+                                             hypothetical, name):
         args = argparse.Namespace(seed=0, format="csv")
         outputs = []
         for tau in (1e-7, 1e-5):
-            monkeypatch.setattr(bench, "time_per_sample",
-                                lambda seed=0, tau=tau: tau)
             out_dir = tmp_path / f"tau{tau:g}"
             out_dir.mkdir()
-            cli._bench_crossover(args, out_dir, list(self.FIG6_ROWS),
+            cli._bench_crossover(args, out_dir, tau, list(self.FIG6_ROWS),
                                  hypothetical=hypothetical)
             out = capsys.readouterr().out
             assert f"measured={tau * 1e9:.0f} ns/sample" in out
@@ -167,6 +183,22 @@ class TestCrossoverOutput:
             assert f"reference tau={reference:.0f} ns/sample" in out
             outputs.append((out_dir / name).read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_tau_measured_once_for_fig9_and_fig10(self, tmp_path, capsys,
+                                                  monkeypatch):
+        calls = []
+        monkeypatch.setattr(bench, "time_per_sample",
+                            lambda seed=0: calls.append(seed) or 3e-7)
+        monkeypatch.setattr(cli, "_bench_fig6",
+                            lambda args, out_dir: list(self.FIG6_ROWS))
+        for target in ("fig3", "fig7", "fig8", "fig11"):
+            monkeypatch.setattr(cli, f"_bench_{target}", lambda args, out_dir: None)
+        code, out, _ = run_cli(["bench", "all", "--out-dir", str(tmp_path)], capsys)
+        assert code == 0
+        assert calls == [0]
+        assert out.count("measured=300 ns/sample") == 2
+        assert (tmp_path / "fig9_crossover.csv").exists()
+        assert (tmp_path / "fig10_crossover_ideal_slope.csv").exists()
 
 
 class TestTrainCommand:

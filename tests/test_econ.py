@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -129,9 +130,26 @@ class TestStressMeans:
         m = 3
         dist = DEFAULT_STRESS.shock_distribution(m)
         rv = normalize_rv(stress_rv_grid(DEFAULT_STRESS, dist))
-        result = stress_qmc(DEFAULT_STRESS, m, 2, method="powers")
+        result = stress_qmc(DEFAULT_STRESS, m, 2)
         mu_from_p1 = denormalize_mu(result.estimate.p1, rv)
         assert mu_from_p1 == pytest.approx(result.mu_grid_oracle, abs=1e-9)
+
+    def test_thirteen_qubit_estimate_stays_small(self):
+        # p1 comes from a 2**13-amplitude statevector; a dense 2**13 x 2**13
+        # operator would take 1 GiB
+        m = 6
+        dist = DEFAULT_STRESS.shock_distribution(m)
+        rv = normalize_rv(stress_rv_grid(DEFAULT_STRESS, dist))
+        tracemalloc.start()
+        try:
+            result = stress_qmc(DEFAULT_STRESS, m, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        joint = np.outer(dist.masses, dist.masses).reshape(-1)
+        assert result.estimate.p1 == pytest.approx(float(joint @ rv.values),
+                                                   abs=1e-10)
 
 
 class TestNeoclassical:

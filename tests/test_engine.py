@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from qmcecon.circuits import count_resources, decompose
-from qmcecon.distributions import discretize_beta, discretize_normal, exact_state_prep
+from qmcecon.distributions import (
+    VariationalAnsatz,
+    discretize_beta,
+    discretize_normal,
+    exact_state_prep,
+)
 from qmcecon.engine import (
     LinearRParams,
     PhaseEstimate,
@@ -23,7 +28,6 @@ from qmcecon.engine import (
     run_qmc,
     spectral_distribution,
     theta_to_mu,
-    _dense_f,
 )
 from qmcecon.sim import (
     Circuit,
@@ -169,15 +173,6 @@ class TestProblemUnitary:
         joint = np.outer(d1.masses, d2.masses).reshape(-1)
         assert probabilities(chi, [4])[1] == pytest.approx(
             float(joint @ values), abs=1e-10)
-
-    def test_dense_f_matches_circuit(self):
-        rng = np.random.default_rng(3)
-        dist = random_distribution(3, rng)
-        rv = normalize_rv(rng.uniform(-2, 5, 8))
-        config = QMCConfig(dims=1, m=3, n=2)
-        circ = assemble_f(config, [dist], rv)
-        np.testing.assert_allclose(_dense_f(config, [dist], rv, None, None),
-                                   dense_unitary(circ), atol=1e-12)
 
 
 class TestGroverOperator:
@@ -328,20 +323,32 @@ class TestFullPipeline:
         oracle = brute_force_phase_estimation(q, chi, n)
         np.testing.assert_allclose(res.distribution, oracle, atol=1e-10)
 
-    def test_methods_agree(self):
-        dist, rv = small_problem(3, seed=4)
-        results = {}
-        for method in ("circuit", "powers", "spectral"):
-            config = QMCConfig(dims=1, m=3, n=4, method=method)
-            results[method] = run_qmc(config, [dist], rv).distribution
-        np.testing.assert_allclose(results["circuit"], results["powers"],
-                                   atol=1e-12)
-        np.testing.assert_allclose(results["circuit"], results["spectral"],
-                                   atol=1e-12)
+    @pytest.mark.parametrize("case", ["exact", "two_registers", "linear",
+                                      "trained_ansatz"])
+    def test_methods_agree(self, case):
+        # every F shape the production path sees, against the circuit reference
+        rng = np.random.default_rng(4)
+        dims, m = (2, 2) if case == "two_registers" else (1, 3)
+        options = dict(dims=dims, m=m)
+        dists = [random_distribution(m, rng) for _ in range(dims)]
+        rv = normalize_rv(rng.uniform(-1, 4, 1 << (dims * m)))
+        ansatz = None
+        if case == "linear":
+            rv = normalize_rv(np.linspace(2.0, -1.0, 8))
+            options["r_mode"] = "linear"
+        elif case == "trained_ansatz":
+            ansatz = VariationalAnsatz(3, 2, rng.uniform(-math.pi, math.pi, 18))
+            options["a_mode"] = "trained_ansatz"
+        results = {method: run_qmc(QMCConfig(n=4, method=method, **options),
+                                   dists, rv, ansatz=ansatz)
+                   for method in ("circuit", "auto")}
+        np.testing.assert_allclose(results["circuit"].distribution,
+                                   results["auto"].distribution, atol=1e-12)
+        assert results["circuit"].p1 == pytest.approx(results["auto"].p1, abs=1e-12)
 
     def test_readout_symmetry(self):
         dist, rv = small_problem(3, seed=9)
-        res = run_qmc(QMCConfig(dims=1, m=3, n=5, method="powers"), [dist], rv)
+        res = run_qmc(QMCConfig(dims=1, m=3, n=5, method="circuit"), [dist], rv)
         p = res.distribution
         np.testing.assert_allclose(p[1:], p[1:][::-1], atol=1e-9)
 
@@ -382,3 +389,5 @@ class TestFullPipeline:
             QMCConfig(r_mode="linear", dims=2)
         with pytest.raises(ValueError):
             QMCConfig(r_mode="weird")
+        with pytest.raises(ValueError, match="method"):
+            QMCConfig(method="typo")
