@@ -19,7 +19,6 @@ from .circuits import (
     decompose,
     inverse_qft,
     mcx,
-    runtime,
 )
 from .distributions import (
     DiscretizedDistribution,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuits import ResourceReport, count_stream, lower_gates
-from .distributions import VariationalAnsatz, discretize_normal
+from .distributions import VariationalAnsatz
 from .engine import LinearRParams, QMCConfig, assemble_f, normalize_rv, phase_estimation
 from . import econ
 
@@ -39,10 +39,6 @@ REFERENCE_SECONDS_PER_SAMPLE = 2.24e-7
 # ---------------------------------------------------------------------------
 
 
-def default_m(app: str) -> int:
-    return econ.BENCH_M if app == "neoclassical" else 5
-
-
 @dataclass
 class SweepSpec:
     app: str                      # "simple" | "stress" | "neoclassical"
@@ -50,65 +46,39 @@ class SweepSpec:
     range: list[int]              # n values (quantum) or N values (classical)
     repeats: int = 1              # classical only
     seed: int = 0
-    m: int | None = None          # None: per-app default register size
+    m: int | None = None          # None: the workload's default register size
+    scenario: econ.StressTestParams | None = None   # stress only; None: default
 
     def __post_init__(self):
-        if self.app not in ("simple", "stress", "neoclassical"):
-            raise ValueError(f"unknown app {self.app!r}")
         if self.estimator not in ("qmc_exact", "qmc_linear", "classical"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if not self.range or any(b <= a for a, b in zip(self.range, self.range[1:])):
             raise ValueError("range must be non-empty and increasing")
         if self.estimator == "classical" and self.repeats < 1:
             raise ValueError("classical sweeps need repeats >= 1")
-        if self.estimator == "qmc_linear" and self.app == "stress":
-            raise ValueError("the stress problem uses the exact encoding")
+        workload = self.workload
+        if self.estimator == "qmc_linear" and workload.dims != 1:
+            raise ValueError("the linear encoding handles one dimension only")
         if self.m is None:
-            self.m = default_m(self.app)
+            self.m = workload.m
+
+    @property
+    def workload(self) -> econ.Workload:
+        return econ.workload(self.app, self.scenario)
 
 
-def _simple_quantum_point(m, n):
-    dist = discretize_normal(m, 0.0, 1.0, -math.pi, math.pi)
-    rv = normalize_rv(np.sin(dist.grid) ** 2)
-    config = QMCConfig(dims=1, m=m, n=n, r_mode="exact", method="auto")
-    from .engine import run_qmc
-
-    res = run_qmc(config, [dist], rv)
-    oracle = float(np.dot(dist.masses, np.sin(dist.grid) ** 2))
-    return abs(res.mu - oracle)
+def _quantum_point(workload, m, n, r_mode):
+    r = econ.estimate(workload, m, n, r_mode=r_mode)
+    oracle = r.mu_continuous if workload.sweep_against_continuous else r.mu_grid_oracle
+    return abs(r.estimate.mu - oracle)
 
 
-def _quantum_point(app, m, n, r_mode):
-    if app == "simple":
-        return _simple_quantum_point(m, n)
-    if app == "stress":
-        r = econ.stress_qmc(econ.DEFAULT_STRESS, m, n, method="auto")
-        return abs(r.estimate.mu - r.mu_continuous)
-    r = econ.neoclassical_qmc(econ.BENCH_C1, econ.BENCH_C2, econ.BENCH_SIGMA,
-                              m, n, r_mode=r_mode)
-    return r.abs_error
-
-
-_CLASSICAL_PROBLEMS = {
-    "simple": lambda: (econ.simple_problem_sampler, econ.simple_problem_f,
-                       econ.SIMPLE_ANALYTIC_MEAN),
-    "stress": lambda: (econ.stress_sampler(econ.DEFAULT_STRESS),
-                       econ.stress_f(econ.DEFAULT_STRESS),
-                       econ.stress_theoretical_mean(
-                           econ.stress_coefficients(econ.DEFAULT_STRESS),
-                           econ.DEFAULT_STRESS.beta_lev)),
-    "neoclassical": lambda: (econ.neoclassical_sampler(),
-                             econ.neoclassical_f(), 1.0),
-}
-
-
-def _classical_point(app, n_samples, repeats, seed):
-    sampler, f, oracle = _CLASSICAL_PROBLEMS[app]()
+def _classical_point(workload, n_samples, repeats, seed):
     errors = []
     elapsed = []
     for rep in range(repeats):
-        run = econ.classical_mc(sampler, f, n_samples,
-                                seed=seed + 7919 * rep, oracle=oracle)
+        run = econ.classical_mc(workload.sampler, workload.f, n_samples,
+                                seed=seed + 7919 * rep, oracle=workload.mean)
         errors.append(run.abs_error)
         elapsed.append(run.wall_time)
     return float(np.mean(errors)), float(np.mean(elapsed))
@@ -121,16 +91,17 @@ def error_sweep(spec: SweepSpec, jobs: int = 1) -> list[dict]:
     over ``repeats`` seeded runs.  Rows are ordered by range point regardless
     of how many workers computed them.
     """
+    workload = spec.workload
 
     def run_point(point):
         start = time.perf_counter()
         if spec.estimator == "classical":
-            err, sample_time = _classical_point(spec.app, point, spec.repeats,
+            err, sample_time = _classical_point(workload, point, spec.repeats,
                                                 spec.seed)
             return {"app": spec.app, "estimator": spec.estimator, "n": "",
                     "N": point, "error": err, "wall_time_s": sample_time}
         r_mode = "linear" if spec.estimator == "qmc_linear" else "exact"
-        err = _quantum_point(spec.app, spec.m, point, r_mode)
+        err = _quantum_point(workload, spec.m, point, r_mode)
         return {"app": spec.app, "estimator": spec.estimator, "n": point,
                 "N": 2**point - 1, "error": err,
                 "wall_time_s": time.perf_counter() - start}
@@ -217,8 +188,9 @@ def qmc_resource_report(m: int, n: int, layers: int = 10) -> ResourceReport:
     streams its elementary-gate lowering through the counter, so the million
     and more gates of larger n never materialize in memory.
     """
-    dist = discretize_normal(m, 1.0, econ.BENCH_SIGMA, 0.94, 1.06)
-    rv = normalize_rv(econ.BENCH_C1 + econ.BENCH_C2 * dist.grid)
+    workload = econ.neoclassical_workload(symmetric=True)
+    dist = workload.shock(m)
+    rv = normalize_rv(workload.values(dist))
     config = QMCConfig(dims=1, m=m, n=n, r_mode="linear", a_mode="trained_ansatz")
     linear = LinearRParams.for_oracle_budget(m, n, increasing=False)
     f_circuit = assemble_f(config, [dist], rv, _bench_ansatz(m, layers), linear)

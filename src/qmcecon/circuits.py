@@ -297,10 +297,3 @@ def count_stream(gates, num_qubits: int) -> ResourceReport:
 
 def count_resources(circuit: Circuit) -> ResourceReport:
     return count_stream(circuit.gates, circuit.num_qubits)
-
-
-def runtime(report: ResourceReport, model: GateTimeModel) -> float:
-    """Total algorithm time: depth sequential steps at one gate time each."""
-    if report.depth <= 0:
-        raise ValueError("runtime needs a scheduled circuit with depth > 0")
-    return model.gate_time * report.depth

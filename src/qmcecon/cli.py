@@ -12,16 +12,14 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import bench, econ
 from .circuits import GateTimeModel
 from .distributions import (
+    APPENDIX_SCHEDULE,
     TrainingSchedule,
     discretize_normal,
     load_ansatz,
@@ -29,7 +27,6 @@ from .distributions import (
     train_ansatz,
     ansatz_probs,
 )
-from .engine import QMCConfig, normalize_rv, run_qmc
 from .sim import ResourceLimitError
 
 NONDETERMINISTIC_COLUMNS = ("wall_time_s",)
@@ -98,38 +95,20 @@ def _cmd_train_a(args) -> int:
     return 0
 
 
-def _run_simple(args):
-    dist = discretize_normal(args.m, 0.0, 1.0, -math.pi, math.pi)
-    rv = normalize_rv(np.sin(dist.grid) ** 2)
-    config = QMCConfig(dims=1, m=args.m, n=args.n, r_mode=args.r_mode,
-                       method=args.method)
-    est = run_qmc(config, [dist], rv)
-    oracle = float(np.dot(dist.masses, np.sin(dist.grid) ** 2))
-    return est, oracle, oracle
-
-
 def _cmd_run(args) -> int:
     ansatz = None
     if args.a_mode == "trained_ansatz":
         if not args.params:
             raise ValueError("trained_ansatz mode needs --params FILE")
         ansatz, _ = load_ansatz(args.params)
-    if args.app == "simple":
-        est, grid_oracle, oracle = _run_simple(args)
-    elif args.app == "stress":
-        result = econ.stress_qmc(_stress_params(args), args.m, args.n,
-                                 method=args.method)
-        est, grid_oracle, oracle = result.estimate, result.mu_grid_oracle, result.mu_continuous
-    else:
-        result = econ.neoclassical_qmc(econ.BENCH_C1, econ.BENCH_C2,
-                                       econ.BENCH_SIGMA, args.m, args.n,
-                                       r_mode=args.r_mode, a_mode=args.a_mode,
-                                       ansatz=ansatz, method=args.method)
-        est, grid_oracle, oracle = result.estimate, result.mu_grid_oracle, result.mu_grid_oracle
-    abs_error = abs(est.mu - grid_oracle)
+    result = econ.estimate(econ.workload(args.app, _stress_params(args)),
+                           args.m, args.n, r_mode=args.r_mode,
+                           a_mode=args.a_mode, ansatz=ansatz, method=args.method)
+    est, abs_error = result.estimate, result.abs_error_grid
     print(f"app={args.app} m={args.m} n={args.n} N_oracle={est.oracle_calls}")
     print(f"theta_hat={est.theta_hat:.6f} mu_normalized={est.mu_normalized:.6f}")
-    print(f"mu={est.mu:.6g} oracle={grid_oracle:.6g} abs_error={abs_error:.3e}")
+    print(f"mu={est.mu:.6g} oracle={result.mu_grid_oracle:.6g} "
+          f"abs_error={abs_error:.3e}")
     rows = [{"app": args.app, "m": args.m, "n": args.n,
              "N_oracle": est.oracle_calls, "theta_hat": est.theta_hat,
              "mu_normalized": est.mu_normalized, "mu": est.mu,
@@ -152,7 +131,8 @@ def _cmd_sweep(args) -> int:
         rng_points = list(range(args.n_min, args.n_max + 1))
     spec = bench.SweepSpec(app=args.app, estimator=args.estimator,
                            range=rng_points, repeats=args.repeats,
-                           seed=args.seed, m=args.m)
+                           seed=args.seed, m=args.m,
+                           scenario=_stress_params(args))
     rows = bench.error_sweep(spec, jobs=args.jobs)
     _write_rows(rows, args.out, args.format)
     return 0
@@ -171,26 +151,17 @@ def _cmd_resources(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.app == "simple":
-        dist = discretize_normal(args.m, 0.0, 1.0, -math.pi, math.pi)
-        grid = float(np.dot(dist.masses, np.sin(dist.grid) ** 2))
-        print(f"analytic mean: {econ.SIMPLE_ANALYTIC_MEAN:.6f}")
-        print(f"m={args.m} grid mean: {grid:.6f}")
-    elif args.app == "stress":
-        params = _stress_params(args)
+    params = _stress_params(args)
+    workload = econ.workload(args.app, params)
+    cont, grid = workload.mean, workload.grid_mean(workload.shock(args.m))
+    if args.app == "stress":
         coeffs = econ.stress_coefficients(params)
-        cont = econ.stress_theoretical_mean(coeffs, params.beta_lev, None,
-                                            params.shock_a, params.shock_b)
-        dist = params.shock_distribution(args.m)
-        grid = econ.stress_theoretical_mean(coeffs, params.beta_lev, dist)
         print(f"gamma0={coeffs.gamma0:.4f} gamma1={coeffs.gamma1:.4f} "
               f"combined={econ.stress_combined_constant(coeffs, params.beta_lev):.4f}")
         print(f"continuous loss fraction: {cont:.6f} ({cont:.3%})")
         print(f"m={args.m} grid loss fraction: {grid:.6f} ({grid:.3%})")
     else:
-        dist = econ.neoclassical_shock_grid(args.m)
-        grid = econ.BENCH_C1 + econ.BENCH_C2 * dist.mean()
-        print(f"analytic mean: {econ.BENCH_C1 + econ.BENCH_C2 * 1.0:.6f}")
+        print(f"analytic mean: {cont:.6f}")
         print(f"m={args.m} grid mean: {grid:.6f}")
     return 0
 
@@ -201,9 +172,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _bench_fig3(args, out_dir):
-    dist = discretize_normal(5, 0.0, 1.0, -math.pi, math.pi)
-    rv = normalize_rv(np.sin(dist.grid) ** 2)
-    est = run_qmc(QMCConfig(dims=1, m=5, n=6), [dist], rv)
+    est = econ.estimate(econ.simple_workload(), 5, 6).estimate
     rows = [{"theta": i / est.distribution.size, "probability": float(p)}
             for i, p in enumerate(est.distribution)]
     _write_rows(rows, str(out_dir / "fig3_phase_distribution.csv"), args.format)
@@ -224,21 +193,15 @@ def _bench_fig6(args, out_dir):
 
 
 def _bench_fig7(args, out_dir):
-    params = _stress_params(args)
-    coeffs = econ.stress_coefficients(params)
-    cont = econ.stress_theoretical_mean(coeffs, params.beta_lev, None,
-                                        params.shock_a, params.shock_b)
+    workload = econ.stress_workload(_stress_params(args))
     rows = []
     for n in range(2, 23):
-        res = econ.stress_qmc(params, 5, n)
+        res = econ.estimate(workload, 5, n)
         rows.append({"n": n, "N": 2**n - 1,
                      "fractional_error": res.fractional_error,
-                     "grid_abs_error": res.abs_error_grid})
-    dist = params.shock_distribution(5)
-    grid = econ.stress_theoretical_mean(coeffs, params.beta_lev, dist)
-    bias = abs(grid - cont) / cont
-    for row in rows:
-        row["discretization_bias"] = bias
+                     "grid_abs_error": res.abs_error_grid,
+                     "discretization_bias": abs(res.mu_grid_oracle - res.mu_continuous)
+                     / res.mu_continuous})
     _write_rows(rows, str(out_dir / "fig7_stress_error.csv"), args.format)
 
 
@@ -272,9 +235,8 @@ def _bench_crossover(args, out_dir, measured_tau, fig6_rows=None,
 
 
 def _bench_fig11(args, out_dir):
-    target = discretize_normal(5, 1.0, econ.BENCH_SIGMA, 0.94, 1.06)
-    schedule = TrainingSchedule([(1000, 0.01), (1000, 0.001), (1000, 0.0001)],
-                                seed=args.seed if args.seed else 1)
+    target = econ.neoclassical_shock_grid(5, symmetric=True)
+    schedule = replace(APPENDIX_SCHEDULE, seed=args.seed if args.seed else 1)
     ansatz, trace = train_ansatz(target, 10, schedule)
     probs = ansatz_probs(ansatz)
     rows = [{"x": float(x), "target_mass": float(t), "trained_mass": float(p)}
@@ -335,14 +297,15 @@ def build_parser() -> _Parser:
     p.add_argument("--layers", type=int, default=10)
     p.add_argument("--mean", type=float, default=1.0)
     p.add_argument("--sigma", type=float, default=econ.BENCH_SIGMA)
-    p.add_argument("--x-min", type=float, default=0.94)
-    p.add_argument("--x-max", type=float, default=1.06)
-    p.add_argument("--stages", default="1000:0.01,1000:0.001,1000:0.0001")
+    p.add_argument("--x-min", type=float, default=1.0 - 3.0 * econ.BENCH_SIGMA)
+    p.add_argument("--x-max", type=float, default=1.0 + 3.0 * econ.BENCH_SIGMA)
+    p.add_argument("--stages", default=",".join(
+        f"{epochs}:{lr}" for epochs, lr in APPENDIX_SCHEDULE.stages))
     p.add_argument("--params-out", default="trained_params.txt")
     p.set_defaults(func=_cmd_train_a)
 
     p = sub.add_parser("run", help="single estimation run")
-    p.add_argument("app", choices=("simple", "stress", "neoclassical"))
+    p.add_argument("app", choices=econ.APPS)
     p.add_argument("--m", type=int, default=5)
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--r-mode", choices=("exact", "linear"), default="exact")
@@ -357,8 +320,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("sweep", help="error-vs-N sweep")
-    p.add_argument("--app", required=True,
-                   choices=("simple", "stress", "neoclassical"))
+    p.add_argument("--app", required=True, choices=econ.APPS)
     p.add_argument("--estimator", required=True,
                    choices=("qmc_exact", "qmc_linear", "classical"))
     p.add_argument("--n-min", type=int, default=4)
@@ -378,7 +340,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_resources)
 
     p = sub.add_parser("oracle", help="print reference values")
-    p.add_argument("app", choices=("simple", "stress", "neoclassical"))
+    p.add_argument("app", choices=econ.APPS)
     p.add_argument("--m", type=int, default=5)
     p.set_defaults(func=_cmd_oracle)
 

@@ -98,17 +98,6 @@ def _ucry_gates(angles: np.ndarray, controls: list[int], target: int):
     yield Gate("cnot", (target,), (controls[0],))
 
 
-def uniformly_controlled_ry(angles, controls, target: int) -> Circuit:
-    angles = np.asarray(angles, dtype=float)
-    controls = list(controls)
-    if angles.shape != (1 << len(controls),):
-        raise ValueError(f"need 2**{len(controls)} angles, got {angles.shape}")
-    circ = Circuit(max(controls + [target]) + 1)
-    for g in _ucry_gates(angles, controls, target):
-        circ.add(g)
-    return circ
-
-
 def exact_state_prep(dist: DiscretizedDistribution, qubits=None) -> Circuit:
     """Circuit mapping |0..0> to sum_i sqrt(p(i)) |i> (real, nonnegative).
 

@@ -1,21 +1,23 @@
-"""Economics workloads with closed-form and grid oracles.
+"""Economics workloads, each defined once in a registry.
 
-Two reference problems drive the estimation engine:
+A ``Workload`` is one expectation problem: a discretized shock per register
+and a variable on their product grid, whose mean ``estimate`` reads back by
+amplitude estimation, with its closed-form grid mean, its mean under the
+continuous shock, and the sampler of the seeded classical Monte Carlo
+baseline.  ``workload(app)`` returns one of:
 
-* A two-bank, two-period stress test.  Each period the banks take random
-  credit losses, fall below their regulatory leverage ratio, and sell
-  securities; the simultaneous sales depress the price and feed back as
+* ``simple``: E[sin^2 x] for a standard normal x.
+* ``stress``: a two-bank, two-period stress test.  Each period the banks
+  take random credit losses, fall below their regulatory leverage ratio, and
+  sell securities; the simultaneous sales depress the price and feed back as
   mark-to-market losses.  The model is linear enough that the total expected
-  system-wide loss reduces to the expectation of
-  ``K * (1 + d1) * (2 + d2)`` over i.i.d. Beta-distributed loss rates, with K
-  built from the balance-sheet calibration.
-* A log-utility neoclassical investment model whose value function is known
-  in closed form.  Linearizing the Bellman residual around the optimum turns
-  the training loss into the expectation of ``C1 + C2 * z'`` over a normal
-  productivity shock, a one-dimensional benchmark with a known answer.
-
-A seeded classical Monte Carlo estimator provides the baseline for the
-error-scaling and runtime comparisons.
+  system-wide loss reduces to the expectation of ``K * (1 + d1) * (2 + d2)``
+  over i.i.d. Beta-distributed loss rates, with K built from the
+  balance-sheet calibration.
+* ``neoclassical``: a log-utility investment model whose value function is
+  known in closed form.  Linearizing the Bellman residual around the optimum
+  turns the training loss into the expectation of ``C1 + C2 * z'`` over a
+  normal productivity shock, a one-dimensional benchmark with a known answer.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import configparser
 import math
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -34,6 +37,7 @@ from .engine import (
     normalize_rv,
     run_qmc,
 )
+from .sim import DEFAULT_QUBIT_CAP
 
 
 class ModelDegeneracyError(ValueError):
@@ -176,35 +180,10 @@ def stress_rv_grid(params: StressTestParams, dist: DiscretizedDistribution) -> n
     return stress_loss_rv(d1, d2, coeffs, params.beta_lev).reshape(-1)
 
 
-@dataclass
-class StressResult:
-    estimate: PhaseEstimate
-    mu_grid_oracle: float
-    mu_continuous: float
-    abs_error_grid: float
-    fractional_error: float
-
-
 def stress_qmc(params: StressTestParams, m: int, n: int,
-               method: str = "auto", cap: int = 30) -> StressResult:
+               method: str = "auto", cap: int = 30) -> WorkloadEstimate:
     """Run the two-register estimation of the expected stress loss."""
-    # the config checks the qubit cap before the 2**(2m) grid is built
-    config = QMCConfig(dims=2, m=m, n=n, r_mode="exact", a_mode="exact_prep",
-                       theta_side="left", method=method, cap=cap)
-    dist = params.shock_distribution(m)
-    rv = normalize_rv(stress_rv_grid(params, dist))
-    est = run_qmc(config, [dist, dist], rv)
-    coeffs = stress_coefficients(params)
-    mu_grid = stress_theoretical_mean(coeffs, params.beta_lev, dist)
-    mu_cont = stress_theoretical_mean(coeffs, params.beta_lev, None,
-                                      params.shock_a, params.shock_b)
-    return StressResult(
-        estimate=est,
-        mu_grid_oracle=mu_grid,
-        mu_continuous=mu_cont,
-        abs_error_grid=abs(est.mu - mu_grid),
-        fractional_error=abs(est.mu - mu_cont) / mu_cont,
-    )
+    return estimate(stress_workload(params), m, n, method=method, cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -310,30 +289,14 @@ def neoclassical_shock_grid(m: int, sigma: float = BENCH_SIGMA,
     return discretize_normal(m, 1.0, sigma, x_min, x_max)
 
 
-@dataclass
-class NeoclassicalResult:
-    estimate: PhaseEstimate
-    mu_grid_oracle: float
-    abs_error: float
-
-
 def neoclassical_qmc(c1: float, c2: float, sigma: float, m: int, n: int,
                      r_mode: str = "exact", a_mode: str = "exact_prep",
                      ansatz=None, symmetric_grid: bool = False,
-                     method: str = "auto") -> NeoclassicalResult:
-    """Estimate E[C1 + C2 z'] over the discretized shock.
-
-    The error is measured against the grid oracle sum_i p(i) (C1 + C2 x_i);
-    ``r_mode`` selects the exact rotation encoding or the rescaled linear
-    cascade whose c_s shrinks with the oracle budget.
-    """
-    dist = neoclassical_shock_grid(m, sigma, symmetric=symmetric_grid)
-    rv = normalize_rv(c1 + c2 * dist.grid)
-    config = QMCConfig(dims=1, m=m, n=n, r_mode=r_mode, a_mode=a_mode,
-                       theta_side="left", method=method)
-    est = run_qmc(config, [dist], rv, ansatz=ansatz)
-    oracle = c1 + c2 * dist.mean()
-    return NeoclassicalResult(est, oracle, abs(est.mu - oracle))
+                     method: str = "auto") -> WorkloadEstimate:
+    """Estimate E[C1 + C2 z'] over the discretized shock.  ``r_mode`` selects
+    the exact rotation encoding or the rescaled linear cascade."""
+    return estimate(neoclassical_workload(c1, c2, sigma, symmetric_grid),
+                    m, n, r_mode, a_mode, ansatz, method)
 
 
 # ---------------------------------------------------------------------------
@@ -381,41 +344,128 @@ def simple_problem_f(x):
 SIMPLE_ANALYTIC_MEAN = math.sinh(1.0) / math.e
 
 
-def stress_sampler(params: StressTestParams):
-    a, b = params.shock_a, params.shock_b
-
-    def sample(rng, size):
-        return rng.beta(a, b, size=(size, 2))
-
-    return sample
-
-
-def stress_f(params: StressTestParams):
-    coeffs = stress_coefficients(params)
-
-    def f(draws):
-        return stress_loss_rv(draws[:, 0], draws[:, 1], coeffs, params.beta_lev)
-
-    return f
-
-
-def neoclassical_sampler(sigma: float = BENCH_SIGMA):
-    def sample(rng, size):
-        return 1.0 + sigma * rng.standard_normal(size)
-
-    return sample
-
-
-def neoclassical_f(c1: float = BENCH_C1, c2: float = BENCH_C2):
-    def f(z):
-        return c1 + c2 * z
-
-    return f
-
-
 def neoclassical_single_draw(rng) -> float:
     """One scalar draw of the benchmark residual, for loop-timing."""
     return BENCH_C1 + BENCH_C2 * (1.0 + BENCH_SIGMA * rng.standard_normal())
+
+
+# ---------------------------------------------------------------------------
+# Workload registry
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Workload:
+    """One expectation problem with its oracles and classical baseline.
+
+    ``shock(m)`` discretizes the shock of each of the ``dims`` registers on
+    2**m points; ``values(dist)`` is the variable on the ``dims``-fold
+    product grid (register 1 index most significant) and ``grid_mean(dist)``
+    its exact mean there.  ``mean`` is the expectation under the continuous
+    shock, which the classical estimate of ``f(sampler(rng, size))`` targets.
+    """
+
+    dims: int
+    m: int                                    # default register size
+    shock: Callable[[int], DiscretizedDistribution]
+    values: Callable[[DiscretizedDistribution], np.ndarray]
+    grid_mean: Callable[[DiscretizedDistribution], float]
+    mean: float
+    sampler: Callable                         # (rng, size) -> draws
+    f: Callable                               # draws -> variable values
+    # Which mean the error sweeps score against.  The stress sweep keeps the
+    # discretization bias in its error, so the error levels off at the grid
+    # bias once the readout resolves it (the Fig. 7 plateau); the other
+    # sweeps show the estimator's own scaling against the grid mean.
+    sweep_against_continuous: bool = False
+
+
+def simple_workload() -> Workload:
+    """E[sin^2 x] for a standard normal x, gridded over [-pi, pi]."""
+    return Workload(
+        dims=1, m=5,
+        shock=lambda m: discretize_normal(m, 0.0, 1.0, -math.pi, math.pi),
+        values=lambda dist: simple_problem_f(dist.grid),
+        grid_mean=lambda dist: float(np.dot(dist.masses, simple_problem_f(dist.grid))),
+        mean=SIMPLE_ANALYTIC_MEAN,
+        sampler=simple_problem_sampler, f=simple_problem_f)
+
+
+def stress_workload(params: StressTestParams) -> Workload:
+    """Expected two-period system-wide loss fraction of the scenario."""
+    coeffs = stress_coefficients(params)
+    beta, a, b = params.beta_lev, params.shock_a, params.shock_b
+    return Workload(
+        dims=2, m=5, shock=params.shock_distribution,
+        values=lambda dist: stress_rv_grid(params, dist),
+        grid_mean=lambda dist: stress_theoretical_mean(coeffs, beta, dist),
+        mean=stress_theoretical_mean(coeffs, beta, None, a, b),
+        sampler=lambda rng, size: rng.beta(a, b, size=(size, 2)),
+        f=lambda d: stress_loss_rv(d[:, 0], d[:, 1], coeffs, beta),
+        sweep_against_continuous=True)
+
+
+def neoclassical_workload(c1: float = BENCH_C1, c2: float = BENCH_C2,
+                          sigma: float = BENCH_SIGMA,
+                          symmetric: bool = False) -> Workload:
+    """Expected linearized Bellman residual C1 + C2 z' over z' ~ N(1, sigma)."""
+    return Workload(
+        dims=1, m=BENCH_M,
+        shock=lambda m: neoclassical_shock_grid(m, sigma, symmetric=symmetric),
+        values=lambda dist: c1 + c2 * dist.grid,
+        grid_mean=lambda dist: c1 + c2 * dist.mean(),
+        mean=c1 + c2 * 1.0,
+        sampler=lambda rng, size: 1.0 + sigma * rng.standard_normal(size),
+        f=lambda z: c1 + c2 * z)
+
+
+APPS = ("simple", "stress", "neoclassical")
+
+
+def workload(app: str, scenario: StressTestParams | None = None) -> Workload:
+    """The registry: the workload behind each app name.
+
+    The stress test runs ``scenario``, ``DEFAULT_STRESS`` when None.
+    """
+    if app == "simple":
+        return simple_workload()
+    if app == "stress":
+        return stress_workload(DEFAULT_STRESS if scenario is None else scenario)
+    if app == "neoclassical":
+        return neoclassical_workload()
+    raise ValueError(f"unknown app {app!r}")
+
+
+@dataclass
+class WorkloadEstimate:
+    """A quantum estimate with the workload's grid and continuous means."""
+
+    estimate: PhaseEstimate
+    mu_grid_oracle: float
+    mu_continuous: float
+
+    @property
+    def abs_error_grid(self) -> float:
+        return abs(self.estimate.mu - self.mu_grid_oracle)
+
+    @property
+    def fractional_error(self) -> float:
+        return abs(self.estimate.mu - self.mu_continuous) / self.mu_continuous
+
+
+def estimate(workload: Workload, m: int, n: int, r_mode: str = "exact",
+             a_mode: str = "exact_prep", ansatz=None, method: str = "auto",
+             cap: int = DEFAULT_QUBIT_CAP) -> WorkloadEstimate:
+    """Amplitude-estimate the workload's mean: m qubits per register, n
+    estimation qubits.  ``a_mode="trained_ansatz"`` prepares every register
+    with ``ansatz``."""
+    # the config checks the qubit cap before the 2**(dims m) grid is built
+    config = QMCConfig(dims=workload.dims, m=m, n=n, r_mode=r_mode,
+                       a_mode=a_mode, theta_side="left", method=method, cap=cap)
+    dist = workload.shock(m)
+    rv = normalize_rv(workload.values(dist))
+    est = run_qmc(config, [dist] * workload.dims, rv, ansatz=ansatz)
+    return WorkloadEstimate(est, workload.grid_mean(dist), workload.mean)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from qmcecon.circuits import (
     decompose,
     inverse_qft,
     mcx,
-    runtime,
 )
 from qmcecon.sim import Circuit, Gate, dense_unitary
 
@@ -156,17 +155,6 @@ class TestResources:
     def test_rejects_unlowered_gates(self):
         with pytest.raises(ValueError, match="decompose"):
             count_resources(Circuit(1).h(0))
-
-    def test_runtime(self):
-        rep = count_resources(Circuit(1).rx(0, 1.0))
-        rep.depth = 1000
-        assert runtime(rep, GateTimeModel(1e-9)) == pytest.approx(1e-6)
-        assert runtime(rep, GateTimeModel(1e-4)) == pytest.approx(0.1)
-
-    def test_runtime_needs_depth(self):
-        rep = count_resources(Circuit(1))
-        with pytest.raises(ValueError):
-            runtime(rep, GateTimeModel(1e-9))
 
     def test_gate_time_positive(self):
         with pytest.raises(ValueError):

@@ -3,12 +3,15 @@ import csv
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from qmcecon import bench, cli
 from qmcecon.cli import main
-from qmcecon.econ import DEFAULT_STRESS, write_stress_config
+from qmcecon.distributions import VariationalAnsatz, save_ansatz
+from qmcecon.econ import DEFAULT_STRESS, stress_qmc, write_stress_config
 
 
 def run_cli(args, capsys):
@@ -52,10 +55,26 @@ class TestExitCodes:
             raise AssertionError(f"{allocator} reached before the cap check")
 
         monkeypatch.setattr(cli.econ, "stress_rv_grid", refuse)
-        monkeypatch.setattr(cli, "run_qmc", refuse)
+        monkeypatch.setattr(cli.econ, "run_qmc", refuse)
         code, _, err = run_cli(["run", *args], capsys)
         assert code == 2
         assert "exceeding the cap" in err
+
+
+    @pytest.mark.parametrize("args,message", [
+        (["sweep", "--app", "simple", "--estimator", "qmc_linear",
+          "--n-min", "3", "--n-max", "4", "--m", "3"],
+         "linear encoding requires a variable linear in the grid"),
+        (["run", "stress", "--r-mode", "linear", "--m", "3", "--n", "3"],
+         "the linear encoding handles one dimension only")],
+        ids=["sweep-simple", "run-stress"])
+    def test_unsupported_linear_encoding_exit_1(self, tmp_path, capsys, args,
+                                                 message):
+        out = tmp_path / "rows.csv"
+        code, _, err = run_cli(["--out", str(out), *args], capsys)
+        assert code == 1
+        assert message in err
+        assert not out.exists()
 
 
 class TestOracle:
@@ -104,6 +123,24 @@ class TestRun:
         assert "theta_hat" in out
 
 
+    @pytest.mark.parametrize("app,exact_prep", [("simple", 0.450991),
+                                                ("stress", 0.146447)])
+    def test_trained_ansatz_prepares_every_register(self, tmp_path, capsys, app,
+                                                    exact_prep):
+        # all-zero angles prepare |000> on each register: the lowest grid
+        # value, whose normalized mean is 0
+        params = tmp_path / "zero.txt"
+        save_ansatz(params, VariationalAnsatz(3, 1, np.zeros(9)), 0, 0.0)
+        base = ["run", app, "--m", "3", "--n", "5"]
+        code, out, _ = run_cli([*base, "--a-mode", "trained_ansatz",
+                                "--params", str(params)], capsys)
+        assert code == 0
+        assert "mu_normalized=0.000000" in out
+        code, out, _ = run_cli(base, capsys)
+        assert code == 0
+        assert f"mu_normalized={exact_prep:.6f}" in out
+
+
 class TestSweepOutput:
     def test_csv_deterministic_excluding_wall_time(self, tmp_path, capsys):
         args = ["--seed", "7", "--out", None, "sweep", "--app", "neoclassical",
@@ -126,6 +163,24 @@ class TestSweepOutput:
             for key in ra:
                 if key != "wall_time_s":
                     assert ra[key] == rb[key]
+
+    def test_stress_sweep_reads_scenario(self, tmp_path, capsys):
+        alt = replace(DEFAULT_STRESS, alpha_price=1e-4)
+        config = tmp_path / "scenario.ini"
+        write_stress_config(config, alt)
+        errors = {}
+        for name, scenario in (("default", []), ("alt", ["--config", str(config)])):
+            path = tmp_path / f"{name}.csv"
+            code, _, _ = run_cli(
+                [*scenario, "--out", str(path), "sweep", "--app", "stress",
+                 "--estimator", "qmc_exact", "--n-min", "4", "--n-max", "4",
+                 "--m", "3"], capsys)
+            assert code == 0
+            rows = list(csv.DictReader(path.read_text().splitlines()[1:]))
+            errors[name] = float(rows[0]["error"])
+        r = stress_qmc(alt, 3, 4)
+        assert errors["alt"] == abs(r.estimate.mu - r.mu_continuous)
+        assert errors["alt"] != errors["default"]
 
     def test_json_format(self, tmp_path, capsys):
         path = tmp_path / "rows.json"

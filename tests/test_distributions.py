@@ -18,7 +18,6 @@ from qmcecon.distributions import (
     parameter_shift_gradient,
     save_ansatz,
     train_ansatz,
-    uniformly_controlled_ry,
 )
 from qmcecon.sim import Circuit, apply_circuit, init_state, probabilities
 
@@ -98,10 +97,6 @@ class TestExactStatePrep:
             st = apply_circuit(init_state(4), exact_state_prep(d))
             assert np.max(np.abs(st.amplitudes.imag)) == 0.0
             assert st.amplitudes.real.min() > -1e-15
-
-    def test_ucry_angle_count_must_match(self):
-        with pytest.raises(ValueError):
-            uniformly_controlled_ry(np.zeros(3), [0, 1], 2)
 
 
 class TestAnsatz:

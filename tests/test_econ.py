@@ -1,12 +1,14 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from qmcecon.distributions import DiscretizedDistribution
 from qmcecon.econ import (
+    APPS,
     BENCH_C1,
     BENCH_C2,
     BENCH_SIGMA,
@@ -17,6 +19,7 @@ from qmcecon.econ import (
     SIMPLE_ANALYTIC_MEAN,
     StressTestParams,
     classical_mc,
+    estimate,
     load_stress_config,
     neoclassical_closed_form,
     neoclassical_coeffs,
@@ -30,6 +33,7 @@ from qmcecon.econ import (
     stress_qmc,
     stress_rv_grid,
     stress_theoretical_mean,
+    workload,
     write_stress_config,
 )
 from qmcecon.engine import denormalize_mu, normalize_rv
@@ -199,11 +203,11 @@ class TestNeoclassical:
         for n in (3, 6, 9):
             res = neoclassical_qmc(BENCH_C1, BENCH_C2, BENCH_SIGMA, 4, n,
                                    symmetric_grid=True)
-            assert res.abs_error < 1e-9
+            assert res.abs_error_grid < 1e-9
 
     def test_benchmark_grid_estimate_converges(self):
         res = neoclassical_qmc(BENCH_C1, BENCH_C2, BENCH_SIGMA, 5, 12)
-        assert res.abs_error < 5e-3
+        assert res.abs_error_grid < 5e-3
 
 
 class TestClassicalMc:
@@ -229,6 +233,26 @@ class TestClassicalMc:
     def test_requires_samples(self):
         with pytest.raises(ValueError):
             classical_mc(simple_problem_sampler, simple_problem_f, 0, seed=0)
+
+
+@pytest.mark.parametrize("app", APPS)
+def test_workload_contract(app):
+    """Each registry entry's grid, oracles, sampler and estimate agree."""
+    w, m, n = workload(app), 3, 8
+    dist = w.shock(m)
+    values = np.asarray(w.values(dist))
+    assert values.shape == (2 ** (w.dims * m),)
+    # register 1 index most significant: kron orders the joint masses so
+    joint = reduce(np.kron, [dist.masses] * w.dims)
+    assert w.grid_mean(dist) == pytest.approx(float(joint @ values), rel=1e-12)
+
+    samples = np.asarray(w.f(w.sampler(np.random.default_rng(0), 200_000)))
+    stderr = samples.std(ddof=1) / math.sqrt(samples.size)
+    assert abs(samples.mean() - w.mean) < 5 * stderr
+
+    # |theta_hat - theta| <= 2**-n and |d mu / d theta| <= pi/2 in [0, 1] units
+    resolution = math.pi / 2 ** (n + 1) * (values.max() - values.min())
+    assert estimate(w, m, n).abs_error_grid <= resolution
 
 
 class TestScenarioConfig:

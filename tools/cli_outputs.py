@@ -1,0 +1,59 @@
+"""Write the deterministic outputs of a fixed list of qmcecon CLI commands.
+
+Usage: PYTHONPATH=<tree>/src python tools/cli_outputs.py OUT_DIR
+
+Each command runs through ``qmcecon.cli.main`` in OUT_DIR with ``--out
+<name>.csv``.  Its exit code and stdout (not bench's, which has the host's
+seconds per sample) go to ``<name>.txt``; ``cli.NONDETERMINISTIC_COLUMNS``
+leave every CSV.  ``diff -r`` two trees' directories to check byte identity.
+"""
+
+import contextlib
+import csv
+import io
+import os
+import sys
+from pathlib import Path
+
+from qmcecon import cli
+
+
+def commands():
+    yield "train", ["--seed", "1", "train-a", "--m", "5", "--layers", "2",
+                    "--stages", "20:0.05", "--params-out", "trained.txt"]
+    for app in ("simple", "stress", "neoclassical"):
+        yield f"run_{app}", ["run", app]
+        yield f"oracle_{app}", ["oracle", app]
+        for est in ("qmc_exact", "qmc_linear"):
+            yield f"sweep_{app}_{est}", ["sweep", "--app", app, "--estimator", est]
+        yield f"sweep_{app}_classical", [
+            "--seed", "3", "sweep", "--app", app, "--estimator", "classical",
+            "--n-samples", "100,1000,10000", "--repeats", "3"]
+    linear = ["run", "neoclassical", "--r-mode", "linear", "--m", "5", "--n", "8"]
+    yield "run_linear", linear
+    yield "run_linear_trained", [*linear, "--a-mode", "trained_ansatz",
+                                 "--params", "trained.txt"]
+    yield "bench", ["bench", "all", "--out-dir", "bench"]
+
+
+def drop_nondeterministic(path: Path) -> None:
+    rows = list(csv.reader(x for x in path.read_text().splitlines() if x[:1] != "#"))
+    keep = [i for i, col in enumerate(rows[0]) if col not in cli.NONDETERMINISTIC_COLUMNS]
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows([row[i] for i in keep] for row in rows)
+
+
+def main(out: Path) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    os.chdir(out)
+    for name, argv in commands():
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            code = cli.main(["--out", f"{name}.csv", *argv])
+        Path(f"{name}.txt").write_text(
+            f"exit {code}\n" + ("" if name == "bench" else stdout.getvalue()))
+    for path in sorted(Path().rglob("*.csv")):
+        drop_nondeterministic(path)
+
+
+if __name__ == "__main__":
+    main(Path(sys.argv[1]))
