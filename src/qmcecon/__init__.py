@@ -18,7 +18,6 @@ from .circuits import (
     count_resources,
     decompose,
     inverse_qft,
-    mcx,
 )
 from .distributions import (
     DiscretizedDistribution,

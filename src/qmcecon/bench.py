@@ -17,6 +17,7 @@ import numpy as np
 from .circuits import ResourceReport, count_stream, lower_gates
 from .distributions import VariationalAnsatz
 from .engine import LinearRParams, QMCConfig, assemble_f, normalize_rv, phase_estimation
+from .sim import QUBIT_CAP, ResourceLimitError
 from . import econ
 
 GATE_TIMES = (1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
@@ -184,18 +185,30 @@ def qmc_resource_report(m: int, n: int, layers: int = 10) -> ResourceReport:
     """Counts and depth of the decomposed estimation circuit.
 
     Builds the macro benchmark circuit (layered preparation ansatz, linear
-    rotation encoding, clean work register for the multi-controlled X) and
-    streams its elementary-gate lowering through the counter, so the million
-    and more gates of larger n never materialize in memory.
+    rotation encoding) with the same ``phase_estimation`` that the
+    ``circuit`` method simulates, and streams its elementary-gate lowering
+    through the counter, so the million and more gates of larger n never
+    materialize in memory.
     """
+    # Each controlled zero reflection is one MCX with s = m + 1 controls (the
+    # estimation wire and every F wire but its target), and its linear
+    # Toffoli ladder needs s - 2 clean work wires; they follow the s + n
+    # wires of the circuit.  No other gate needs work wires.
+    s = m + 1
+    width = s + n + max(0, s - 2)
+    if width > QUBIT_CAP:
+        raise ResourceLimitError(
+            f"phase estimation needs {width} qubits, exceeding the cap of {QUBIT_CAP}"
+        )
     workload = econ.neoclassical_workload(symmetric=True)
     dist = workload.shock(m)
     rv = normalize_rv(workload.values(dist))
     config = QMCConfig(dims=1, m=m, n=n, r_mode="linear", a_mode="trained_ansatz")
     linear = LinearRParams.for_oracle_budget(m, n, increasing=False)
     f_circuit = assemble_f(config, [dist], rv, _bench_ansatz(m, layers), linear)
-    circuit = phase_estimation(f_circuit, n, with_work=True)
-    return count_stream(lower_gates(circuit.gates), circuit.num_qubits)
+    circuit = phase_estimation(f_circuit, n)
+    work = range(circuit.num_qubits, width)
+    return count_stream(lower_gates(circuit.gates, work), width)
 
 
 def resource_rows(m: int, n_values, layers: int = 10) -> list[dict]:

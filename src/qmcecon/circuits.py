@@ -1,8 +1,14 @@
 """Circuit construction and lowering utilities.
 
-Provides the inverse quantum Fourier transform, multi-controlled X builders,
-a decomposition pass into the elementary gate set {RX, RY, RZ, CNOT}, and
-resource accounting (gate counts, ASAP depth) used by the runtime benchmarks.
+Provides the inverse quantum Fourier transform, a lowering pass into the
+elementary gate set {RX, RY, RZ, CNOT}, and resource accounting (gate counts,
+ASAP depth) used by the runtime benchmarks.
+
+Circuits are built with native multi-controlled X gates, which the simulator
+applies directly; only the lowering decides how one becomes elementary gates.
+A k-control MCX with k >= 3 becomes the linear ladder of 2k-3 Toffolis on
+k-2 clean work wires (Barenco et al. 1995, quant-ph/9503016, Lemma 7.2), so
+whoever lowers a circuit supplies those wires.
 
 The inverse QFT here carries no SWAP network; the bit reversal it would
 implement is handled classically when reading out phase-estimation results
@@ -12,7 +18,6 @@ implement is handled classically when reading out phase-estimation results
 from __future__ import annotations
 
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 
@@ -68,85 +73,6 @@ def bit_reversal_permutation(n_bits: int):
 
 
 # ---------------------------------------------------------------------------
-# Multi-controlled X
-# ---------------------------------------------------------------------------
-
-def mcx(controls, target: int, work=()) -> Circuit:
-    """Multi-controlled X as a circuit of Toffoli-level gates.
-
-    With ``len(work) >= len(controls) - 2`` clean work qubits the linear-cost
-    ladder of 2k-3 Toffolis is used and the work qubits are returned to |0>.
-    With too few work qubits the construction falls back to an ancilla-free
-    gray-code cascade (exact but much costlier); the fallback is flagged in
-    ``circuit.metadata["mcx_fallback"]``.
-    """
-    controls = list(controls)
-    work = list(work)
-    all_qubits = controls + [target] + work
-    if len(set(all_qubits)) != len(all_qubits):
-        raise ValueError(f"controls/target/work overlap: {all_qubits}")
-    circ = Circuit(max(all_qubits) + 1)
-    k = len(controls)
-    if k == 0:
-        return circ.x(target)
-    if k == 1:
-        return circ.cnot(controls[0], target)
-    if k == 2:
-        return circ.mcx(controls, target)
-    if len(work) >= k - 2:
-        ladder = [Gate("mcx", (work[0],), (controls[0], controls[1]))]
-        for i in range(2, k - 1):
-            ladder.append(Gate("mcx", (work[i - 1],), (controls[i], work[i - 2])))
-        for g in ladder:
-            circ.add(g)
-        circ.add(Gate("mcx", (target,), (controls[k - 1], work[k - 3])))
-        for g in reversed(ladder):
-            circ.add(g)
-        return circ
-    warnings.warn(
-        f"mcx with {k} controls got {len(work)} work qubits (< {k - 2}); "
-        "using the ancilla-free gray-code construction"
-    )
-    circ.metadata["mcx_fallback"] = True
-    for g in _mcx_graycode(controls, target):
-        circ.add(g)
-    return circ
-
-
-def _gray_codes(n: int):
-    return [i ^ (i >> 1) for i in range(1 << n)]
-
-
-def _mcx_graycode(controls: list[int], target: int):
-    """Ancilla-free multi-controlled X via a gray-code phase cascade.
-
-    H on the target turns the problem into a multi-controlled Z, which is a
-    product of two-qubit controlled phases of +-pi/2**(k-1) walked along a
-    gray code, with CNOTs among the controls tracking parities.
-    """
-    k = len(controls)
-    lam = math.pi / 2 ** (k - 1)
-    yield Gate("h", (target,))
-    last = 0
-    for code in _gray_codes(k)[1:]:  # skip the all-zero pattern
-        # bit b of `code` refers to controls[b], bit 0 = leftmost control
-        bits = [(code >> (k - 1 - b)) & 1 for b in range(k)]
-        lm = bits.index(1)
-        changed = code ^ last
-        pos = next(b for b in range(k) if (changed >> (k - 1 - b)) & 1)
-        if pos != lm:
-            yield Gate("cnot", (controls[lm],), (controls[pos],))
-        else:
-            for b in range(lm + 1, k):
-                if bits[b]:
-                    yield Gate("cnot", (controls[lm],), (controls[b],))
-        sign = 1.0 if sum(bits) % 2 else -1.0
-        yield Gate("cphase", (target,), (controls[lm],), sign * lam)
-        last = code
-    yield Gate("h", (target,))
-
-
-# ---------------------------------------------------------------------------
 # Decomposition into {RX, RY, RZ, CNOT}
 # ---------------------------------------------------------------------------
 
@@ -176,9 +102,35 @@ def _lower_toffoli(a: int, b: int, t: int):
     yield Gate("cnot", (b,), (a,))
 
 
-def _lower_gate(gate: Gate):
+def _lower_mcx(gate: Gate, work: tuple[int, ...]):
+    controls, target = gate.controls, gate.targets[0]
+    k = len(controls)
+    if k == 1:
+        yield Gate("cnot", gate.targets, controls)
+        return
+    if k == 2:
+        yield from _lower_toffoli(controls[0], controls[1], target)
+        return
+    if len(work) < k - 2:
+        raise ValueError(f"mcx with {k} controls needs {k - 2} work wires, "
+                         f"got {len(work)}")
+    if set(work) & set(gate.qubits):
+        raise ValueError(f"work wires {work} overlap mcx wires {gate.qubits}")
+    # (c0, c1 -> w0), then (c_i, w_{i-2} -> w_{i-1}); the last Toffoli hits
+    # the target and the ladder is undone in reverse, returning work to |0>.
+    # The gate order sets the ASAP depth of the resource table.
+    ladder = [(controls[0], controls[1], work[0])]
+    ladder += [(controls[i], work[i - 2], work[i - 1]) for i in range(2, k - 1)]
+    for a, b, t in ladder:
+        yield from _lower_toffoli(a, b, t)
+    yield from _lower_toffoli(controls[k - 1], work[k - 3], target)
+    for a, b, t in reversed(ladder):
+        yield from _lower_toffoli(a, b, t)
+
+
+def _lower_gate(gate: Gate, work: tuple[int, ...]):
     kind = gate.kind
-    if kind in ELEMENTARY_KINDS or kind == "barrier":
+    if kind in ELEMENTARY_KINDS:
         yield gate
         return
     if kind == "h":
@@ -204,34 +156,39 @@ def _lower_gate(gate: Gate):
         yield Gate("rz", (t,), angle=-phi / 2)
         yield Gate("cnot", (t,), (c,))
     elif kind == "mcx":
-        n_ctrl = len(gate.controls)
-        if n_ctrl == 1:
-            yield Gate("cnot", gate.targets, gate.controls)
-        elif n_ctrl == 2:
-            a, b = gate.controls
-            yield from _lower_toffoli(a, b, gate.targets[0])
-        else:
-            # no work qubits referenced by the gate itself: gray-code cascade
-            for sub in _mcx_graycode(list(gate.controls), gate.targets[0]):
-                yield from _lower_gate(sub)
+        yield from _lower_mcx(gate, work)
     else:
         raise ValueError(f"no decomposition rule for gate kind {kind!r}")
 
 
-def lower_gates(gates):
-    """Stream the elementary-gate lowering of an iterable of gates."""
-    for gate in gates:
-        yield from _lower_gate(gate)
+def lower_gates(gates, work=()):
+    """Stream the elementary-gate lowering of an iterable of gates.
 
-
-def decompose(circuit: Circuit) -> Circuit:
-    """Rewrite a circuit into {RX, RY, RZ, CNOT} (barriers pass through).
-
-    The result equals the input up to global phase; the randomized test suite
-    checks this against dense unitaries.
+    ``work`` lists clean wires, in |0> wherever an MCX with k >= 3 controls
+    is reached, that its Toffoli ladder may borrow: it takes the first k-2
+    and returns them to |0>.  The lowering is then exact on inputs with the
+    work wires in |0> (and up to global phase).  A ValueError is raised when
+    such an MCX meets fewer than k-2 work wires, or work wires that repeat or
+    overlap the gate's own wires.
     """
-    out = Circuit(circuit.num_qubits, metadata=dict(circuit.metadata))
-    for gate in lower_gates(circuit.gates):
+    work = tuple(work)
+    if len(set(work)) != len(work):
+        raise ValueError(f"duplicate work wire in {work}")
+    for gate in gates:
+        yield from _lower_gate(gate, work)
+
+
+def decompose(circuit: Circuit, work=()) -> Circuit:
+    """Rewrite a circuit into {RX, RY, RZ, CNOT}, widened to cover ``work``.
+
+    ``work`` is passed to ``lower_gates``.  The result equals the input up to
+    global phase on inputs with the work wires in |0>; the randomized test
+    suite checks this against dense unitaries.
+    """
+    work = tuple(work)
+    width = max([circuit.num_qubits, *(w + 1 for w in work)])
+    out = Circuit(width, metadata=dict(circuit.metadata))
+    for gate in lower_gates(circuit.gates, work):
         out.add(gate)
     return out
 
@@ -268,19 +225,12 @@ def count_stream(gates, num_qubits: int) -> ResourceReport:
     """Count elementary gates and ASAP depth from a gate stream.
 
     Every gate occupies one time step on each qubit it touches; a gate is
-    scheduled at 1 + the latest finish layer among its qubits.  Barriers
-    synchronise their qubits (all of them when given none) without counting.
+    scheduled at 1 + the latest finish layer among its qubits.
     """
     counts: Counter = Counter()
     frontier = [0] * num_qubits
     depth = 0
     for gate in gates:
-        if gate.kind == "barrier":
-            qs = gate.targets if gate.targets else tuple(range(num_qubits))
-            sync = max(frontier[q] for q in qs)
-            for q in qs:
-                frontier[q] = sync
-            continue
         if gate.kind not in ELEMENTARY_KINDS:
             raise ValueError(
                 f"count_resources expects elementary gates, got {gate.kind!r}; "

@@ -101,15 +101,16 @@ def _cmd_run(args) -> int:
         if not args.params:
             raise ValueError("trained_ansatz mode needs --params FILE")
         ansatz, _ = load_ansatz(args.params)
-    result = econ.estimate(econ.workload(args.app, _stress_params(args)),
-                           args.m, args.n, r_mode=args.r_mode,
+    workload = econ.workload(args.app, _stress_params(args))
+    m = workload.m if args.m is None else args.m
+    result = econ.estimate(workload, m, args.n, r_mode=args.r_mode,
                            a_mode=args.a_mode, ansatz=ansatz, method=args.method)
     est, abs_error = result.estimate, result.abs_error_grid
-    print(f"app={args.app} m={args.m} n={args.n} N_oracle={est.oracle_calls}")
+    print(f"app={args.app} m={m} n={args.n} N_oracle={est.oracle_calls}")
     print(f"theta_hat={est.theta_hat:.6f} mu_normalized={est.mu_normalized:.6f}")
     print(f"mu={est.mu:.6g} oracle={result.mu_grid_oracle:.6g} "
           f"abs_error={abs_error:.3e}")
-    rows = [{"app": args.app, "m": args.m, "n": args.n,
+    rows = [{"app": args.app, "m": m, "n": args.n,
              "N_oracle": est.oracle_calls, "theta_hat": est.theta_hat,
              "mu_normalized": est.mu_normalized, "mu": est.mu,
              "abs_error": abs_error}]
@@ -153,16 +154,17 @@ def _cmd_resources(args) -> int:
 def _cmd_oracle(args) -> int:
     params = _stress_params(args)
     workload = econ.workload(args.app, params)
-    cont, grid = workload.mean, workload.grid_mean(workload.shock(args.m))
+    m = workload.m if args.m is None else args.m
+    cont, grid = workload.mean, workload.grid_mean(workload.shock(m))
     if args.app == "stress":
         coeffs = econ.stress_coefficients(params)
         print(f"gamma0={coeffs.gamma0:.4f} gamma1={coeffs.gamma1:.4f} "
               f"combined={econ.stress_combined_constant(coeffs, params.beta_lev):.4f}")
         print(f"continuous loss fraction: {cont:.6f} ({cont:.3%})")
-        print(f"m={args.m} grid loss fraction: {grid:.6f} ({grid:.3%})")
+        print(f"m={m} grid loss fraction: {grid:.6f} ({grid:.3%})")
     else:
         print(f"analytic mean: {cont:.6f}")
-        print(f"m={args.m} grid mean: {grid:.6f}")
+        print(f"m={m} grid mean: {grid:.6f}")
     return 0
 
 
@@ -306,7 +308,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("run", help="single estimation run")
     p.add_argument("app", choices=econ.APPS)
-    p.add_argument("--m", type=int, default=5)
+    p.add_argument("--m", type=int, default=None)
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--r-mode", choices=("exact", "linear"), default="exact")
     p.add_argument("--a-mode", choices=("exact_prep", "trained_ansatz"),
@@ -341,7 +343,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("oracle", help="print reference values")
     p.add_argument("app", choices=econ.APPS)
-    p.add_argument("--m", type=int, default=5)
+    p.add_argument("--m", type=int, default=None)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("bench", help="emit plot data for the report figures")

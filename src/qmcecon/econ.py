@@ -37,7 +37,6 @@ from .engine import (
     normalize_rv,
     run_qmc,
 )
-from .sim import DEFAULT_QUBIT_CAP
 
 
 class ModelDegeneracyError(ValueError):
@@ -181,9 +180,9 @@ def stress_rv_grid(params: StressTestParams, dist: DiscretizedDistribution) -> n
 
 
 def stress_qmc(params: StressTestParams, m: int, n: int,
-               method: str = "auto", cap: int = 30) -> WorkloadEstimate:
+               method: str = "auto") -> WorkloadEstimate:
     """Run the two-register estimation of the expected stress loss."""
-    return estimate(stress_workload(params), m, n, method=method, cap=cap)
+    return estimate(stress_workload(params), m, n, method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -454,14 +453,14 @@ class WorkloadEstimate:
 
 
 def estimate(workload: Workload, m: int, n: int, r_mode: str = "exact",
-             a_mode: str = "exact_prep", ansatz=None, method: str = "auto",
-             cap: int = DEFAULT_QUBIT_CAP) -> WorkloadEstimate:
+             a_mode: str = "exact_prep", ansatz=None,
+             method: str = "auto") -> WorkloadEstimate:
     """Amplitude-estimate the workload's mean: m qubits per register, n
     estimation qubits.  ``a_mode="trained_ansatz"`` prepares every register
     with ``ansatz``."""
-    # the config checks the qubit cap before the 2**(dims m) grid is built
+    # the config checks the qubit caps before the 2**(dims m) grid is built
     config = QMCConfig(dims=workload.dims, m=m, n=n, r_mode=r_mode,
-                       a_mode=a_mode, theta_side="left", method=method, cap=cap)
+                       a_mode=a_mode, theta_side="left", method=method)
     dist = workload.shock(m)
     rv = normalize_rv(workload.values(dist))
     est = run_qmc(config, [dist] * workload.dims, rv, ansatz=ansatz)

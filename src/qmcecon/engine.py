@@ -15,13 +15,15 @@ readout, which is exact: F|0> splits evenly over the two Grover eigenstates
 with phases +-theta, sin^2(pi theta / 2) = p1, so the outcome distribution
 of phase estimation depends on p1 alone.  The reference path ("circuit")
 simulates the whole phase-estimation circuit gate by gate; the test suite
-pins the two against each other and against a brute-force oracle.
+pins the two against each other and against a brute-force oracle.  The
+resource counts in ``bench`` lower that same circuit, so what is counted is
+what is simulated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,9 +34,9 @@ from .sim import (
     apply_circuit,
     init_state,
     probabilities,
-    DEFAULT_QUBIT_CAP,
+    QUBIT_CAP,
 )
-from .circuits import bit_reversal_permutation, inverse_qft, mcx
+from .circuits import bit_reversal_permutation, inverse_qft
 from .distributions import (
     VariationalAnsatz,
     _ucry_gates,
@@ -185,32 +187,28 @@ def _ancilla_z_gates(ancilla: int):
     yield Gate("h", (ancilla,))
 
 
-def _zero_reflection_gates(system: list[int], work=(), control: int | None = None):
+def _zero_reflection_gates(system: list[int], control: int | None = None):
     """Phase -1 on |0...0> of ``system`` (optionally controlled).
 
     X-conjugation moves the reflection to |1...1>, where it is an H-framed
-    multi-controlled X targeting the last system wire.  Without work qubits a
-    single native MCX gate is emitted (the simulator applies it directly);
-    with work qubits the linear Toffoli ladder is spelled out so the circuit
-    is ready for decomposition and resource counting.
+    multi-controlled X targeting the last system wire: one native MCX gate,
+    which the simulator applies directly and ``circuits.lower_gates`` turns
+    into a Toffoli ladder on the work wires it is given.
     """
     target = system[-1]
-    controls = list(system[:-1])
+    controls = tuple(system[:-1])
     if control is not None:
-        controls = [control] + controls
+        controls = (control,) + controls
     for q in system:
         yield Gate("x", (q,))
     yield Gate("h", (target,))
-    if work:
-        yield from mcx(controls, target, work).gates
-    else:
-        yield Gate("mcx", (target,), tuple(controls))
+    yield Gate("mcx", (target,), controls)
     yield Gate("h", (target,))
     for q in system:
         yield Gate("x", (q,))
 
 
-def grover_operator(f_circuit: Circuit, work=()) -> Circuit:
+def grover_operator(f_circuit: Circuit) -> Circuit:
     """Q = (F Z0 F^dag V)^2 as an explicit circuit.
 
     V is Pauli-Z on the ancilla (last F wire); Z0 reflects about the system
@@ -219,19 +217,17 @@ def grover_operator(f_circuit: Circuit, work=()) -> Circuit:
     """
     system = list(range(f_circuit.num_qubits))
     ancilla = system[-1]
-    work = list(work)
-    nq = max(system + list(work)) + 1
-    circ = Circuit(nq)
+    circ = Circuit(len(system))
     f_inv = f_circuit.inverse()
     for _ in range(2):
         circ.extend(_ancilla_z_gates(ancilla))
         circ.extend(f_inv)
-        circ.extend(_zero_reflection_gates(system, work))
+        circ.extend(_zero_reflection_gates(system))
         circ.extend(f_circuit)
     return circ
 
 
-def build_controlled_Q(f_circuit: Circuit, control: int, work=()) -> Circuit:
+def build_controlled_Q(f_circuit: Circuit, control: int) -> Circuit:
     """Controlled Grover operator without a controlled version of F.
 
     Only the two reflections need the control: controlled-V collapses to a CZ
@@ -243,53 +239,42 @@ def build_controlled_Q(f_circuit: Circuit, control: int, work=()) -> Circuit:
     ancilla = system[-1]
     if control in system:
         raise ValueError(f"control qubit {control} overlaps the encoding register")
-    work = list(work)
-    if control in work or set(work) & set(system):
-        raise ValueError("work qubits must be disjoint from control and register")
-    nq = max(system + [control] + work) + 1
-    circ = Circuit(nq)
+    circ = Circuit(max(system + [control]) + 1)
     f_inv = f_circuit.inverse()
     for _ in range(2):
         circ.cz(control, ancilla)
         circ.extend(f_inv)
-        circ.extend(_zero_reflection_gates(system, work, control=control))
+        circ.extend(_zero_reflection_gates(system, control=control))
         circ.extend(f_circuit)
     return circ
 
 
-def phase_estimation(f_circuit: Circuit, n: int, with_work: bool = False,
-                     cap: int = DEFAULT_QUBIT_CAP) -> Circuit:
+def phase_estimation(f_circuit: Circuit, n: int) -> Circuit:
     """Full estimation circuit: F, controlled Grover powers, inverse QFT.
 
     Estimation qubit k controls Q^(2**(n-1-k)) applied as that many
     sequential controlled-Q blocks, for 2**n - 1 oracle applications in
-    total.  ``with_work`` appends the clean work register that the linear
-    multi-controlled-X construction consumes (needed when the circuit is
-    meant for decomposition and resource counting rather than simulation).
+    total.  The circuit has the s wires of F followed by the n estimation
+    wires; each controlled zero reflection is one MCX with s controls, so
+    lowering it needs s - 2 clean work wires besides these.  The circuit is
+    simulated as it is and counted after lowering.
     """
     if n < 1:
         raise ValueError(f"need at least one estimation qubit, got {n}")
     s = f_circuit.num_qubits
     est = list(range(s, s + n))
-    n_ctrl = s  # MCX controls: estimation control + system wires minus target
-    work = list(range(s + n, s + n + max(0, n_ctrl - 2))) if with_work else []
-    nq = s + n + len(work)
-    if nq > cap:
+    nq = s + n
+    if nq > QUBIT_CAP:
         raise ResourceLimitError(
-            f"phase estimation needs {nq} qubits, exceeding the cap of {cap}"
+            f"phase estimation needs {nq} qubits, exceeding the cap of {QUBIT_CAP}"
         )
     circ = Circuit(nq)
-    circ.metadata.update(
-        system_qubits=list(range(s)),
-        est_qubits=est,
-        work_qubits=work,
-        oracle_calls=2**n - 1,
-    )
+    circ.metadata.update(est_qubits=est, oracle_calls=2**n - 1)
     circ.extend(f_circuit)
     for q in est:
         circ.h(q)
     for k in range(n):
-        block = build_controlled_Q(f_circuit, est[k], work)
+        block = build_controlled_Q(f_circuit, est[k])
         for _ in range(2 ** (n - 1 - k)):
             circ.extend(block)
     circ.extend(inverse_qft(est))
@@ -354,6 +339,15 @@ def denormalize_mu(mu_norm: float, rv: RandomVariableSpec,
 # Assembly and simulation
 # ---------------------------------------------------------------------------
 
+# Exact state preparation and the exact encoding emit about 1.5 * 2**s Gate
+# objects for an s = dims*m + 1 qubit F, about 160 B each (stress m = 6, 7,
+# 8: 12,640 / 49,884 / 198,104 gates, 1.9 / 7.7 / 30.2 MiB); 22 qubits is
+# about 1 GiB of gates.
+F_REGISTER_CAP = 22
+# The spectral readout peaks at about 6.3 * 8 B * 2**n (measured at n = 18,
+# 20 and 22): 1.7 GB at 25 qubits, while 27 would not fit in 7 GiB.
+ESTIMATION_REGISTER_CAP = 25
+
 
 @dataclass
 class QMCConfig:
@@ -364,7 +358,6 @@ class QMCConfig:
     a_mode: str = "exact_prep"     # "exact_prep" | "trained_ansatz"
     theta_side: str = "left"
     method: str = "auto"           # "auto" (spectral readout) | "circuit" (reference)
-    cap: int = DEFAULT_QUBIT_CAP
 
     def __post_init__(self):
         if self.r_mode not in ("exact", "linear"):
@@ -376,11 +369,12 @@ class QMCConfig:
         if self.r_mode == "linear" and self.dims != 1:
             raise ValueError("the linear encoding handles one dimension only")
         # Fail before anything sized by the registers is allocated.
-        for name, qubits in (("F register", self.dims * self.m + 1),
-                             ("estimation register", self.n)):
-            if qubits > self.cap:
+        for name, qubits, cap in (
+                ("F register", self.dims * self.m + 1, F_REGISTER_CAP),
+                ("estimation register", self.n, ESTIMATION_REGISTER_CAP)):
+            if qubits > cap:
                 raise ResourceLimitError(
-                    f"{name} needs {qubits} qubits, exceeding the cap of {self.cap}"
+                    f"{name} needs {qubits} qubits, exceeding the cap of {cap}"
                 )
 
 
@@ -395,7 +389,6 @@ class PhaseEstimate:
     n: int
     oracle_calls: int
     p1: float | None = None
-    extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
         total = float(np.sum(self.distribution))
@@ -487,12 +480,12 @@ def spectral_distribution(p1: float, n: int) -> np.ndarray:
 
 def _simulate_distribution(config, f_circuit, n):
     """theta-ordered outcome distribution and the encoded probability p1."""
-    chi = apply_circuit(init_state(f_circuit.num_qubits, config.cap), f_circuit)
+    chi = apply_circuit(init_state(f_circuit.num_qubits), f_circuit)
     p1 = float(probabilities(chi, [f_circuit.num_qubits - 1])[1])
     if config.method == "auto":
         return spectral_distribution(p1, n), p1
-    circ = phase_estimation(f_circuit, n, cap=config.cap)
-    state = apply_circuit(init_state(circ.num_qubits, config.cap), circ)
+    circ = phase_estimation(f_circuit, n)
+    state = apply_circuit(init_state(circ.num_qubits), circ)
     measured = probabilities(state, circ.metadata["est_qubits"])
     return measured[bit_reversal_permutation(n)], p1
 
@@ -524,5 +517,4 @@ def run_qmc(config: QMCConfig, dists, rv: RandomVariableSpec,
         n=config.n,
         oracle_calls=2**config.n - 1,
         p1=p1,
-        extras={"linear": linear},
     )

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Hard cap for statevector allocation (2**q complex amplitudes).  Raising it
-# is possible on large-memory machines but 30 qubits already means 16 GiB.
-DEFAULT_QUBIT_CAP = 30
+# Hard cap for statevector allocation (2**q complex amplitudes): 30 qubits
+# already mean 16 GiB.
+QUBIT_CAP = 30
 
 # dense_unitary builds a 2**q x 2**q matrix; 12 qubits -> 256 MiB.
 DENSE_UNITARY_CAP = 12
@@ -42,10 +42,9 @@ _GATE_SIGNATURES = {
     "cry": (1, 1, True),
     "cphase": (1, 1, True),
     "mcx": (1, None, False),  # any number of controls
-    "barrier": (None, 0, False),  # zero or more targets
 }
 
-_SELF_INVERSE = {"h", "x", "cnot", "cz", "mcx", "barrier"}
+_SELF_INVERSE = {"h", "x", "cnot", "cz", "mcx"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,7 +64,7 @@ class Gate:
         if self.kind not in _GATE_SIGNATURES:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         n_t, n_c, has_angle = _GATE_SIGNATURES[self.kind]
-        if n_t is not None and len(self.targets) != n_t:
+        if len(self.targets) != n_t:
             raise ValueError(f"{self.kind} expects {n_t} target(s), got {self.targets}")
         if n_c is not None and len(self.controls) != n_c:
             raise ValueError(f"{self.kind} expects {n_c} control(s), got {self.controls}")
@@ -101,7 +100,7 @@ class Circuit:
     metadata: dict = field(default_factory=dict)
 
     def add(self, gate: Gate) -> "Circuit":
-        if gate.qubits and max(gate.qubits) >= self.num_qubits:
+        if max(gate.qubits) >= self.num_qubits:
             raise ValueError(
                 f"gate {gate.kind} on qubits {gate.qubits} exceeds register "
                 f"of {self.num_qubits} qubits"
@@ -146,9 +145,6 @@ class Circuit:
     def mcx(self, controls, target):
         return self.add(Gate("mcx", (target,), tuple(controls)))
 
-    def barrier(self, *qubits):
-        return self.add(Gate("barrier", tuple(qubits)))
-
     def inverse(self) -> "Circuit":
         inv = Circuit(self.num_qubits)
         inv.gates = [g.inverse() for g in reversed(self.gates)]
@@ -172,19 +168,19 @@ class StateVector:
         return StateVector(self.num_qubits, self.amplitudes.copy())
 
 
-def init_state(num_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
+def init_state(num_qubits: int) -> StateVector:
     """Return |0...0> on ``num_qubits`` qubits.
 
-    Raises ResourceLimitError above ``cap`` qubits, naming the memory a dense
-    statevector of that size would need.
+    Raises ResourceLimitError above ``QUBIT_CAP`` qubits, naming the memory a
+    dense statevector of that size would need.
     """
     if num_qubits < 1:
         raise ValueError(f"need at least one qubit, got {num_qubits}")
-    if num_qubits > cap:
+    if num_qubits > QUBIT_CAP:
         need = 16 * (1 << num_qubits)
         raise ResourceLimitError(
-            f"{num_qubits} qubits exceed the cap of {cap}: a dense statevector "
-            f"would need {need} bytes ({need / 2**30:.1f} GiB)"
+            f"{num_qubits} qubits exceed the cap of {QUBIT_CAP}: a dense "
+            f"statevector would need {need} bytes ({need / 2**30:.1f} GiB)"
         )
     amp = np.zeros(1 << num_qubits, dtype=np.complex128)
     amp[0] = 1.0
@@ -254,8 +250,6 @@ def _apply_matrix_axis(view: np.ndarray, mat: np.ndarray, axis: int) -> None:
 
 def _apply_gate_tensor(tensor: np.ndarray, gate: Gate, nq: int) -> None:
     kind = gate.kind
-    if kind == "barrier":
-        return
     if kind in ("rx", "ry", "rz", "h", "x"):
         _apply_matrix_axis(tensor, _single_qubit_matrix(gate), gate.targets[0])
         return
@@ -279,7 +273,7 @@ def _apply_gate_tensor(tensor: np.ndarray, gate: Gate, nq: int) -> None:
 
 
 def _check_gate_fits(gate: Gate, num_qubits: int) -> None:
-    if gate.qubits and max(gate.qubits) >= num_qubits:
+    if max(gate.qubits) >= num_qubits:
         raise ValueError(
             f"gate {gate.kind} on qubits {gate.qubits} does not fit a "
             f"{num_qubits}-qubit state"

@@ -47,9 +47,10 @@ from qmcecon.sim import dense_unitary
 
 from util import (
     brute_force_phase_estimation,
-    phase_aligned_distance,
+    lowering_error,
     random_circuit,
     random_distribution,
+    work_wires,
 )
 
 PUBLISHED_STRESS_MEAN = 0.01618
@@ -244,14 +245,13 @@ def test_criterion_08_decomposition_soundness():
     for _ in range(100):
         nq = int(rng.integers(2, 9))
         circ = random_circuit(nq, int(rng.integers(5, 51)), rng)
-        lowered = decompose(circ)
-        assert all(g.kind in ("rx", "ry", "rz", "cnot", "barrier")
-                   for g in lowered.gates)
-        err = phase_aligned_distance(dense_unitary(circ), dense_unitary(lowered))
-        worst = max(worst, err)
+        # as many work wires as the widest MCX's ladder needs
+        lowered = decompose(circ, work_wires(circ))
+        assert all(g.kind in ("rx", "ry", "rz", "cnot") for g in lowered.gates)
+        worst = max(worst, lowering_error(dense_unitary(circ), lowered))
     ok = worst < 1e-8
-    report(8, ok, f"100 random circuits (<=8 qubits, <=50 gates): "
-                  f"max unitary distance={worst:.2e} < 1e-8")
+    report(8, ok, f"100 random circuits (<=8 qubits, <=50 gates): max distance "
+                  f"on work=|0> inputs, work wires restored={worst:.2e} < 1e-8")
 
 
 def test_criterion_09_resource_growth(resource_table):

@@ -117,8 +117,10 @@ class TestResources:
                            a_mode="trained_ansatz")
         linear = LinearRParams.for_oracle_budget(m, n, increasing=False)
         f_circ = assemble_f(config, [dist], rv, _bench_ansatz(m, layers), linear)
-        circuit = phase_estimation(f_circ, n, with_work=True)
-        direct = count_resources(decompose(circuit))
+        circuit = phase_estimation(f_circ, n)
+        # m+1 system wires: the controlled MCX has m+1 controls, m-1 work wires
+        work = range(circuit.num_qubits, circuit.num_qubits + m - 1)
+        direct = count_resources(decompose(circuit, work))
         streamed = qmc_resource_report(m, n, layers)
         assert streamed.counts == direct.counts
         assert streamed.depth == direct.depth

@@ -11,7 +11,8 @@ import pytest
 from qmcecon import bench, cli
 from qmcecon.cli import main
 from qmcecon.distributions import VariationalAnsatz, save_ansatz
-from qmcecon.econ import DEFAULT_STRESS, stress_qmc, write_stress_config
+from qmcecon.econ import (DEFAULT_STRESS, neoclassical_workload, stress_qmc,
+                          write_stress_config)
 
 
 def run_cli(args, capsys):
@@ -47,7 +48,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("args,allocator", [
         (["stress", "--m", "15"], "stress_rv_grid"),   # 2**30 grid values
-        (["simple", "--n", "31"], "run_qmc")])         # 2**31 outcomes
+        (["simple", "--n", "31"], "run_qmc"),          # 2**31 outcomes
+        (["stress", "--m", "11"], "stress_rv_grid"),   # 23-qubit F
+        (["simple", "--n", "26"], "run_qmc")])         # 26 estimation qubits
     def test_oversized_register_exit_2_before_allocating(self, capsys,
                                                          monkeypatch, args,
                                                          allocator):
@@ -60,6 +63,18 @@ class TestExitCodes:
         assert code == 2
         assert "exceeding the cap" in err
 
+    def test_resource_count_over_cap_exit_2_before_building(self, capsys,
+                                                             monkeypatch):
+        def refuse(*a, **k):
+            raise AssertionError("circuit built before the cap check")
+
+        monkeypatch.setattr(bench, "assemble_f", refuse)
+        monkeypatch.setattr(bench, "phase_estimation", refuse)
+        # 6 F wires + 21 estimation wires + 4 work wires = 31 qubits
+        code, _, err = run_cli(["resources", "--m", "5", "--n-min", "21",
+                                "--n-max", "21"], capsys)
+        assert code == 2
+        assert "needs 31 qubits, exceeding the cap of 30" in err
 
     @pytest.mark.parametrize("args,message", [
         (["sweep", "--app", "simple", "--estimator", "qmc_linear",
@@ -89,6 +104,14 @@ class TestOracle:
         code, out, _ = run_cli(["oracle", "simple"], capsys)
         assert code == 0
         assert "0.4323" in out
+
+    def test_neoclassical_default_m_is_the_workloads(self, capsys):
+        code, out, _ = run_cli(["oracle", "neoclassical"], capsys)
+        assert code == 0
+        workload = neoclassical_workload()
+        assert workload.m == 7
+        assert (f"m=7 grid mean: {workload.grid_mean(workload.shock(7)):.6f}"
+                in out)
 
 
 class TestRun:

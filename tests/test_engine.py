@@ -32,6 +32,7 @@ from qmcecon.engine import (
 from qmcecon.sim import (
     Circuit,
     Gate,
+    ResourceLimitError,
     apply_circuit,
     apply_gate,
     dense_unitary,
@@ -235,16 +236,21 @@ class TestPhaseEstimationCircuit:
     def test_work_register_size(self):
         dist, rv = small_problem(3)
         f = assemble_f(QMCConfig(dims=1, m=3, n=2), [dist], rv)
-        circ = phase_estimation(f, 2, with_work=True)
+        circ = phase_estimation(f, 2)
+        assert circ.num_qubits == 4 + 2
         # system of m+1 wires: controls = est + m register wires -> m-1 work
-        assert len(circ.metadata["work_qubits"]) == 2
-        assert circ.num_qubits == 4 + 2 + 2
+        widest = max(len(g.controls) for g in circ.gates if g.kind == "mcx")
+        assert widest == 4
+        with pytest.raises(ValueError, match="needs 2 work wires"):
+            decompose(circ, work=[6])
+        assert decompose(circ, work=[6, 7]).num_qubits == 4 + 2 + 2
 
     def test_decomposable_and_countable(self):
         dist, rv = small_problem(2)
         f = assemble_f(QMCConfig(dims=1, m=2, n=2), [dist], rv)
-        circ = phase_estimation(f, 2, with_work=True)
-        rep = count_resources(decompose(circ))
+        circ = phase_estimation(f, 2)
+        # m+1 = 3 system wires: the controlled MCX has 3 controls, 1 work wire
+        rep = count_resources(decompose(circ, work=[circ.num_qubits]))
         assert rep.total_gates > 0
         assert set(rep.counts) <= {"rx", "ry", "rz", "cnot"}
 
@@ -391,3 +397,9 @@ class TestFullPipeline:
             QMCConfig(r_mode="weird")
         with pytest.raises(ValueError, match="method"):
             QMCConfig(method="typo")
+        # fixed caps: 22 qubits of F, 25 estimation qubits
+        QMCConfig(dims=1, m=21, n=25)
+        with pytest.raises(ResourceLimitError, match="F register needs 23"):
+            QMCConfig(dims=2, m=11)
+        with pytest.raises(ResourceLimitError, match="estimation register needs 26"):
+            QMCConfig(n=26)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from qmcecon.sim import Circuit, Gate
+from qmcecon.sim import Circuit, Gate, _apply_gate_tensor
 
 
 def dft_matrix(n_qubits: int) -> np.ndarray:
@@ -44,6 +44,35 @@ def mcx_oracle(num_qubits, controls, target) -> np.ndarray:
             mat[i, i] = 0.0
             mat[j, i] = 1.0
     return mat
+
+
+def work_wires(circuit: Circuit) -> range:
+    """Work wires after the circuit's own, as many as its widest MCX needs."""
+    widest = max((len(g.controls) for g in circuit.gates if g.kind == "mcx"),
+                 default=0)
+    return range(circuit.num_qubits, circuit.num_qubits + max(0, widest - 2))
+
+
+def lowering_error(reference: np.ndarray, lowered: Circuit) -> float:
+    """Distance of a lowered circuit from ``reference`` with work in |0>.
+
+    The wires of ``lowered`` beyond the reference's are work wires.  Only the
+    input columns with every work wire in |0> are simulated; the result is
+    the larger of the phase-aligned distance of their work = |0> rows from
+    ``reference`` and the largest amplitude the lowering leaves on the work
+    wires.
+    """
+    nq = reference.shape[0].bit_length() - 1
+    q = lowered.num_qubits
+    cols = np.arange(1 << nq) << (q - nq)   # work wires are the low bits
+    mat = np.zeros((1 << q, cols.size), dtype=complex)
+    mat[cols, np.arange(cols.size)] = 1.0
+    tensor = mat.reshape((2,) * q + (cols.size,))
+    for gate in lowered.gates:
+        _apply_gate_tensor(tensor, gate, q)
+    leak = np.delete(mat, cols, axis=0)
+    return max(phase_aligned_distance(reference, mat[cols]),
+               float(np.max(np.abs(leak), initial=0.0)))
 
 
 def brute_force_phase_estimation(q_matrix: np.ndarray, chi: np.ndarray,

@@ -33,6 +33,10 @@ def commands():
     yield "run_linear", linear
     yield "run_linear_trained", [*linear, "--a-mode", "trained_ansatz",
                                  "--params", "trained.txt"]
+    yield "resources_m3_layers2", ["resources", "--m", "3", "--layers", "2",
+                                   "--n-min", "3", "--n-max", "6"]
+    yield "resources_over_cap", ["resources", "--m", "5", "--n-min", "21",
+                                 "--n-max", "21"]
     yield "bench", ["bench", "all", "--out-dir", "bench"]
 
 
