@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,47 +125,18 @@ class ScalingFit:
     slope: float
     intercept: float
     points: list[tuple[float, float]]
-    excluded: list[tuple[float, float]] = field(default_factory=list)
-
-    def error_at(self, n_value: float) -> float:
-        return 10 ** (self.intercept + self.slope * math.log10(n_value))
-
-    def n_for_error(self, error: float) -> float:
-        return 10 ** ((math.log10(error) - self.intercept) / self.slope)
 
 
-def loglog_fit(points, plateau_filter: bool = False,
-               bias: float = 0.0) -> ScalingFit:
-    """Fit log10(error) against log10(N).
-
-    With ``plateau_filter`` points whose error is below twice the
-    discretization ``bias`` are excluded (they sit on the grid-error floor,
-    not on the estimation-scaling line).
-    """
-    pts = [(float(n), float(e)) for n, e in points]
-    if plateau_filter:
-        kept = [(n, e) for n, e in pts if e >= 2.0 * bias]
-        excluded = [(n, e) for n, e in pts if e < 2.0 * bias]
-    else:
-        kept, excluded = pts, []
-    kept = [(n, e) for n, e in kept if e > 0]
+def loglog_fit(points) -> ScalingFit:
+    """Fit log10(error) against log10(N) over the points with positive error."""
+    kept = [(float(n), float(e)) for n, e in points if e > 0]
     if len(kept) < 3:
         raise ValueError(f"need at least 3 positive points to fit, have {len(kept)}")
     x = np.log10([n for n, _ in kept])
     y = np.log10([e for _, e in kept])
     slope, intercept = np.polyfit(x, y, 1)
     return ScalingFit(float(slope), float(intercept),
-                      list(zip(x.tolist(), y.tolist())),
-                      [(math.log10(n), math.log10(e)) for n, e in excluded if e > 0])
-
-
-def fit_r_squared(fit: ScalingFit) -> float:
-    """R**2 of a fit over its stored (already log-transformed) points."""
-    x = np.array([p[0] for p in fit.points])
-    y = np.array([p[1] for p in fit.points])
-    resid = y - (fit.intercept + fit.slope * x)
-    total = y - y.mean()
-    return 1.0 - float(resid @ resid) / float(total @ total)
+                      list(zip(x.tolist(), y.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +208,6 @@ def depth_fit(rows) -> ScalingFit:
     return ScalingFit(float(slope), float(intercept), pts)
 
 
-def depth_at(fit: ScalingFit, n: float) -> float:
-    return 2 ** (fit.intercept + fit.slope * n)
-
-
 # ---------------------------------------------------------------------------
 # Classical timing primitive
 # ---------------------------------------------------------------------------
@@ -295,12 +262,6 @@ class CrossoverRow:
         return self.classical_time_at_target / self.quantum_time_at_target
 
 
-@dataclass
-class CrossoverTable:
-    rows: list[CrossoverRow]
-    target_error: float
-
-
 def _quantum_time_line(quantum_fit: ScalingFit, dfit: ScalingFit,
                        gate_time: float):
     """Coefficients of log10(T) as an affine map of log10(error).
@@ -323,7 +284,7 @@ def _quantum_time_line(quantum_fit: ScalingFit, dfit: ScalingFit,
 def runtime_extrapolate(quantum_fit: ScalingFit, dfit: ScalingFit,
                         classical_fit: ScalingFit, seconds_per_sample: float,
                         gate_times=GATE_TIMES, speedup_factors=SPEEDUP_FACTORS,
-                        target_error: float = CROSSOVER_TARGET_ERROR) -> CrossoverTable:
+                        target_error: float = CROSSOVER_TARGET_ERROR) -> list[CrossoverRow]:
     """Crossovers between the extrapolated quantum and classical time lines.
 
     Both lines are power laws in the error; equating them solves the
@@ -352,12 +313,12 @@ def runtime_extrapolate(quantum_fit: ScalingFit, dfit: ScalingFit,
             log_t = q_off + q_slope * log_err
             rows.append(CrossoverRow(gate_time, factor, 10 ** log_t,
                                      10 ** log_err, t_q_target, t_c_target))
-    return CrossoverTable(rows, target_error)
+    return rows
 
 
-def crossover_rows(table: CrossoverTable) -> list[dict]:
+def crossover_rows(crossovers: list[CrossoverRow]) -> list[dict]:
     out = []
-    for row in table.rows:
+    for row in crossovers:
         out.append({
             "gate_time_s": row.gate_time,
             "speedup_factor": row.speedup_factor,

@@ -187,7 +187,7 @@ def decompose(circuit: Circuit, work=()) -> Circuit:
     """
     work = tuple(work)
     width = max([circuit.num_qubits, *(w + 1 for w in work)])
-    out = Circuit(width, metadata=dict(circuit.metadata))
+    out = Circuit(width)
     for gate in lower_gates(circuit.gates, work):
         out.add(gate)
     return out
@@ -208,17 +208,6 @@ class ResourceReport:
 
     def count(self, kind: str) -> int:
         return self.counts.get(kind, 0)
-
-
-@dataclass
-class GateTimeModel:
-    """Uniform seconds-per-elementary-gate timing model."""
-
-    gate_time: float
-
-    def __post_init__(self):
-        if not self.gate_time > 0:
-            raise ValueError(f"gate_time must be positive, got {self.gate_time}")
 
 
 def count_stream(gates, num_qubits: int) -> ResourceReport:

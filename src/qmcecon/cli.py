@@ -12,12 +12,12 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import bench, econ
-from .circuits import GateTimeModel
 from .distributions import (
     APPENDIX_SCHEDULE,
     TrainingSchedule,
@@ -68,6 +68,17 @@ def _parse_stages(text: str) -> list[tuple[int, float]]:
         epochs, _, lr = part.partition(":")
         stages.append((int(epochs), float(lr)))
     return stages
+
+
+def _positive_seconds(text: str) -> float:
+    """argparse type: a finite number of seconds above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
 
 
 def _stress_params(args) -> econ.StressTestParams:
@@ -144,10 +155,9 @@ def _cmd_resources(args) -> int:
                                layers=args.layers)
     _write_rows(rows, args.out, args.format)
     if args.gate_time is not None:
-        model = GateTimeModel(args.gate_time)
         for row in rows:
             print(f"n={row['n']}: depth={row['depth']} "
-                  f"runtime={row['depth'] * model.gate_time:.3e} s")
+                  f"runtime={row['depth'] * args.gate_time:.3e} s")
     return 0
 
 
@@ -337,7 +347,7 @@ def build_parser() -> _Parser:
     p.add_argument("--layers", type=int, default=10)
     p.add_argument("--n-min", type=int, default=3)
     p.add_argument("--n-max", type=int, default=10)
-    p.add_argument("--gate-time", type=float, default=None,
+    p.add_argument("--gate-time", type=_positive_seconds, default=None,
                    help="seconds per gate: also print runtimes")
     p.set_defaults(func=_cmd_resources)
 

@@ -292,14 +292,6 @@ def train_ansatz(target: DiscretizedDistribution, layers: int,
     return VariationalAnsatz(m, layers, params), trace
 
 
-def parameter_shift_gradient(ansatz: VariationalAnsatz,
-                             target: DiscretizedDistribution) -> np.ndarray:
-    """Gradient of ansatz_cost at the ansatz's current parameters."""
-    _, grad = _cost_and_gradient(ansatz.m, ansatz.layers, ansatz.params,
-                                 target.masses)
-    return grad
-
-
 # ---------------------------------------------------------------------------
 # Parameter persistence
 # ---------------------------------------------------------------------------

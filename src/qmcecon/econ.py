@@ -25,7 +25,7 @@ from __future__ import annotations
 import configparser
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -460,7 +460,7 @@ def estimate(workload: Workload, m: int, n: int, r_mode: str = "exact",
     with ``ansatz``."""
     # the config checks the qubit caps before the 2**(dims m) grid is built
     config = QMCConfig(dims=workload.dims, m=m, n=n, r_mode=r_mode,
-                       a_mode=a_mode, theta_side="left", method=method)
+                       a_mode=a_mode, method=method)
     dist = workload.shock(m)
     rv = normalize_rv(workload.values(dist))
     est = run_qmc(config, [dist] * workload.dims, rv, ansatz=ansatz)
@@ -470,15 +470,6 @@ def estimate(workload: Workload, m: int, n: int, r_mode: str = "exact",
 # ---------------------------------------------------------------------------
 # Scenario configuration files
 # ---------------------------------------------------------------------------
-
-_BANK_FIELDS = {
-    "mortgages": "mortgages",
-    "business_loans": "business_loans",
-    "securities": "securities",
-    "total_assets": "total_assets",
-    "equity": "equity",
-}
-
 
 def load_stress_config(path) -> StressTestParams:
     """Read a stress scenario from an INI file with [bank1]/[bank2]/[system]."""
@@ -490,12 +481,12 @@ def load_stress_config(path) -> StressTestParams:
         if section not in parser:
             raise ValueError(f"scenario file misses [{section}]")
         sec = parser[section]
-        fields = {}
-        for src, dst in _BANK_FIELDS.items():
-            if src not in sec:
-                raise ValueError(f"[{section}] misses key {src!r}")
-            fields[dst] = sec.getfloat(src)
-        banks.append(BankBalanceSheet(**fields))
+        values = {}
+        for key in (f.name for f in fields(BankBalanceSheet)):
+            if key not in sec:
+                raise ValueError(f"[{section}] misses key {key!r}")
+            values[key] = sec.getfloat(key)
+        banks.append(BankBalanceSheet(**values))
     if "system" not in parser:
         raise ValueError("scenario file misses [system]")
     sys_sec = parser["system"]
@@ -508,20 +499,3 @@ def load_stress_config(path) -> StressTestParams:
         shock_a=sys_sec.getfloat("shock_beta_a", fallback=2.0),
         shock_b=sys_sec.getfloat("shock_beta_b", fallback=10.0),
     )
-
-
-def write_stress_config(path, params: StressTestParams) -> None:
-    parser = configparser.ConfigParser()
-    for name, bank in zip(("bank1", "bank2"), params.banks):
-        parser[name] = {src: repr(getattr(bank, dst))
-                        for src, dst in _BANK_FIELDS.items()}
-    parser["system"] = {
-        "price_sensitivity": repr(params.alpha_price),
-        "leverage_ratio": repr(params.beta_lev),
-        "benchmark_mortgage_loss": repr(params.d0_m),
-        "benchmark_business_loss": repr(params.d0_b),
-        "shock_beta_a": repr(params.shock_a),
-        "shock_beta_b": repr(params.shock_b),
-    }
-    with open(path, "w") as fh:
-        parser.write(fh)

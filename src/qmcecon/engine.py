@@ -249,6 +249,14 @@ def build_controlled_Q(f_circuit: Circuit, control: int) -> Circuit:
     return circ
 
 
+# phase_estimation lists every gate of its 2**n - 1 controlled-Q blocks; the
+# repeats of a block share its Gate objects, so each list entry costs one
+# 8-byte reference and 2**27 entries are 1 GiB.  Every block has at least 36
+# gates, so the cap also keeps the statevector of the circuit method near 26
+# qubits.
+GATE_LIST_CAP = 1 << 27
+
+
 def phase_estimation(f_circuit: Circuit, n: int) -> Circuit:
     """Full estimation circuit: F, controlled Grover powers, inverse QFT.
 
@@ -268,8 +276,14 @@ def phase_estimation(f_circuit: Circuit, n: int) -> Circuit:
         raise ResourceLimitError(
             f"phase estimation needs {nq} qubits, exceeding the cap of {QUBIT_CAP}"
         )
+    block_size = len(build_controlled_Q(f_circuit, est[0]))
+    size = len(f_circuit) + n + (2**n - 1) * block_size + n * (n + 1) // 2
+    if size > GATE_LIST_CAP:
+        raise ResourceLimitError(
+            f"phase estimation needs {size} gates, exceeding the cap of "
+            f"{GATE_LIST_CAP}"
+        )
     circ = Circuit(nq)
-    circ.metadata.update(est_qubits=est, oracle_calls=2**n - 1)
     circ.extend(f_circuit)
     for q in est:
         circ.h(q)
@@ -286,24 +300,18 @@ def phase_estimation(f_circuit: Circuit, n: int) -> Circuit:
 # ---------------------------------------------------------------------------
 
 
-def extract_theta(distribution: np.ndarray, side: str = "left") -> float:
-    """Most probable phase on the requested half of [0, 1].
+def extract_theta(distribution: np.ndarray) -> float:
+    """Most probable phase on the left half [0, 1/2] of [0, 1].
 
-    The output distribution is symmetric about 1/2, so the caller picks the
-    side the true phase is known to be on.  Ties break toward smaller theta.
+    The output distribution is symmetric about 1/2, and the readout always
+    takes the left peak, so an encoded p1 above 1/2 (phase above 1/2) reads
+    back folded, as 1 - mu.  Ties break toward smaller theta.
     """
     dist = np.asarray(distribution, dtype=float)
     size = dist.size
     if abs(dist.sum() - 1.0) > 1e-9:
         raise ValueError("distribution must sum to 1")
-    half = size // 2
-    if side == "left":
-        idx = int(np.argmax(dist[: half + 1]))
-    elif side == "right":
-        idx = half + int(np.argmax(dist[half:]))
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return idx / size
+    return int(np.argmax(dist[: size // 2 + 1])) / size
 
 
 def theta_to_mu(theta: float) -> float:
@@ -356,7 +364,6 @@ class QMCConfig:
     n: int = 6
     r_mode: str = "exact"          # "exact" | "linear"
     a_mode: str = "exact_prep"     # "exact_prep" | "trained_ansatz"
-    theta_side: str = "left"
     method: str = "auto"           # "auto" (spectral readout) | "circuit" (reference)
 
     def __post_init__(self):
@@ -368,6 +375,8 @@ class QMCConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.r_mode == "linear" and self.dims != 1:
             raise ValueError("the linear encoding handles one dimension only")
+        if self.m < 1 or self.n < 1:
+            raise ValueError(f"need m >= 1 and n >= 1, got m={self.m}, n={self.n}")
         # Fail before anything sized by the registers is allocated.
         for name, qubits, cap in (
                 ("F register", self.dims * self.m + 1, F_REGISTER_CAP),
@@ -480,13 +489,15 @@ def spectral_distribution(p1: float, n: int) -> np.ndarray:
 
 def _simulate_distribution(config, f_circuit, n):
     """theta-ordered outcome distribution and the encoded probability p1."""
-    chi = apply_circuit(init_state(f_circuit.num_qubits), f_circuit)
-    p1 = float(probabilities(chi, [f_circuit.num_qubits - 1])[1])
-    if config.method == "auto":
+    s = f_circuit.num_qubits
+    # the reference circuit is built, and its size checked, before any state
+    circ = phase_estimation(f_circuit, n) if config.method == "circuit" else None
+    chi = apply_circuit(init_state(s), f_circuit)
+    p1 = float(probabilities(chi, [s - 1])[1])
+    if circ is None:
         return spectral_distribution(p1, n), p1
-    circ = phase_estimation(f_circuit, n)
     state = apply_circuit(init_state(circ.num_qubits), circ)
-    measured = probabilities(state, circ.metadata["est_qubits"])
+    measured = probabilities(state, range(s, s + n))
     return measured[bit_reversal_permutation(n)], p1
 
 
@@ -497,7 +508,9 @@ def run_qmc(config: QMCConfig, dists, rv: RandomVariableSpec,
     Returns the exact outcome distribution over estimation bitstrings, the
     extracted phase, and the recovered expectation in normalized and original
     units.  The linear rotation encoding recomputes its c_s rescaling for the
-    configured number of estimation qubits.
+    configured number of estimation qubits.  The phase is always read from
+    the left half of the distribution, so an encoded p1 above 1/2 returns the
+    mirrored mean 1 - mu (normalized) without a warning.
     """
     dists = list(dists)
     linear = None
@@ -506,7 +519,7 @@ def run_qmc(config: QMCConfig, dists, rv: RandomVariableSpec,
         linear = LinearRParams.for_oracle_budget(config.m, config.n, increasing)
     f_circuit = assemble_f(config, dists, rv, ansatz, linear)
     distribution, p1 = _simulate_distribution(config, f_circuit, config.n)
-    theta_hat = extract_theta(distribution, config.theta_side)
+    theta_hat = extract_theta(distribution)
     mu_norm = theta_to_mu(theta_hat)
     mu = denormalize_mu(mu_norm, rv, linear)
     return PhaseEstimate(

@@ -97,7 +97,6 @@ class Circuit:
 
     num_qubits: int
     gates: list[Gate] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
 
     def add(self, gate: Gate) -> "Circuit":
         if max(gate.qubits) >= self.num_qubits:
@@ -160,12 +159,6 @@ class StateVector:
 
     num_qubits: int
     amplitudes: np.ndarray
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amplitudes.copy())
 
 
 def init_state(num_qubits: int) -> StateVector:
@@ -270,23 +263,6 @@ def _apply_gate_tensor(tensor: np.ndarray, gate: Gate, nq: int) -> None:
         _apply_matrix_axis(view, rotation_matrix("ry", gate.angle), t_axis)
     else:  # pragma: no cover - signature table keeps this unreachable
         raise ValueError(f"cannot simulate gate kind {kind!r}")
-
-
-def _check_gate_fits(gate: Gate, num_qubits: int) -> None:
-    if max(gate.qubits) >= num_qubits:
-        raise ValueError(
-            f"gate {gate.kind} on qubits {gate.qubits} does not fit a "
-            f"{num_qubits}-qubit state"
-        )
-
-
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Return the state transformed by one gate (input is left untouched)."""
-    _check_gate_fits(gate, state.num_qubits)
-    amp = state.amplitudes.copy()
-    tensor = amp.reshape((2,) * state.num_qubits)
-    _apply_gate_tensor(tensor, gate, state.num_qubits)
-    return StateVector(state.num_qubits, amp)
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:

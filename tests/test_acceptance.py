@@ -21,7 +21,6 @@ from qmcecon.bench import (
     SweepSpec,
     depth_fit,
     error_sweep,
-    fit_r_squared,
     loglog_fit,
     resource_rows,
     runtime_extrapolate,
@@ -31,9 +30,9 @@ from qmcecon.circuits import decompose
 from qmcecon.distributions import (
     TrainingSchedule,
     VariationalAnsatz,
+    _cost_and_gradient,
     ansatz_cost,
     discretize_normal,
-    parameter_shift_gradient,
     train_ansatz,
 )
 from qmcecon.engine import (
@@ -47,6 +46,7 @@ from qmcecon.sim import dense_unitary
 
 from util import (
     brute_force_phase_estimation,
+    fit_r_squared,
     lowering_error,
     random_circuit,
     random_distribution,
@@ -271,22 +271,22 @@ def test_criterion_10_crossover(neoclassical_sweeps, classical_fit):
     dfit = depth_fit(resource_rows(econ.BENCH_M, range(3, 11)))
     tau = REFERENCE_SECONDS_PER_SAMPLE
     table = runtime_extrapolate(qfit, dfit, classical_fit, tau)
-    row = next(r for r in table.rows
+    row = next(r for r in table
                if r.gate_time == 1e-9 and r.speedup_factor == 1e3)
     advantage = row.advantage_at_target
     ideal = runtime_extrapolate(replace(qfit, slope=-1.0), dfit,
                                 classical_fit, tau)
     earlier = all(
         i.crossover_time < b.crossover_time
-        for b, i in zip(table.rows, ideal.rows)
+        for b, i in zip(table, ideal)
         if b.crossover_time is not None and i.crossover_time is not None)
-    defined = sum(r.crossover_time is not None for r in ideal.rows)
+    defined = sum(r.crossover_time is not None for r in ideal)
     # the host's own per-sample time is information, not part of the gate;
     # the advantage is linear in tau
     measured = time_per_sample()
     assert math.isfinite(measured) and measured > 0
     measured_advantage = advantage * measured / tau
-    ok = 2.8 <= advantage <= 11.2 and earlier and defined == len(ideal.rows)
+    ok = 2.8 <= advantage <= 11.2 and earlier and defined == len(ideal)
     report(10, ok,
            f"reference tau={tau*1e9:.0f} ns/sample, 1ns/1000x advantage at "
            f"1e-8 = {advantage:.2f} in [2.8, 11.2] (measured "
@@ -303,8 +303,7 @@ def test_criterion_11_gradient_check():
     for _ in range(20):
         params = rng.uniform(-math.pi, math.pi,
                              VariationalAnsatz.num_params(3, 2))
-        ansatz = VariationalAnsatz(3, 2, params)
-        grad = parameter_shift_gradient(ansatz, target)
+        _, grad = _cost_and_gradient(3, 2, params, target.masses)
         for j in range(params.size):
             plus, minus = params.copy(), params.copy()
             plus[j] += h

@@ -10,16 +10,16 @@ from qmcecon.bench import (
     ScalingFit,
     SweepSpec,
     crossover_rows,
-    depth_at,
     depth_fit,
     error_sweep,
-    fit_r_squared,
     loglog_fit,
     qmc_resource_report,
     resource_rows,
     runtime_extrapolate,
     time_per_sample,
 )
+
+from util import fit_r_squared
 
 
 class TestLoglogFit:
@@ -35,16 +35,6 @@ class TestLoglogFit:
         assert fit.slope == pytest.approx(-2 / 3, abs=1e-10)
         assert 10 ** fit.intercept == pytest.approx(3.7, rel=1e-10)
 
-    def test_plateau_filter(self):
-        bias = 1e-3
-        points = [(1, 1.0), (10, 1e-1), (100, 1e-2), (1000, 1.2e-3),
-                  (10000, 1.1e-3), (100000, 1.05e-3)]
-        raw = loglog_fit(points)
-        filtered = loglog_fit(points, plateau_filter=True, bias=bias)
-        assert len(filtered.excluded) == 3
-        assert filtered.slope < raw.slope  # filtered fit is steeper
-        assert filtered.slope == pytest.approx(-1.0, abs=0.05)
-
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
             loglog_fit([(10, 1.0), (100, 0.1)])
@@ -52,11 +42,6 @@ class TestLoglogFit:
     def test_r_squared_of_clean_line(self):
         points = [(N, 2.0 * N ** (-0.8)) for N in (10, 100, 1000, 10000)]
         assert fit_r_squared(loglog_fit(points)) == pytest.approx(1.0)
-
-    def test_helpers_roundtrip(self):
-        fit = ScalingFit(-0.5, math.log10(0.4628), [])
-        n = fit.n_for_error(1e-8)
-        assert fit.error_at(n) == pytest.approx(1e-8, rel=1e-9)
 
 
 class TestSweepSpec:
@@ -130,7 +115,8 @@ class TestResources:
         fit = depth_fit(rows)
         assert fit.slope == pytest.approx(1.0, abs=0.1)
         assert fit_r_squared(fit) > 0.999
-        assert depth_at(fit, 5) == pytest.approx(rows[2]["depth"], rel=0.1)
+        assert 2 ** (fit.intercept + fit.slope * 5) == pytest.approx(
+            rows[2]["depth"], rel=0.1)
 
 
 class TestCrossover:
@@ -140,9 +126,8 @@ class TestCrossover:
         dfit = ScalingFit(1.0, 0.0, [])  # log2 depth = n, i.e. depth = N
         cfit = ScalingFit(-0.5, math.log10(0.5), [])
         tau = 1e-6
-        table = runtime_extrapolate(qfit, dfit, cfit, tau,
-                                    gate_times=(1e-9,), speedup_factors=(1e3,))
-        row = table.rows[0]
+        row = runtime_extrapolate(qfit, dfit, cfit, tau, gate_times=(1e-9,),
+                                  speedup_factors=(1e3,))[0]
         # closed form: equate t*(c_q/e)^{3/2} = tau/s * (c_c/e)^2
         t, s, cq, cc = 1e-9, 1e3, 1e-2, 0.5
         log_e = (math.log10(t) - math.log10(tau / s) + 1.5 * math.log10(cq)
@@ -158,7 +143,7 @@ class TestCrossover:
         cfit = ScalingFit(-0.5, 0.0, [])
         table = runtime_extrapolate(qfit, dfit, cfit, 1e-6,
                                     gate_times=(1e-9,), speedup_factors=(1e3,))
-        assert table.rows[0].crossover_time is None
+        assert table[0].crossover_time is None
         rows = crossover_rows(table)
         assert rows[0]["crossover_time_s"] == ""
 
@@ -168,7 +153,7 @@ class TestCrossover:
         cfit = ScalingFit(-0.5, math.log10(0.4628), [])
         base = runtime_extrapolate(qfit, dfit, cfit, 3e-7)
         ideal = runtime_extrapolate(replace(qfit, slope=-1.0), dfit, cfit, 3e-7)
-        for b, i in zip(base.rows, ideal.rows):
+        for b, i in zip(base, ideal):
             assert i.crossover_time < b.crossover_time
             assert i.quantum_time_at_target < b.quantum_time_at_target
 
@@ -176,8 +161,8 @@ class TestCrossover:
         qfit = ScalingFit(-2 / 3, math.log10(0.2), [])
         dfit = ScalingFit(1.0, math.log2(400), [])
         cfit = ScalingFit(-0.5, math.log10(0.4628), [])
-        slow = runtime_extrapolate(qfit, dfit, cfit, 6e-7).rows[0]
-        fast = runtime_extrapolate(qfit, dfit, cfit, 3e-7).rows[0]
+        slow = runtime_extrapolate(qfit, dfit, cfit, 6e-7)[0]
+        fast = runtime_extrapolate(qfit, dfit, cfit, 3e-7)[0]
         assert slow.advantage_at_target == pytest.approx(
             2 * fast.advantage_at_target, rel=1e-9)
 

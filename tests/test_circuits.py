@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from qmcecon.circuits import (
-    GateTimeModel,
     count_resources,
     decompose,
     inverse_qft,
@@ -158,7 +157,3 @@ class TestResources:
     def test_rejects_unlowered_gates(self):
         with pytest.raises(ValueError, match="decompose"):
             count_resources(Circuit(1).h(0))
-
-    def test_gate_time_positive(self):
-        with pytest.raises(ValueError):
-            GateTimeModel(0.0)

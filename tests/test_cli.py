@@ -8,11 +8,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qmcecon import bench, cli
+from qmcecon import bench, cli, engine
 from qmcecon.cli import main
 from qmcecon.distributions import VariationalAnsatz, save_ansatz
-from qmcecon.econ import (DEFAULT_STRESS, neoclassical_workload, stress_qmc,
-                          write_stress_config)
+from qmcecon.econ import DEFAULT_STRESS, neoclassical_workload, stress_qmc
+from qmcecon.sim import Circuit
+
+from util import write_stress_config
 
 
 def run_cli(args, capsys):
@@ -75,6 +77,54 @@ class TestExitCodes:
                                 "--n-max", "21"], capsys)
         assert code == 2
         assert "needs 31 qubits, exceeding the cap of 30" in err
+
+    @pytest.mark.parametrize("args", [
+        ["run", "stress", "--m", "5", "--n", "19", "--method", "circuit"],
+        ["resources", "--m", "5", "--n-min", "20", "--n-max", "20"]],
+        ids=["run-6.8G-gates", "resources-860M-gates"])
+    def test_gate_list_over_cap_exit_2_before_building(self, capsys,
+                                                       monkeypatch, args):
+        extend = Circuit.extend
+
+        def bounded_extend(circ, gates):
+            # F and one sizing block stay far below 2**20 gates; a list that
+            # grows past that is being filled, so stop before it takes GiBs
+            extend(circ, gates)
+            assert len(circ) < 1 << 20, "gate list filled past the cap check"
+            return circ
+
+        def refuse(*a, **k):
+            raise AssertionError("state simulated before the cap check")
+
+        monkeypatch.setattr(Circuit, "extend", bounded_extend)
+        monkeypatch.setattr(engine, "init_state", refuse)
+        monkeypatch.setattr(engine, "apply_circuit", refuse)
+        code, _, err = run_cli(args, capsys)
+        assert code == 2
+        assert "gates, exceeding the cap of 134217728" in err
+
+    @pytest.mark.parametrize("value", ["0", "nan"])
+    def test_bad_gate_time_exit_1_before_writing(self, tmp_path, value):
+        out = tmp_path / "g.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(out), "resources", "--m", "3", "--layers", "2",
+                  "--n-min", "3", "--n-max", "3", "--gate-time", value])
+        assert exc.value.code == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["run", "simple", "--n", "0"],
+        ["run", "simple", "--n", "-1"],
+        ["run", "simple", "--m", "0"],
+        ["sweep", "--app", "simple", "--estimator", "qmc_exact", "--n-min", "0",
+         "--n-max", "2"]],
+        ids=["run-n0", "run-n-1", "run-m0", "sweep-n0"])
+    def test_empty_register_exit_1(self, tmp_path, capsys, args):
+        out = tmp_path / "rows.csv"
+        code, _, err = run_cli(["--out", str(out), *args], capsys)
+        assert code == 1
+        assert "need m >= 1 and n >= 1" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("args,message", [
         (["sweep", "--app", "simple", "--estimator", "qmc_linear",

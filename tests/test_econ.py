@@ -34,9 +34,10 @@ from qmcecon.econ import (
     stress_rv_grid,
     stress_theoretical_mean,
     workload,
-    write_stress_config,
 )
 from qmcecon.engine import denormalize_mu, normalize_rv
+
+from util import write_stress_config
 
 
 class TestStressCoefficients:

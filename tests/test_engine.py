@@ -34,7 +34,6 @@ from qmcecon.sim import (
     Gate,
     ResourceLimitError,
     apply_circuit,
-    apply_gate,
     dense_unitary,
     init_state,
     probabilities,
@@ -224,11 +223,8 @@ class TestPhaseEstimationCircuit:
         dist, rv = small_problem(2)
         f = assemble_f(QMCConfig(dims=1, m=2, n=1), [dist], rv)
         block = build_controlled_Q(f, control=3)
-        circ1 = phase_estimation(f, 1)
-        assert circ1.metadata["oracle_calls"] == 1
         circ6 = phase_estimation(f, 6)
-        assert circ6.metadata["oracle_calls"] == 63
-        # gate-count identity: F + n Hadamards + blocks + inverse QFT
+        # gate-count identity: F + n Hadamards + 63 blocks + inverse QFT
         iqft_gates = 6 + 15
         expected = len(f.gates) + 6 + 63 * len(block.gates) + iqft_gates
         assert len(circ6.gates) == expected
@@ -259,31 +255,20 @@ class TestReadout:
     def test_extract_point_masses(self):
         dist = np.zeros(64)
         dist[0] = 1.0
-        assert extract_theta(dist, "left") == 0.0
+        assert extract_theta(dist) == 0.0
         dist = np.zeros(64)
         dist[32] = 1.0
-        assert extract_theta(dist, "left") == 0.5
-        assert extract_theta(dist, "right") == 0.5
+        assert extract_theta(dist) == 0.5
 
     def test_tie_breaks_toward_smaller(self):
         dist = np.zeros(16)
         dist[3] = 0.5
         dist[5] = 0.5
-        assert extract_theta(dist, "left") == 3 / 16
-
-    def test_right_side(self):
-        dist = np.zeros(16)
-        dist[3] = 0.4
-        dist[13] = 0.6
-        assert extract_theta(dist, "right") == 13 / 16
+        assert extract_theta(dist) == 3 / 16
 
     def test_requires_normalized(self):
         with pytest.raises(ValueError):
-            extract_theta(np.full(8, 0.2), "left")
-        dist = np.zeros(8)
-        dist[0] = 1.0
-        with pytest.raises(ValueError):
-            extract_theta(dist, "middle")
+            extract_theta(np.full(8, 0.2))
 
     def test_theta_to_mu(self):
         assert theta_to_mu(0.0) == 0.0
@@ -359,13 +344,20 @@ class TestFullPipeline:
         np.testing.assert_allclose(p[1:], p[1:][::-1], atol=1e-9)
 
     def test_estimate_converges_to_encoded_mean(self):
-        dist, rv = small_problem(3, seed=6)
+        dist, rv = small_problem(3, seed=9)
+        assert float(dist.masses @ rv.values) == pytest.approx(0.478, abs=1e-3)
         mu_true = float(dist.masses @ rv.original_values())
-        # the caller knows which half of [0, 1] the phase lives in
-        side = "left" if float(dist.masses @ rv.values) <= 0.5 else "right"
-        config = QMCConfig(dims=1, m=3, n=11, theta_side=side)
-        res = run_qmc(config, [dist], rv)
+        res = run_qmc(QMCConfig(dims=1, m=3, n=11), [dist], rv)
         assert abs(res.mu - mu_true) < 2e-3 * (rv.f_max - rv.f_min)
+
+    def test_encoded_mean_above_half_reads_folded(self):
+        # the readout takes the left half, so p1 > 1/2 reads back as 1 - p1
+        dist, rv = small_problem(3, seed=6)
+        p1 = float(dist.masses @ rv.values)
+        assert p1 == pytest.approx(0.524, abs=1e-3)
+        folded = rv.f_min + (1.0 - p1) * (rv.f_max - rv.f_min)
+        res = run_qmc(QMCConfig(dims=1, m=3, n=11), [dist], rv)
+        assert abs(res.mu - folded) < 2e-3 * (rv.f_max - rv.f_min)
 
     def test_distribution_sums_to_one(self):
         dist, rv = small_problem(2, seed=3)
@@ -397,6 +389,9 @@ class TestFullPipeline:
             QMCConfig(r_mode="weird")
         with pytest.raises(ValueError, match="method"):
             QMCConfig(method="typo")
+        for bad in ({"n": 0}, {"n": -1}, {"m": 0}):
+            with pytest.raises(ValueError, match="need m >= 1 and n >= 1"):
+                QMCConfig(**bad)
         # fixed caps: 22 qubits of F, 25 estimation qubits
         QMCConfig(dims=1, m=21, n=25)
         with pytest.raises(ResourceLimitError, match="F register needs 23"):

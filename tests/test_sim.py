@@ -8,7 +8,6 @@ from qmcecon.sim import (
     Gate,
     ResourceLimitError,
     apply_circuit,
-    apply_gate,
     dense_unitary,
     init_state,
     probabilities,
@@ -38,28 +37,30 @@ class TestInitState:
 
 
 class TestApplyGate:
+    """Single gates applied through apply_circuit."""
+
     def test_hadamard_on_zero(self):
-        st = apply_gate(init_state(1), Gate("h", (0,)))
+        st = apply_circuit(init_state(1), Circuit(1).h(0))
         np.testing.assert_allclose(st.amplitudes, [1, 1] / np.sqrt(2))
 
     def test_cnot_on_10(self):
         # control qubit 0 set: |10> -> |11>
-        st = apply_gate(init_state(2), Gate("x", (0,)))
-        st = apply_gate(st, Gate("cnot", (1,), (0,)))
+        st = apply_circuit(init_state(2), Circuit(2).x(0))
+        st = apply_circuit(st, Circuit(2).cnot(0, 1))
         np.testing.assert_allclose(st.amplitudes, [0, 0, 0, 1], atol=1e-12)
 
     def test_ry_pi_is_half_turn(self):
-        st = apply_gate(init_state(1), Gate("ry", (0,), angle=math.pi))
+        st = apply_circuit(init_state(1), Circuit(1).ry(0, math.pi))
         assert abs(abs(st.amplitudes[1]) - 1.0) < 1e-12
 
     def test_input_state_untouched(self):
         st = init_state(1)
-        apply_gate(st, Gate("h", (0,)))
+        apply_circuit(st, Circuit(1).h(0))
         np.testing.assert_allclose(st.amplitudes, [1, 0])
 
     def test_out_of_range_index(self):
-        with pytest.raises(ValueError):
-            apply_gate(init_state(1), Gate("h", (1,)))
+        with pytest.raises(ValueError, match="exceeds register"):
+            Circuit(1).h(1)
 
     def test_gate_validation(self):
         with pytest.raises(ValueError):
@@ -74,7 +75,7 @@ class TestApplyGate:
 
 class TestApplyCircuit:
     def test_empty_circuit_identity(self):
-        st = apply_gate(init_state(2), Gate("h", (0,)))
+        st = apply_circuit(init_state(2), Circuit(2).h(0))
         out = apply_circuit(st, Circuit(2))
         np.testing.assert_array_equal(out.amplitudes, st.amplitudes)
 
@@ -93,7 +94,7 @@ class TestApplyCircuit:
             nq = int(rng.integers(2, 6))
             circ = random_circuit(nq, 30, rng)
             st = apply_circuit(init_state(nq), circ)
-            assert abs(st.norm() - 1.0) < 1e-10
+            assert abs(np.linalg.norm(st.amplitudes) - 1.0) < 1e-10
 
     def test_reversibility(self):
         rng = np.random.default_rng(13)
@@ -108,7 +109,7 @@ class TestApplyCircuit:
 
 class TestProbabilities:
     def test_plus_state(self):
-        st = apply_gate(init_state(1), Gate("h", (0,)))
+        st = apply_circuit(init_state(1), Circuit(1).h(0))
         np.testing.assert_allclose(probabilities(st, [0]), [0.5, 0.5])
 
     def test_bell_marginal(self):
@@ -117,7 +118,7 @@ class TestProbabilities:
         np.testing.assert_allclose(probabilities(st, [0]), [0.5, 0.5], atol=1e-12)
 
     def test_ordering_first_listed_is_msb(self):
-        st = apply_gate(init_state(2), Gate("x", (1,)))  # |01>
+        st = apply_circuit(init_state(2), Circuit(2).x(1))  # |01>
         np.testing.assert_allclose(probabilities(st, [0, 1]), [0, 1, 0, 0])
         np.testing.assert_allclose(probabilities(st, [1, 0]), [0, 0, 1, 0])
 

@@ -1,5 +1,6 @@
 """Shared test helpers: oracles and comparison utilities."""
 
+import configparser
 import math
 
 import numpy as np
@@ -126,3 +127,29 @@ def random_distribution(m: int, rng):
     masses = rng.uniform(0.05, 1.0, 1 << m)
     masses /= masses.sum()
     return DiscretizedDistribution(m, np.linspace(0.0, 1.0, 1 << m), masses)
+
+
+def fit_r_squared(fit) -> float:
+    """R**2 of a bench.ScalingFit over its stored (log-transformed) points."""
+    x = np.array([p[0] for p in fit.points])
+    y = np.array([p[1] for p in fit.points])
+    resid = y - (fit.intercept + fit.slope * x)
+    total = y - y.mean()
+    return 1.0 - float(resid @ resid) / float(total @ total)
+
+
+def write_stress_config(path, params) -> None:
+    """Write a stress scenario as the INI file econ.load_stress_config reads."""
+    parser = configparser.ConfigParser()
+    for name, bank in zip(("bank1", "bank2"), params.banks):
+        parser[name] = {key: repr(value) for key, value in vars(bank).items()}
+    parser["system"] = {
+        "price_sensitivity": repr(params.alpha_price),
+        "leverage_ratio": repr(params.beta_lev),
+        "benchmark_mortgage_loss": repr(params.d0_m),
+        "benchmark_business_loss": repr(params.d0_b),
+        "shock_beta_a": repr(params.shock_a),
+        "shock_beta_b": repr(params.shock_b),
+    }
+    with open(path, "w") as fh:
+        parser.write(fh)

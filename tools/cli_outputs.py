@@ -37,6 +37,11 @@ def commands():
                                    "--n-min", "3", "--n-max", "6"]
     yield "resources_over_cap", ["resources", "--m", "5", "--n-min", "21",
                                  "--n-max", "21"]
+    gate_time = ["resources", "--m", "3", "--layers", "2", "--n-min", "3",
+                 "--n-max", "4", "--gate-time"]
+    yield "resources_gate_time", [*gate_time, "1e-8"]
+    yield "resources_gate_time_zero", [*gate_time, "0"]
+    yield "run_simple_n0", ["run", "simple", "--n", "0"]
     yield "bench", ["bench", "all", "--out-dir", "bench"]
 
 
@@ -52,7 +57,10 @@ def main(out: Path) -> None:
     os.chdir(out)
     for name, argv in commands():
         with contextlib.redirect_stdout(io.StringIO()) as stdout:
-            code = cli.main(["--out", f"{name}.csv", *argv])
+            try:
+                code = cli.main(["--out", f"{name}.csv", *argv])
+            except SystemExit as exc:   # argparse rejected an argument
+                code = exc.code
         Path(f"{name}.txt").write_text(
             f"exit {code}\n" + ("" if name == "bench" else stdout.getvalue()))
     for path in sorted(Path().rglob("*.csv")):
