@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import ResourceReport, count_stream, lower_gates
+from .circuits import (ResourceReport, advance_frontier, count_stream,
+                       lower_gates, transfer_matrix)
 from .distributions import VariationalAnsatz
-from .engine import LinearRParams, QMCConfig, assemble_f, normalize_rv, phase_estimation
+from .engine import (LinearRParams, QMCConfig, assemble_f, normalize_rv,
+                     phase_estimation_segments)
 from .sim import QUBIT_CAP, ResourceLimitError
 from . import econ
 
@@ -40,6 +43,11 @@ REFERENCE_SECONDS_PER_SAMPLE = 2.24e-7
 # ---------------------------------------------------------------------------
 
 
+def _check_increasing(points) -> None:
+    if not points or any(b <= a for a, b in zip(points, points[1:])):
+        raise ValueError("range must be non-empty and increasing")
+
+
 @dataclass
 class SweepSpec:
     app: str                      # "simple" | "stress" | "neoclassical"
@@ -53,8 +61,7 @@ class SweepSpec:
     def __post_init__(self):
         if self.estimator not in ("qmc_exact", "qmc_linear", "classical"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
-        if not self.range or any(b <= a for a, b in zip(self.range, self.range[1:])):
-            raise ValueError("range must be non-empty and increasing")
+        _check_increasing(self.range)
         if self.estimator == "classical" and self.repeats < 1:
             raise ValueError("classical sweeps need repeats >= 1")
         workload = self.workload
@@ -155,11 +162,14 @@ def _bench_ansatz(m: int, layers: int) -> VariationalAnsatz:
 def qmc_resource_report(m: int, n: int, layers: int = 10) -> ResourceReport:
     """Counts and depth of the decomposed estimation circuit.
 
-    Builds the macro benchmark circuit (layered preparation ansatz, linear
-    rotation encoding) with the same ``phase_estimation`` that the
-    ``circuit`` method simulates, and streams its elementary-gate lowering
-    through the counter, so the million and more gates of larger n never
-    materialize in memory.
+    Builds the macro benchmark F (layered preparation ansatz, linear rotation
+    encoding) and the same ``phase_estimation_segments`` that the ``circuit``
+    method flattens and simulates.  Each segment is lowered once, into a
+    short list: its gate counts are multiplied by its repeats, and its
+    transfer matrix carries the per-wire frontier through those repeats by
+    max-plus squaring.  The 2**n - 1 controlled-Q blocks are never written
+    out, so the cost grows with n, not 2**n; the counts and depth equal those
+    of ``count_stream`` over the flat lowering, which the tests check.
     """
     # Each controlled zero reflection is one MCX with s = m + 1 controls (the
     # estimation wire and every F wire but its target), and its linear
@@ -177,12 +187,22 @@ def qmc_resource_report(m: int, n: int, layers: int = 10) -> ResourceReport:
     config = QMCConfig(dims=1, m=m, n=n, r_mode="linear", a_mode="trained_ansatz")
     linear = LinearRParams.for_oracle_budget(m, n, increasing=False)
     f_circuit = assemble_f(config, [dist], rv, _bench_ansatz(m, layers), linear)
-    circuit = phase_estimation(f_circuit, n)
-    work = range(circuit.num_qubits, width)
-    return count_stream(lower_gates(circuit.gates, work), width)
+    work = range(s + n, width)
+    counts = Counter()
+    frontier = np.zeros(width, dtype=np.int64)
+    for block, repeats in phase_estimation_segments(f_circuit, n):
+        lowered = list(lower_gates(block.gates, work))
+        counts.update({kind: c * repeats
+                       for kind, c in count_stream(lowered, width).counts.items()})
+        frontier = advance_frontier(frontier, transfer_matrix(lowered, width),
+                                    repeats)
+    return ResourceReport(dict(counts), sum(counts.values()), int(frontier.max()),
+                          width)
 
 
 def resource_rows(m: int, n_values, layers: int = 10) -> list[dict]:
+    n_values = list(n_values)
+    _check_increasing(n_values)
     rows = []
     for n in n_values:
         rep = qmc_resource_report(m, n, layers)

@@ -4,6 +4,14 @@ Provides the inverse quantum Fourier transform, a lowering pass into the
 elementary gate set {RX, RY, RZ, CNOT}, and resource accounting (gate counts,
 ASAP depth) used by the runtime benchmarks.
 
+ASAP depth is max-plus linear in the per-wire frontier: a gate on wires Q
+sets each of them to 1 + the largest frontier among Q.  A gate stream is
+therefore one longest-path transfer matrix, and r repeats of a block are its
+r-th max-plus power (Baccelli, Cohen, Olsder and Quadrat, *Synchronization
+and Linearity*, 1992).  A repeated block is counted once: its gate counts
+times r, and its matrix raised to r by squaring.  ``count_stream`` scans a
+flat stream gate by gate and is the reference for both.
+
 Circuits are built with native multi-controlled X gates, which the simulator
 applies directly; only the lowering decides how one becomes elementary gates.
 A k-control MCX with k >= 3 becomes the linear ladder of 2k-3 Toffolis on
@@ -20,6 +28,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from .sim import Circuit, Gate
 
@@ -63,8 +73,6 @@ def inverse_qft(qubits) -> Circuit:
 
 def bit_reversal_permutation(n_bits: int):
     """Index array r with r[i] = bit-reversed i over n_bits."""
-    import numpy as np
-
     idx = np.arange(1 << n_bits)
     rev = np.zeros_like(idx)
     for b in range(n_bits):
@@ -236,3 +244,55 @@ def count_stream(gates, num_qubits: int) -> ResourceReport:
 
 def count_resources(circuit: Circuit) -> ResourceReport:
     return count_stream(circuit.gates, circuit.num_qubits)
+
+
+# Max-plus "minus infinity": no path between two wires.  Real entries are
+# depths, far below 2**61, so sums of two entries stay inside int64 and any
+# negative sum means no path.
+NO_PATH = -(1 << 62)
+
+
+def transfer_matrix(gates, num_qubits: int) -> np.ndarray:
+    """Longest-path transfer matrix of a gate stream, scheduled as in
+    ``count_stream``.
+
+    ``T[i, j]`` is the most gates on any path from the input of wire i to
+    the output of wire j, ``NO_PATH`` where there is none, so the stream
+    takes a per-wire frontier ``f`` to ``max_i f[i] + T[i, j]``.  A wire the
+    stream does not touch passes through with 0 on the diagonal.
+    """
+    # rows are output wires while scanning, transposed on return
+    rows = np.full((num_qubits, num_qubits), NO_PATH, dtype=np.int64)
+    np.fill_diagonal(rows, 0)
+    for gate in gates:
+        qubits = list(gate.qubits)
+        if len(qubits) == 1:
+            rows[qubits[0]] += 1
+        else:
+            rows[qubits] = rows[qubits].max(axis=0) + 1
+    rows[rows < 0] = NO_PATH
+    return rows.T
+
+
+def _maxplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = (a[..., :, None] + b).max(axis=-2)
+    out[out < 0] = NO_PATH
+    return out
+
+
+def advance_frontier(frontier, transfer: np.ndarray, repeats: int) -> np.ndarray:
+    """Per-wire frontier after ``repeats`` copies of a block.
+
+    Applies the ``repeats``-th max-plus power of the block's transfer matrix
+    by repeated squaring: about 2 log2(repeats) max-plus products instead of
+    one pass per copy.
+    """
+    out = np.asarray(frontier, dtype=np.int64)
+    power = transfer
+    while repeats:
+        if repeats & 1:
+            out = _maxplus(out, power)
+        repeats >>= 1
+        if repeats:
+            power = _maxplus(power, power)
+    return out

@@ -81,6 +81,17 @@ def _positive_seconds(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _stress_params(args) -> econ.StressTestParams:
     if getattr(args, "config", None):
         return econ.load_stress_config(args.config)
@@ -300,7 +311,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--config", help="stress scenario INI file")
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_positive_int, default=1,
                         help="concurrent sweep evaluations")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -55,6 +55,8 @@ def _pointwise_masses(density: np.ndarray) -> np.ndarray:
 def discretize_normal(m: int, mean: float, sigma: float,
                       x_min: float, x_max: float) -> DiscretizedDistribution:
     """Normal density sampled on a uniform grid and renormalized to sum 1."""
+    if m < 1:
+        raise ValueError(f"need m >= 1 grid qubits, got {m}")
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if not x_min < x_max:

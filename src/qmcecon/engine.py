@@ -16,8 +16,8 @@ with phases +-theta, sin^2(pi theta / 2) = p1, so the outcome distribution
 of phase estimation depends on p1 alone.  The reference path ("circuit")
 simulates the whole phase-estimation circuit gate by gate; the test suite
 pins the two against each other and against a brute-force oracle.  The
-resource counts in ``bench`` lower that same circuit, so what is counted is
-what is simulated.
+resource counts in ``bench`` lower the blocks of that same circuit
+(``phase_estimation_segments``), so what is counted is what is simulated.
 """
 
 from __future__ import annotations
@@ -249,49 +249,61 @@ def build_controlled_Q(f_circuit: Circuit, control: int) -> Circuit:
     return circ
 
 
-# phase_estimation lists every gate of its 2**n - 1 controlled-Q blocks; the
-# repeats of a block share its Gate objects, so each list entry costs one
-# 8-byte reference and 2**27 entries are 1 GiB.  Every block has at least 36
-# gates, so the cap also keeps the statevector of the circuit method near 26
-# qubits.
+def phase_estimation_segments(f_circuit: Circuit, n: int) -> list[tuple[Circuit, int]]:
+    """The estimation circuit as ``[(block, repeats), ...]``, in order.
+
+    F followed by the H layer once; for each estimation qubit k, the block
+    ``build_controlled_Q(f, est[k])`` repeated 2**(n-1-k) times, for 2**n - 1
+    oracle applications in total; then the inverse QFT once.  The circuit
+    has the s wires of F followed by the n estimation wires; each controlled
+    zero reflection is one MCX with s controls, so lowering it needs s - 2
+    clean work wires besides these.  ``phase_estimation`` flattens these
+    segments for simulation and ``bench`` counts each block once.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one estimation qubit, got {n}")
+    s = f_circuit.num_qubits
+    est = list(range(s, s + n))
+    prep = Circuit(s + n).extend(f_circuit)
+    for q in est:
+        prep.h(q)
+    return ([(prep, 1)]
+            + [(build_controlled_Q(f_circuit, est[k]), 2 ** (n - 1 - k))
+               for k in range(n)]
+            + [(inverse_qft(est), 1)])
+
+
+# The flat estimation circuit lists every gate of its 2**n - 1 controlled-Q
+# blocks; the repeats of a block share its Gate objects, so each list entry
+# costs one 8-byte reference and 2**27 entries are 1 GiB.  Every block has at
+# least 36 gates, so the cap also keeps the statevector of the circuit method
+# near 26 qubits.
 GATE_LIST_CAP = 1 << 27
 
 
 def phase_estimation(f_circuit: Circuit, n: int) -> Circuit:
     """Full estimation circuit: F, controlled Grover powers, inverse QFT.
 
-    Estimation qubit k controls Q^(2**(n-1-k)) applied as that many
-    sequential controlled-Q blocks, for 2**n - 1 oracle applications in
-    total.  The circuit has the s wires of F followed by the n estimation
-    wires; each controlled zero reflection is one MCX with s controls, so
-    lowering it needs s - 2 clean work wires besides these.  The circuit is
-    simulated as it is and counted after lowering.
+    The segments of ``phase_estimation_segments`` written out one gate after
+    another, as the ``circuit`` method simulates them.  Both the width and
+    the length of the list are checked before any repeat is written.
     """
-    if n < 1:
-        raise ValueError(f"need at least one estimation qubit, got {n}")
-    s = f_circuit.num_qubits
-    est = list(range(s, s + n))
-    nq = s + n
+    nq = f_circuit.num_qubits + n
     if nq > QUBIT_CAP:
         raise ResourceLimitError(
             f"phase estimation needs {nq} qubits, exceeding the cap of {QUBIT_CAP}"
         )
-    block_size = len(build_controlled_Q(f_circuit, est[0]))
-    size = len(f_circuit) + n + (2**n - 1) * block_size + n * (n + 1) // 2
+    segments = phase_estimation_segments(f_circuit, n)
+    size = sum(len(block) * repeats for block, repeats in segments)
     if size > GATE_LIST_CAP:
         raise ResourceLimitError(
             f"phase estimation needs {size} gates, exceeding the cap of "
             f"{GATE_LIST_CAP}"
         )
     circ = Circuit(nq)
-    circ.extend(f_circuit)
-    for q in est:
-        circ.h(q)
-    for k in range(n):
-        block = build_controlled_Q(f_circuit, est[k])
-        for _ in range(2 ** (n - 1 - k)):
+    for block, repeats in segments:
+        for _ in range(repeats):
             circ.extend(block)
-    circ.extend(inverse_qft(est))
     return circ
 
 

@@ -1,14 +1,13 @@
 import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from qmcecon import econ
 from qmcecon.bench import (
-    CROSSOVER_TARGET_ERROR,
     ScalingFit,
     SweepSpec,
+    _bench_ansatz,
     crossover_rows,
     depth_fit,
     error_sweep,
@@ -18,8 +17,21 @@ from qmcecon.bench import (
     runtime_extrapolate,
     time_per_sample,
 )
+from qmcecon.circuits import count_resources, decompose
+from qmcecon.distributions import discretize_normal
+from qmcecon.engine import (LinearRParams, QMCConfig, assemble_f, normalize_rv,
+                            phase_estimation)
 
 from util import fit_r_squared
+
+
+def _benchmark_f(m, n, layers):
+    """The F circuit that ``qmc_resource_report`` counts, built by hand."""
+    dist = discretize_normal(m, 1.0, econ.BENCH_SIGMA, 0.94, 1.06)
+    rv = normalize_rv(econ.BENCH_C1 + econ.BENCH_C2 * dist.grid)
+    config = QMCConfig(dims=1, m=m, n=n, r_mode="linear", a_mode="trained_ansatz")
+    linear = LinearRParams.for_oracle_budget(m, n, increasing=False)
+    return assemble_f(config, [dist], rv, _bench_ansatz(m, layers), linear)
 
 
 class TestLoglogFit:
@@ -89,26 +101,18 @@ class TestResources:
         assert rows[1]["depth"] > rows[0]["depth"]
 
     def test_counts_match_direct_decomposition(self):
-        from qmcecon.circuits import count_resources, decompose
-        from qmcecon.distributions import discretize_normal
-        from qmcecon.engine import (LinearRParams, QMCConfig, assemble_f,
-                                    normalize_rv, phase_estimation)
-        from qmcecon.bench import _bench_ansatz
+        # the composed count against the flat lowering of phase_estimation
+        cases = [(3, 2, n) for n in range(3, 8)] + [(7, 10, n) for n in range(3, 7)]
+        for m, layers, n in cases:
+            circuit = phase_estimation(_benchmark_f(m, n, layers), n)
+            # m+1 system wires: the controlled MCX has m+1 controls, m-1 work wires
+            work = range(circuit.num_qubits, circuit.num_qubits + m - 1)
+            direct = count_resources(decompose(circuit, work))
+            assert qmc_resource_report(m, n, layers) == direct, (m, layers, n)
 
-        m, n, layers = 3, 3, 2
-        dist = discretize_normal(m, 1.0, econ.BENCH_SIGMA, 0.94, 1.06)
-        rv = normalize_rv(econ.BENCH_C1 + econ.BENCH_C2 * dist.grid)
-        config = QMCConfig(dims=1, m=m, n=n, r_mode="linear",
-                           a_mode="trained_ansatz")
-        linear = LinearRParams.for_oracle_budget(m, n, increasing=False)
-        f_circ = assemble_f(config, [dist], rv, _bench_ansatz(m, layers), linear)
-        circuit = phase_estimation(f_circ, n)
-        # m+1 system wires: the controlled MCX has m+1 controls, m-1 work wires
-        work = range(circuit.num_qubits, circuit.num_qubits + m - 1)
-        direct = count_resources(decompose(circuit, work))
-        streamed = qmc_resource_report(m, n, layers)
-        assert streamed.counts == direct.counts
-        assert streamed.depth == direct.depth
+    def test_empty_range_rejected(self):
+        with pytest.raises(ValueError, match="non-empty and increasing"):
+            resource_rows(3, range(5, 3), layers=2)
 
     def test_depth_fit_quality(self):
         rows = resource_rows(3, range(3, 8), layers=2)

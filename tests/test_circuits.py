@@ -1,15 +1,19 @@
-import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from qmcecon.circuits import (
+    ELEMENTARY_KINDS,
+    NO_PATH,
+    advance_frontier,
     count_resources,
+    count_stream,
     decompose,
     inverse_qft,
+    transfer_matrix,
 )
-from qmcecon.sim import Circuit, Gate, dense_unitary
+from qmcecon.sim import Circuit, dense_unitary
 
 from util import (bit_reversal_matrix, dft_matrix, lowering_error, mcx_oracle,
                   phase_aligned_distance, random_circuit, work_wires)
@@ -157,3 +161,40 @@ class TestResources:
     def test_rejects_unlowered_gates(self):
         with pytest.raises(ValueError, match="decompose"):
             count_resources(Circuit(1).h(0))
+
+
+class TestComposedCount:
+    """A repeated block counted once: counts times r, depth by max-plus powers."""
+
+    @pytest.mark.parametrize("repeats", [1, 2, 3, 7, 64])
+    def test_matches_flat_repetition(self, repeats):
+        rng = np.random.default_rng(100 + repeats)
+        width = 6
+        kinds = list(ELEMENTARY_KINDS)
+        prefix = random_circuit(width, 10, rng, kinds)
+        block = random_circuit(4, 25, rng, kinds)     # wires 4 and 5 untouched
+        suffix = random_circuit(width, 10, rng, kinds)
+        flat = count_stream(prefix.gates + block.gates * repeats + suffix.gates,
+                            width)
+        counts = Counter()
+        frontier = np.zeros(width, dtype=np.int64)
+        for segment, r in ((prefix, 1), (block, repeats), (suffix, 1)):
+            counts.update({kind: c * r for kind, c
+                           in count_stream(segment.gates, width).counts.items()})
+            frontier = advance_frontier(
+                frontier, transfer_matrix(segment.gates, width), r)
+        assert dict(counts) == flat.counts
+        assert int(frontier.max()) == flat.depth
+        # the squared power acts as the flat repetition's own matrix
+        start = rng.integers(0, 50, width)
+        np.testing.assert_array_equal(
+            advance_frontier(start, transfer_matrix(block.gates, width), repeats),
+            advance_frontier(start, transfer_matrix(block.gates * repeats, width), 1))
+
+    def test_untouched_wire_passes_through(self):
+        t = transfer_matrix(Circuit(3).rx(0, 0.1).cnot(0, 1).gates, 3)
+        np.testing.assert_array_equal(t, [[2, 2, NO_PATH],
+                                          [1, 1, NO_PATH],
+                                          [NO_PATH, NO_PATH, 0]])
+        np.testing.assert_array_equal(advance_frontier([4, 0, 9], t, 5),
+                                      [14, 14, 9])

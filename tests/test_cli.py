@@ -17,6 +17,25 @@ from qmcecon.sim import Circuit
 from util import write_stress_config
 
 
+def bound_gate_lists(monkeypatch):
+    """Fail the test if a flat phase-estimation list is filled or simulated."""
+    extend = Circuit.extend
+
+    def bounded_extend(circ, gates):
+        # F and the per-k blocks stay far below 2**20 gates; a list that
+        # grows past that is being filled, so stop before it takes GiBs
+        extend(circ, gates)
+        assert len(circ) < 1 << 20, "gate list filled past the cap check"
+        return circ
+
+    def refuse(*a, **k):
+        raise AssertionError("state simulated before the cap check")
+
+    monkeypatch.setattr(Circuit, "extend", bounded_extend)
+    monkeypatch.setattr(engine, "init_state", refuse)
+    monkeypatch.setattr(engine, "apply_circuit", refuse)
+
+
 def run_cli(args, capsys):
     code = main(args)
     out, err = capsys.readouterr()
@@ -71,7 +90,7 @@ class TestExitCodes:
             raise AssertionError("circuit built before the cap check")
 
         monkeypatch.setattr(bench, "assemble_f", refuse)
-        monkeypatch.setattr(bench, "phase_estimation", refuse)
+        monkeypatch.setattr(bench, "phase_estimation_segments", refuse)
         # 6 F wires + 21 estimation wires + 4 work wires = 31 qubits
         code, _, err = run_cli(["resources", "--m", "5", "--n-min", "21",
                                 "--n-max", "21"], capsys)
@@ -79,29 +98,41 @@ class TestExitCodes:
         assert "needs 31 qubits, exceeding the cap of 30" in err
 
     @pytest.mark.parametrize("args", [
-        ["run", "stress", "--m", "5", "--n", "19", "--method", "circuit"],
-        ["resources", "--m", "5", "--n-min", "20", "--n-max", "20"]],
-        ids=["run-6.8G-gates", "resources-860M-gates"])
+        ["run", "stress", "--m", "5", "--n", "19", "--method", "circuit"]],
+        ids=["run-6.8G-gates"])
     def test_gate_list_over_cap_exit_2_before_building(self, capsys,
                                                        monkeypatch, args):
-        extend = Circuit.extend
-
-        def bounded_extend(circ, gates):
-            # F and one sizing block stay far below 2**20 gates; a list that
-            # grows past that is being filled, so stop before it takes GiBs
-            extend(circ, gates)
-            assert len(circ) < 1 << 20, "gate list filled past the cap check"
-            return circ
-
-        def refuse(*a, **k):
-            raise AssertionError("state simulated before the cap check")
-
-        monkeypatch.setattr(Circuit, "extend", bounded_extend)
-        monkeypatch.setattr(engine, "init_state", refuse)
-        monkeypatch.setattr(engine, "apply_circuit", refuse)
+        bound_gate_lists(monkeypatch)
         code, _, err = run_cli(args, capsys)
         assert code == 2
         assert "gates, exceeding the cap of 134217728" in err
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_jobs_below_one_exit_1_before_running(self, tmp_path, value):
+        out = tmp_path / "rows.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["--jobs", value, "--out", str(out), "sweep", "--app", "simple",
+                  "--estimator", "qmc_exact", "--n-min", "3", "--n-max", "4"])
+        assert exc.value.code == 1
+        assert not out.exists()
+
+    def test_train_zero_qubits_exit_1_before_writing(self, tmp_path, capsys):
+        params = tmp_path / "params.txt"
+        code, _, err = run_cli(["train-a", "--m", "0", "--layers", "1",
+                                "--stages", "1:0.1", "--params-out", str(params)],
+                               capsys)
+        assert code == 1
+        assert "need m >= 1" in err
+        assert not params.exists()
+
+    def test_resources_empty_range_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "res.csv"
+        code, _, err = run_cli(["--out", str(out), "resources", "--m", "3",
+                                "--layers", "2", "--n-min", "5", "--n-max", "3"],
+                               capsys)
+        assert code == 1
+        assert "range must be non-empty and increasing" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["0", "nan"])
     def test_bad_gate_time_exit_1_before_writing(self, tmp_path, value):
@@ -276,6 +307,21 @@ class TestResourcesCommand:
         rows = list(csv.DictReader(path.read_text().splitlines()))
         assert [r["n"] for r in rows] == ["3", "4"]
         assert "runtime=" in out
+
+    def test_width_cap_counted_without_building(self, tmp_path, capsys,
+                                                monkeypatch):
+        # 6 F wires + 20 estimation wires + 4 work wires = 30 qubits, and
+        # 2**20 - 1 controlled-Q blocks: counted once each, never listed
+        bound_gate_lists(monkeypatch)
+        path = tmp_path / "res.csv"
+        code, _, _ = run_cli(["--out", str(path), "resources", "--m", "5",
+                              "--n-min", "20", "--n-max", "20"], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(path.read_text().splitlines()))
+        assert rows == [{"n": "20", "total_gates": "1254096942",
+                         "rx": "25165800", "ry": "306184002", "rz": "597688460",
+                         "cnot": "325058680", "depth": "507510377",
+                         "num_qubits": "30"}]
 
 
 class TestCrossoverOutput:

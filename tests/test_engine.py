@@ -6,7 +6,6 @@ import pytest
 from qmcecon.circuits import count_resources, decompose
 from qmcecon.distributions import (
     VariationalAnsatz,
-    discretize_beta,
     discretize_normal,
     exact_state_prep,
 )
@@ -25,13 +24,13 @@ from qmcecon.engine import (
     grover_operator,
     normalize_rv,
     phase_estimation,
+    phase_estimation_segments,
     run_qmc,
     spectral_distribution,
     theta_to_mu,
 )
 from qmcecon.sim import (
     Circuit,
-    Gate,
     ResourceLimitError,
     apply_circuit,
     dense_unitary,
@@ -228,6 +227,14 @@ class TestPhaseEstimationCircuit:
         iqft_gates = 6 + 15
         expected = len(f.gates) + 6 + 63 * len(block.gates) + iqft_gates
         assert len(circ6.gates) == expected
+
+    def test_segments_flatten_to_the_circuit(self):
+        dist, rv = small_problem(2)
+        f = assemble_f(QMCConfig(dims=1, m=2, n=1), [dist], rv)
+        segments = phase_estimation_segments(f, 4)
+        assert [r for _, r in segments] == [1, 8, 4, 2, 1, 1]
+        flat = [g for block, r in segments for _ in range(r) for g in block.gates]
+        assert flat == phase_estimation(f, 4).gates
 
     def test_work_register_size(self):
         dist, rv = small_problem(3)

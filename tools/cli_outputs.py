@@ -37,6 +37,10 @@ def commands():
                                    "--n-min", "3", "--n-max", "6"]
     yield "resources_over_cap", ["resources", "--m", "5", "--n-min", "21",
                                  "--n-max", "21"]
+    yield "resources_m5_n20", ["resources", "--m", "5", "--n-min", "20",
+                               "--n-max", "20"]
+    yield "resources_empty_range", ["resources", "--m", "3", "--layers", "2",
+                                    "--n-min", "5", "--n-max", "3"]
     gate_time = ["resources", "--m", "3", "--layers", "2", "--n-min", "3",
                  "--n-max", "4", "--gate-time"]
     yield "resources_gate_time", [*gate_time, "1e-8"]
