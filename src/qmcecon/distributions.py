@@ -8,7 +8,11 @@ amplitudes onto a register:
   simulation-exact reference rather than a hardware-honest circuit.
 * a trainable layered ansatz (``ansatz_circuit`` / ``train_ansatz``) whose
   output distribution is fitted to the target with plain gradient descent on
-  an L1 cost, using parameter-shift gradients.
+  an L1 cost.  Training simulates the ansatz with a fused per-layer kernel
+  (one 2x2 per qubit, one index permutation per CNOT chain) and takes the
+  gradient from one reverse sweep over the stored forward states.  That
+  gradient equals the parameter-shift rule exactly; hardware, which cannot
+  store states, would evaluate the shifted circuits instead.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .sim import Circuit, Gate
+from .sim import Circuit, Gate, ResourceLimitError
 
 
 @dataclass
@@ -162,7 +166,7 @@ class TrainingSchedule:
 
     def __post_init__(self):
         for epochs, lr in self.stages:
-            if epochs <= 0 or lr <= 0:
+            if epochs <= 0 or not (math.isfinite(lr) and lr > 0):
                 raise ValueError(f"bad schedule stage ({epochs}, {lr})")
 
     def total_epochs(self) -> int:
@@ -189,59 +193,79 @@ def ansatz_circuit(ansatz: VariationalAnsatz, qubits=None) -> Circuit:
     return circ
 
 
-# -- fast batched evaluation -------------------------------------------------
-# Gradient descent evaluates the same circuit at 2P+1 parameter vectors per
-# epoch (parameter-shift pairs plus the base point), so the simulator below
-# runs a whole batch of statevectors through the shared gate sequence.
+# -- fused evaluation ---------------------------------------------------------
+# Each layer is one 2x2 matrix per qubit (its RZ-RY-RZ multiplied out) and one
+# basis-index permutation for the CNOT chain, so a state costs m small matmuls
+# and one gather per layer.  The gradient reuses the states of one forward
+# sweep in one reverse sweep instead of simulating 2P+1 shifted circuits.
 
-def _batch_probs(m: int, layers: int, params_batch: np.ndarray) -> np.ndarray:
-    """Output probabilities of the ansatz for each parameter row.
+# The reverse sweep keeps (layers + 1) states of 2**m complex128 amplitudes;
+# like engine.GATE_LIST_CAP's gate list they may take at most 1 GiB.
+TRAINING_STATE_CAP = 1 << 30
 
-    params_batch: (B, layers*m*3) -> (B, 2**m)
+_MINUS_I_HALF_Z = np.diag([-0.5j, 0.5j])     # (d RZ(t)/dt) RZ(t)^+
+
+
+def _layer_unitaries(m: int, layers: int, params: np.ndarray) -> np.ndarray:
+    """RZ(c) RY(b) RZ(a) of every (layer, qubit) as one 2x2: (layers, m, 2, 2)."""
+    theta = params.reshape(layers, m, 3)
+    a, b, c = theta[..., 0], theta[..., 1], theta[..., 2]
+    cos, sin = np.cos(b / 2), np.sin(b / 2)
+    plus, minus = np.exp(0.5j * (a + c)), np.exp(0.5j * (a - c))
+    u = np.empty((layers, m, 2, 2), dtype=np.complex128)
+    u[..., 0, 0] = cos / plus
+    u[..., 0, 1] = -sin * minus
+    u[..., 1, 0] = sin / minus
+    u[..., 1, 1] = cos * plus
+    return u
+
+
+def _cnot_chain_gather(m: int) -> np.ndarray:
+    """The CNOT chain q -> q+1 as a gather: it maps ``state`` to ``state[gather]``.
+
+    The chain leaves bit q of the index holding the XOR of bits 0..q (qubit 0
+    is the most significant bit), so output index y reads input y ^ (y >> 1).
     """
-    batch = params_batch.shape[0]
-    dim = 1 << m
-    state = np.zeros((batch, dim), dtype=np.complex128)
-    state[:, 0] = 1.0
-    tensor = state.reshape((batch,) + (2,) * m)
-    theta = params_batch.reshape(batch, layers, m, 3)
+    index = np.arange(1 << m)
+    return index ^ (index >> 1)
 
-    def rotate_rz(axis, phi):
-        moved = np.moveaxis(tensor, axis, 1)
-        shape = (batch,) + (1,) * (moved.ndim - 2)
-        moved[:, 0] *= np.exp(-0.5j * phi).reshape(shape)
-        moved[:, 1] *= np.exp(0.5j * phi).reshape(shape)
 
-    def rotate_ry(axis, phi):
-        moved = np.moveaxis(tensor, axis, 1)
-        shape = (batch,) + (1,) * (moved.ndim - 2)
-        c = np.cos(phi / 2).reshape(shape)
-        s = np.sin(phi / 2).reshape(shape)
-        a0 = moved[:, 0].copy()
-        a1 = moved[:, 1]
-        moved[:, 0] = c * a0 - s * a1
-        moved[:, 1] = s * a0 + c * a1
+def _rotate(state: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Apply u[q] to qubit q of a flat state, for every q."""
+    for q, uq in enumerate(u):
+        state = np.matmul(uq, state.reshape(1 << q, 2, -1)).reshape(-1)
+    return state
 
-    def cnot(control_axis, target_axis):
-        moved = np.moveaxis(tensor, (control_axis, target_axis), (1, 2))
-        block = moved[:, 1]
-        tmp = block[:, 0].copy()
-        block[:, 0] = block[:, 1]
-        block[:, 1] = tmp
 
-    for layer in range(layers):
-        for q in range(m):
-            axis = 1 + q
-            rotate_rz(axis, theta[:, layer, q, 0])
-            rotate_ry(axis, theta[:, layer, q, 1])
-            rotate_rz(axis, theta[:, layer, q, 2])
-        for q in range(m - 1):
-            cnot(1 + q, 2 + q)
-    return np.abs(state) ** 2
+def _forward(u: np.ndarray, gather: np.ndarray):
+    """Ansatz state from |0..0>, and the state after each layer's rotations."""
+    rotated = np.empty((u.shape[0], gather.size), dtype=np.complex128)
+    state = np.zeros(gather.size, dtype=np.complex128)
+    state[0] = 1.0
+    for layer, u_layer in enumerate(u):
+        rotated[layer] = state = _rotate(state, u_layer)
+        state = state[gather]
+    return state, rotated
+
+
+def _generators(u: np.ndarray, u_dag: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """G_k = (dU/d theta_k) U^+ for the three angles of each (layer, qubit).
+
+    With U = RZ(c) RY(b) RZ(a): G_a = U (-iZ/2) U^+, G_b = RZ(c) (-iY/2)
+    RZ(c)^+ and G_c = -iZ/2.  Shape (layers, m, 3, 2, 2).
+    """
+    g = np.zeros(u.shape[:2] + (3, 2, 2), dtype=np.complex128)
+    g[:, :, 0] = u @ _MINUS_I_HALF_Z @ u_dag
+    g[:, :, 1, 0, 1] = -0.5 * np.exp(-1j * c)
+    g[:, :, 1, 1, 0] = 0.5 * np.exp(1j * c)
+    g[:, :, 2] = _MINUS_I_HALF_Z
+    return g
 
 
 def ansatz_probs(ansatz: VariationalAnsatz) -> np.ndarray:
-    return _batch_probs(ansatz.m, ansatz.layers, ansatz.params[None, :])[0]
+    u = _layer_unitaries(ansatz.m, ansatz.layers, ansatz.params)
+    state, _ = _forward(u, _cnot_chain_gather(ansatz.m))
+    return np.abs(state) ** 2
 
 
 def ansatz_cost(ansatz: VariationalAnsatz, target: DiscretizedDistribution) -> float:
@@ -252,23 +276,37 @@ def ansatz_cost(ansatz: VariationalAnsatz, target: DiscretizedDistribution) -> f
 
 
 def _cost_and_gradient(m, layers, params, target_masses):
-    """Cost plus its parameter-shift gradient, batched over shifts.
+    """Cost plus its exact gradient from one forward and one reverse sweep.
 
-    d p_i / d theta_j = (p_i(theta_j + pi/2) - p_i(theta_j - pi/2)) / 2 holds
-    exactly for RY/RZ generators; the L1 cost chains through the sign of the
-    base residual.
+    The L1 cost C = sum_i |p_i - t_i| has dC/d theta = 2 Re <lambda| d psi/d theta>
+    with lambda = sign(p - t) * psi.  The reverse sweep carries lambda back
+    through the circuit (Jones and Gacon 2020, arXiv:2009.02823).  At layer l
+    it meets r, the stored state after that layer's rotations, and the angle
+    k of qubit q contributes 2 Re sum_ab G_k[a, b] M_q[a, b], where
+    M_q[a, b] sums conj(lambda)[..a..] r[..b..] over the other qubits.  This
+    equals the parameter-shift rule (p(theta + pi/2) - p(theta - pi/2)) / 2
+    exactly, up to rounding.  Hardware cannot store states, so there the
+    gradient would come from the shifted circuits.
     """
-    n_par = params.size
-    batch = np.tile(params, (2 * n_par + 1, 1))
-    batch[1:n_par + 1, :] += np.eye(n_par) * (math.pi / 2)
-    batch[n_par + 1:, :] -= np.eye(n_par) * (math.pi / 2)
-    probs = _batch_probs(m, layers, batch)
-    residual = probs[0] - target_masses
+    u = _layer_unitaries(m, layers, params)
+    gather = _cnot_chain_gather(m)
+    state, rotated = _forward(u, gather)
+    residual = np.abs(state) ** 2 - target_masses
     cost = float(np.abs(residual).sum())
-    sign = np.sign(residual)
-    dprob = 0.5 * (probs[1:n_par + 1] - probs[n_par + 1:])  # (P, dim)
-    grad = dprob @ sign
-    return cost, grad
+    scatter = np.argsort(gather)    # the chain's inverse permutation
+    u_dag = u.conj().swapaxes(-1, -2)
+    adjoint = np.sign(residual) * state
+    overlap = np.empty((layers, m, 2, 2), dtype=np.complex128)
+    for layer in range(layers - 1, -1, -1):
+        adjoint = adjoint[scatter]
+        bra, ket = adjoint.conj(), rotated[layer]
+        for q in range(m):
+            overlap[layer, q] = np.einsum("xar,xbr->ab", bra.reshape(1 << q, 2, -1),
+                                          ket.reshape(1 << q, 2, -1))
+        adjoint = _rotate(adjoint, u_dag[layer])
+    g = _generators(u, u_dag, params.reshape(layers, m, 3)[..., 2])
+    grad = 2.0 * np.einsum("lqkab,lqab->lqk", g, overlap).real
+    return cost, grad.reshape(-1)
 
 
 def train_ansatz(target: DiscretizedDistribution, layers: int,
@@ -277,10 +315,18 @@ def train_ansatz(target: DiscretizedDistribution, layers: int,
 
     Parameters start at seeded uniform values in [-0.1, 0.1].  Returns the
     trained ansatz and the per-epoch cost trace (deterministic given seed).
+    Raises ``ResourceLimitError`` before allocating anything when the states
+    kept for the reverse sweep would exceed ``TRAINING_STATE_CAP``.
     """
     if layers < 1:
         raise ValueError(f"need at least one layer, got {layers}")
     m = target.m
+    state_bytes = (layers + 1) * (1 << m) * np.dtype(np.complex128).itemsize
+    if state_bytes > TRAINING_STATE_CAP:
+        raise ResourceLimitError(
+            f"training m={m} with {layers} layers stores {state_bytes} bytes of "
+            f"states, exceeding the cap of {TRAINING_STATE_CAP}"
+        )
     rng = np.random.default_rng(schedule.seed)
     params = rng.uniform(-0.1, 0.1, size=VariationalAnsatz.num_params(m, layers))
     trace = np.empty(schedule.total_epochs())

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qmcecon import bench, cli, engine
+from qmcecon import bench, cli, distributions, engine
 from qmcecon.cli import main
 from qmcecon.distributions import VariationalAnsatz, save_ansatz
 from qmcecon.econ import DEFAULT_STRESS, neoclassical_workload, stress_qmc
@@ -124,6 +124,42 @@ class TestExitCodes:
         assert code == 1
         assert "need m >= 1" in err
         assert not params.exists()
+
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_train_non_finite_rate_exit_1_before_training(self, tmp_path, capsys,
+                                                          monkeypatch, rate):
+        def refuse(*a, **k):
+            raise AssertionError("training reached with a non-finite rate")
+
+        monkeypatch.setattr(cli, "train_ansatz", refuse)
+        params = tmp_path / "params.txt"
+        code, _, err = run_cli(["train-a", "--m", "3", "--layers", "1",
+                                "--stages", f"5:{rate}", "--params-out", str(params)],
+                               capsys)
+        assert code == 1
+        assert "bad schedule stage" in err
+        assert not params.exists()
+
+    def test_train_over_memory_exit_2_before_allocating(self, tmp_path, capsys,
+                                                        monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def refuse(*a, **k):
+            raise Reached
+
+        monkeypatch.setattr(distributions, "_cost_and_gradient", refuse)
+        params = tmp_path / "params.txt"
+        base = ["train-a", "--m", "20", "--stages", "1:0.1",
+                "--params-out", str(params)]
+        # 65 stored states of 2**20 amplitudes are 1040 MiB
+        code, _, err = run_cli([*base, "--layers", "64"], capsys)
+        assert code == 2
+        assert "exceeding the cap of 1073741824" in err
+        assert not params.exists()
+        # 64 states are exactly 1 GiB, which the cap admits
+        with pytest.raises(Reached):
+            main([*base, "--layers", "63"])
 
     def test_resources_empty_range_exit_1(self, tmp_path, capsys):
         out = tmp_path / "res.csv"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from qmcecon.distributions import (
     DiscretizedDistribution,
     TrainingSchedule,
     VariationalAnsatz,
+    _cnot_chain_gather,
     _cost_and_gradient,
     ansatz_circuit,
     ansatz_cost,
@@ -19,7 +21,13 @@ from qmcecon.distributions import (
     save_ansatz,
     train_ansatz,
 )
-from qmcecon.sim import Circuit, apply_circuit, init_state, probabilities
+from qmcecon.sim import (
+    Circuit,
+    StateVector,
+    apply_circuit,
+    init_state,
+    probabilities,
+)
 
 from util import random_distribution
 
@@ -141,10 +149,69 @@ class TestAnsatz:
 
     def test_batched_probs_match_simulator(self):
         rng = np.random.default_rng(9)
-        ans = VariationalAnsatz(4, 3, rng.uniform(-np.pi, np.pi, 36))
-        st = apply_circuit(init_state(4), ansatz_circuit(ans))
-        np.testing.assert_allclose(ansatz_probs(ans), probabilities(st),
-                                   atol=1e-12)
+        # m=1 has no CNOT; from m=3 on the chain's permutation is not its
+        # own inverse
+        for m, layers in [(1, 4), (4, 3), (5, 10)]:
+            ans = VariationalAnsatz(m, layers, rng.uniform(
+                -np.pi, np.pi, VariationalAnsatz.num_params(m, layers)))
+            st = apply_circuit(init_state(m), ansatz_circuit(ans))
+            np.testing.assert_allclose(ansatz_probs(ans), probabilities(st),
+                                       rtol=0, atol=1e-12)
+
+
+def parameter_shift_gradient(ansatz, target):
+    """dC/d theta_j from probabilities at theta_j +- pi/2 (Schuld et al. 2019)."""
+    sign = np.sign(ansatz_probs(ansatz) - target.masses)
+    grad = np.empty(ansatz.params.size)
+    for j in range(ansatz.params.size):
+        shifted = []
+        for shift in (math.pi / 2, -math.pi / 2):
+            params = ansatz.params.copy()
+            params[j] += shift
+            shifted.append(ansatz_probs(
+                VariationalAnsatz(ansatz.m, ansatz.layers, params)))
+        grad[j] = 0.5 * (shifted[0] - shifted[1]) @ sign
+    return grad
+
+
+class TestFusedKernel:
+    @pytest.mark.parametrize("m,layers", [(1, 3), (2, 1), (3, 2), (5, 10), (6, 4)])
+    def test_gradient_matches_parameter_shift(self, m, layers):
+        rng = np.random.default_rng(100 * m + layers)
+        target = random_distribution(m, rng)
+        ans = VariationalAnsatz(m, layers, rng.uniform(
+            -math.pi, math.pi, VariationalAnsatz.num_params(m, layers)))
+        cost, grad = _cost_and_gradient(m, layers, ans.params, target.masses)
+        assert cost == pytest.approx(ansatz_cost(ans, target), abs=1e-12)
+        np.testing.assert_allclose(grad, parameter_shift_gradient(ans, target),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [3, 4, 6])
+    def test_cnot_chain_gather(self, m):
+        # from m = 3 on the chain is not its own inverse, so a gather that
+        # should be a scatter shows here
+        rng = np.random.default_rng(m)
+        amps = rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
+        chain = Circuit(m)
+        for q in range(m - 1):
+            chain.cnot(q, q + 1)
+        st = apply_circuit(StateVector(m, amps.copy()), chain)
+        np.testing.assert_array_equal(amps[_cnot_chain_gather(m)], st.amplitudes)
+
+    def test_gradient_memory_stays_near_the_stored_states(self):
+        # 5 stored states of 2**12 amplitudes are 0.3 MB; a batch of the
+        # 2P+1 parameter-shift states would take about 48 MB
+        rng = np.random.default_rng(12)
+        params = rng.uniform(-math.pi, math.pi, VariationalAnsatz.num_params(12, 4))
+        masses = random_distribution(12, rng).masses
+        _cost_and_gradient(12, 4, params, masses)
+        tracemalloc.start()
+        try:
+            _cost_and_gradient(12, 4, params, masses)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
 
 UNIFORM_SCHEDULE = TrainingSchedule(
@@ -200,6 +267,9 @@ class TestTraining:
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             TrainingSchedule([(0, 0.1)])
+        for lr in (math.nan, math.inf, -0.1):
+            with pytest.raises(ValueError):
+                TrainingSchedule([(5, lr)])
         with pytest.raises(ValueError):
             train_ansatz(uniform_dist(2), 0, APPENDIX_SCHEDULE)
 
