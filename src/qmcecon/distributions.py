@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .sim import Circuit, Gate, ResourceLimitError
 
@@ -71,11 +70,26 @@ def discretize_normal(m: int, mean: float, sigma: float,
 
 
 def discretize_beta(m: int, a: float, b: float) -> DiscretizedDistribution:
-    """Beta(a, b) density on a uniform [0, 1] grid, endpoints included."""
-    if a <= 0 or b <= 0:
-        raise ValueError(f"Beta shapes must be positive, got a={a}, b={b}")
+    """Beta(a, b) density on a uniform [0, 1] grid, endpoints included.
+
+    The density is x^(a-1) (1-x)^(b-1) / B(a, b) with
+    log B(a, b) = lgamma(a) + lgamma(b) - lgamma(a + b).  It is evaluated as
+    exp of its logarithm, so large shapes such as a = b = 600 stay finite
+    where the plain product overflows.  At an endpoint a zero exponent gives
+    exactly 1, a positive one 0 and a negative one +inf.
+    """
+    if not (math.isfinite(a) and math.isfinite(b) and a > 0 and b > 0):
+        raise ValueError(f"Beta shapes must be positive and finite, got a={a}, b={b}")
     grid = np.linspace(0.0, 1.0, 1 << m)
-    density = stats.beta.pdf(grid, a, b)
+    log_density = np.full(grid.shape, -(math.lgamma(a) + math.lgamma(b)
+                                        - math.lgamma(a + b)))
+    with np.errstate(divide="ignore"):
+        # Skipping a zero exponent keeps 0 * log(0) from making a NaN.
+        if a != 1:
+            log_density += (a - 1) * np.log(grid)
+        if b != 1:
+            log_density += (b - 1) * np.log1p(-grid)
+    density = np.exp(log_density)
     # a >= 1 and b >= 1 keep the pdf finite on [0, 1]; otherwise the endpoint
     # values diverge and cannot carry point masses.
     if not np.all(np.isfinite(density)):
@@ -316,7 +330,8 @@ def train_ansatz(target: DiscretizedDistribution, layers: int,
     Parameters start at seeded uniform values in [-0.1, 0.1].  Returns the
     trained ansatz and the per-epoch cost trace (deterministic given seed).
     Raises ``ResourceLimitError`` before allocating anything when the states
-    kept for the reverse sweep would exceed ``TRAINING_STATE_CAP``.
+    kept for the reverse sweep, or the cost trace of 8 bytes per epoch, would
+    exceed ``TRAINING_STATE_CAP``.
     """
     if layers < 1:
         raise ValueError(f"need at least one layer, got {layers}")
@@ -326,6 +341,14 @@ def train_ansatz(target: DiscretizedDistribution, layers: int,
         raise ResourceLimitError(
             f"training m={m} with {layers} layers stores {state_bytes} bytes of "
             f"states, exceeding the cap of {TRAINING_STATE_CAP}"
+        )
+    # A check of its own: adding the trace to the states' budget would move
+    # the boundary above (m=20 trains 63 layers, not 64).
+    trace_bytes = schedule.total_epochs() * np.dtype(float).itemsize
+    if trace_bytes > TRAINING_STATE_CAP:
+        raise ResourceLimitError(
+            f"training {schedule.total_epochs()} epochs keeps a cost trace of "
+            f"{trace_bytes} bytes, exceeding the cap of {TRAINING_STATE_CAP}"
         )
     rng = np.random.default_rng(schedule.seed)
     params = rng.uniform(-0.1, 0.1, size=VariationalAnsatz.num_params(m, layers))

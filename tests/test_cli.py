@@ -1,9 +1,11 @@
 import argparse
 import csv
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,6 +162,26 @@ class TestExitCodes:
         # 64 states are exactly 1 GiB, which the cap admits
         with pytest.raises(Reached):
             main([*base, "--layers", "63"])
+
+    def test_train_huge_epoch_count_exit_2_before_allocating(self, tmp_path, capsys,
+                                                             monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def refuse(*a, **k):
+            raise Reached
+
+        monkeypatch.setattr(distributions, "_cost_and_gradient", refuse)
+        params = tmp_path / "params.txt"
+        base = ["train-a", "--m", "3", "--layers", "1", "--params-out", str(params)]
+        # 8 B of cost trace per epoch: 2**27 epochs are exactly 1 GiB
+        for stages in ("134217729:0.1", "1000000000000:0.1", "134217728:0.1,1:0.1"):
+            code, _, err = run_cli([*base, "--stages", stages], capsys)
+            assert code == 2
+            assert "cost trace" in err and "exceeding the cap of 1073741824" in err
+            assert not params.exists()
+        with pytest.raises(Reached):
+            main([*base, "--stages", "134217728:0.1"])
 
     def test_resources_empty_range_exit_1(self, tmp_path, capsys):
         out = tmp_path / "res.csv"
@@ -432,3 +454,15 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "grid mean" in proc.stdout
+
+
+def test_import_loads_no_scipy():
+    # Importing scipy.stats took about 1 s of every start; numpy is the only
+    # third-party module the package needs.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import qmcecon.cli, qmcecon.bench, sys; print(sorted(name for name in "
+            "sys.modules if name == 'scipy' or name.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -72,10 +72,30 @@ class TestDiscretizeBeta:
         assert abs(d.grid[np.argmax(d.masses)] - mode) <= 1.0 / 31 + 1e-12
 
     def test_invalid_shapes(self):
-        with pytest.raises(ValueError):
-            discretize_beta(3, 0.0, 2.0)
-        with pytest.raises(ValueError):
-            discretize_beta(3, 0.5, 2.0)  # divergent endpoint density
+        for a, b in [(0.0, 2.0), (math.nan, 2.0), (math.inf, 2.0), (2.0, math.inf),
+                     (2.0, -math.inf)]:
+            with pytest.raises(ValueError, match="must be positive and finite"):
+                discretize_beta(3, a, b)
+        for a, b in [(0.5, 2.0), (2.0, 0.5)]:
+            with pytest.raises(ValueError, match="diverges at a grid endpoint"):
+                discretize_beta(3, a, b)
+
+    @pytest.mark.parametrize("a,b", [(2, 10), (1, 1), (1, 3), (3, 1), (2.5, 7.3),
+                                     (50, 50), (600, 600)])
+    def test_masses_match_scipy(self, a, b):
+        stats = pytest.importorskip("scipy.stats")
+        for m in range(1, 11):
+            grid = np.linspace(0.0, 1.0, 1 << m)
+            density = stats.beta.pdf(grid, a, b)
+            if density.sum() == 0:
+                # m = 1 keeps only the endpoints, where a, b > 1 give 0
+                with pytest.raises(ValueError, match="do not normalize"):
+                    discretize_beta(m, a, b)
+                continue
+            d = discretize_beta(m, a, b)
+            assert np.all(np.isfinite(d.masses))
+            np.testing.assert_allclose(d.masses, density / density.sum(),
+                                       rtol=1e-12, atol=0)
 
 
 class TestExactStatePrep:

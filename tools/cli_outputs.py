@@ -51,6 +51,9 @@ def commands():
     # Code without that check tries to allocate about 120 GiB here.
     yield "train_over_memory", ["train-a", "--m", "20", "--layers", "64",
                                 "--stages", "1:0.1", "--params-out", "big.txt"]
+    # A cost trace of 8 TB: refused before it is allocated.
+    yield "train_many_epochs", ["train-a", "--m", "3", "--layers", "1", "--stages",
+                                "1000000000000:0.1", "--params-out", "many.txt"]
     yield "run_simple_n0", ["run", "simple", "--n", "0"]
     yield "bench", ["bench", "all", "--out-dir", "bench"]
 
