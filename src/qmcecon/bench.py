@@ -8,6 +8,7 @@ plotting dependency.
 from __future__ import annotations
 
 import math
+import os
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -81,34 +82,64 @@ def _quantum_point(workload, m, n, r_mode):
     return abs(r.estimate.mu - oracle)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _classical_point(workload, n_samples, repeats, seed):
-    errors = []
-    elapsed = []
-    for rep in range(repeats):
-        run = econ.classical_mc(workload.sampler, workload.f, n_samples,
-                                seed=seed + 7919 * rep, oracle=workload.mean)
-        errors.append(run.abs_error)
-        elapsed.append(run.wall_time)
-    return float(np.mean(errors)), float(np.mean(elapsed))
+    # numpy's Generator fills release the GIL, so the seeded repeats run on
+    # the usable CPUs.  Each worker reuses one values buffer for its repeats
+    # range(w, repeats, workers); the buffers are allocated here, on the
+    # calling thread, because glibc's per-thread arenas would keep arrays
+    # that the workers allocate and free.  All buffers together stay within
+    # the classical values cap, which error_sweep has checked one fits.
+    workers = min(repeats, _usable_cpus(),
+                  econ.CLASSICAL_VALUES_CAP // (8 * n_samples))
+    buffers = [np.empty(n_samples) for _ in range(workers)]
+    runs = [None] * repeats
+
+    def work(w):
+        for rep in range(w, repeats, workers):
+            runs[rep] = econ.classical_mc(workload.sampler, workload.f, n_samples,
+                                          seed=seed + 7919 * rep,
+                                          oracle=workload.mean, out=buffers[w])
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(work, range(workers)))
+    # the means add in repeat order, however the repeats were scheduled
+    return (float(np.mean([run.abs_error for run in runs])),
+            float(np.mean([run.wall_time for run in runs])))
 
 
 def error_sweep(spec: SweepSpec, jobs: int = 1) -> list[dict]:
     """One row per range point: (n, N, error, wall_time_s).
 
-    Quantum rows are deterministic; classical rows average the absolute error
-    over ``repeats`` seeded runs.  Rows are ordered by range point regardless
-    of how many workers computed them.
+    Quantum rows are deterministic, and ``jobs`` workers compute their points
+    concurrently.  Classical rows average the absolute error over
+    ``repeats`` seeded runs; their points run in order, each spreading its
+    repeats over the usable CPUs, and ``wall_time_s`` is the mean per-run
+    wall time under that concurrency; a largest N whose values exceed
+    ``econ.CLASSICAL_VALUES_CAP`` raises ``ResourceLimitError`` before any
+    run.  Rows are ordered by range point regardless of how many workers
+    computed them.
     """
     workload = spec.workload
+    if spec.estimator == "classical":
+        econ.check_classical_budget(spec.range[-1])   # the largest point
+        rows = []
+        for point in spec.range:
+            err, run_time = _classical_point(workload, point, spec.repeats,
+                                             spec.seed)
+            rows.append({"app": spec.app, "estimator": spec.estimator, "n": "",
+                         "N": point, "error": err, "wall_time_s": run_time})
+        return rows
+    r_mode = "linear" if spec.estimator == "qmc_linear" else "exact"
 
     def run_point(point):
         start = time.perf_counter()
-        if spec.estimator == "classical":
-            err, sample_time = _classical_point(workload, point, spec.repeats,
-                                                spec.seed)
-            return {"app": spec.app, "estimator": spec.estimator, "n": "",
-                    "N": point, "error": err, "wall_time_s": sample_time}
-        r_mode = "linear" if spec.estimator == "qmc_linear" else "exact"
         err = _quantum_point(workload, spec.m, point, r_mode)
         return {"app": spec.app, "estimator": spec.estimator, "n": point,
                 "N": 2**point - 1, "error": err,

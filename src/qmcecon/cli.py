@@ -312,7 +312,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--jobs", type=_positive_int, default=1,
-                        help="concurrent sweep evaluations")
+                        help="concurrent quantum sweep points")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train-a", help="train the state-preparation ansatz")

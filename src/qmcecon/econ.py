@@ -37,6 +37,7 @@ from .engine import (
     normalize_rv,
     run_qmc,
 )
+from .sim import ResourceLimitError
 
 
 class ModelDegeneracyError(ValueError):
@@ -312,20 +313,49 @@ class MCRun:
     wall_time: float
 
 
+# Samples drawn and evaluated per step of a classical run: the draws and the
+# temporaries of f for 2**13 samples stay in L2.
+CLASSICAL_CHUNK = 1 << 13
+# The float64 values of one classical run may take at most 1 GiB.
+CLASSICAL_VALUES_CAP = 1 << 30
+
+
+def check_classical_budget(num_samples: int) -> None:
+    """Refuse a run whose 8-byte-per-sample values array exceeds the cap."""
+    need = 8 * num_samples
+    if need > CLASSICAL_VALUES_CAP:
+        raise ResourceLimitError(
+            f"{num_samples} classical samples need {need} bytes of values, "
+            f"exceeding the cap of {CLASSICAL_VALUES_CAP}"
+        )
+
+
 def classical_mc(sampler, f, num_samples: int, seed: int,
-                 oracle: float | None = None) -> MCRun:
+                 oracle: float | None = None,
+                 out: np.ndarray | None = None) -> MCRun:
     """Plain Monte Carlo mean of f over draws from ``sampler``.
 
-    ``sampler(rng, size)`` returns draws, ``f`` maps them to values.  Runs
-    single-threaded and deterministic for a given seed; wall time covers
-    sampling and evaluation (the benchmark's time-per-sample primitive).
+    ``sampler(rng, size)`` returns draws, ``f`` maps them to values.  The
+    values fill one float64 array ``CLASSICAL_CHUNK`` samples at a time, so
+    the draws and f's temporaries never span the whole run; the estimate is
+    the array's mean, bit-identical to ``f(sampler(rng, N)).mean()``.  That
+    array is the first ``num_samples`` entries of ``out`` when given, else
+    a new one, which ``check_classical_budget`` bounds before any allocation.
+    Runs on the calling thread and is deterministic for a given seed; wall
+    time covers sampling and evaluation (the benchmark's time-per-sample
+    primitive).
     """
     if num_samples < 1:
         raise ValueError(f"need at least one sample, got {num_samples}")
+    check_classical_budget(num_samples)
+    if out is not None and out.shape[0] < num_samples:
+        raise ValueError(f"out holds {out.shape[0]} values, need {num_samples}")
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
-    draws = sampler(rng, num_samples)
-    values = np.asarray(f(draws), dtype=float)
+    values = np.empty(num_samples) if out is None else out[:num_samples]
+    for lo in range(0, num_samples, CLASSICAL_CHUNK):
+        hi = min(lo + CLASSICAL_CHUNK, num_samples)
+        values[lo:hi] = f(sampler(rng, hi - lo))
     estimate = float(values.mean())
     elapsed = time.perf_counter() - start
     err = abs(estimate - oracle) if oracle is not None else math.nan
@@ -362,6 +392,9 @@ class Workload:
     product grid (register 1 index most significant) and ``grid_mean(dist)``
     its exact mean there.  ``mean`` is the expectation under the continuous
     shock, which the classical estimate of ``f(sampler(rng, size))`` targets.
+    ``classical_mc`` draws in chunks, so ``f`` must be elementwise and the
+    sampler's stream must not depend on how the size is split: two calls of
+    sizes a and b give the draws of one call of size a + b.
     """
 
     dims: int

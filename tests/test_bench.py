@@ -1,9 +1,11 @@
 import math
+import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from qmcecon import econ
+from qmcecon import bench, econ
 from qmcecon.bench import (
     ScalingFit,
     SweepSpec,
@@ -86,10 +88,76 @@ class TestSweepSpec:
         assert all(row["error"] > 0 for row in rows)
 
     def test_jobs_preserve_order(self):
-        spec = SweepSpec("simple", "qmc_exact", [3, 4, 5], m=3)
-        seq = error_sweep(spec, jobs=1)
-        par = error_sweep(spec, jobs=3)
-        assert [r["error"] for r in seq] == [r["error"] for r in par]
+        for spec in (SweepSpec("simple", "qmc_exact", [3, 4, 5], m=3),
+                     SweepSpec("stress", "classical", [10, 100, 1000],
+                               repeats=3, seed=2)):
+            seq = error_sweep(spec, jobs=1)
+            par = error_sweep(spec, jobs=3)
+            assert [r["error"] for r in seq] == [r["error"] for r in par]
+            assert [r["N"] for r in seq] == [r["N"] for r in par]
+
+
+def _serial_rows(spec):
+    """The classical rows of ``spec`` from a plain loop over its repeats."""
+    w, rows = spec.workload, []
+    for n_samples in spec.range:
+        errors = [econ.classical_mc(w.sampler, w.f, n_samples,
+                                    seed=spec.seed + 7919 * rep,
+                                    oracle=w.mean).abs_error
+                  for rep in range(spec.repeats)]
+        rows.append({"app": spec.app, "estimator": "classical", "n": "",
+                     "N": n_samples, "error": float(np.mean(errors))})
+    return rows
+
+
+def _without_wall_time(rows):
+    return [{k: v for k, v in row.items() if k != "wall_time_s"} for row in rows]
+
+
+def test_classical_rows_match_serial_runs():
+    # repeats not a multiple of the workers, and N crossing the chunk boundary
+    points = [100, econ.CLASSICAL_CHUNK + 1, 3 * econ.CLASSICAL_CHUNK + 5]
+    for app in econ.APPS:
+        spec = SweepSpec(app, "classical", points, repeats=5, seed=11)
+        rows = error_sweep(spec)
+        assert _without_wall_time(rows) == _serial_rows(spec), app
+        assert all(row["wall_time_s"] > 0 for row in rows)
+
+
+@pytest.mark.parametrize("cpus,cap_buffers,buffers", [(4, 1, 1), (4, 2, 2),
+                                                      (4, 9, 4), (1, 9, 1)])
+def test_classical_workers_fit_values_cap(monkeypatch, cpus, cap_buffers,
+                                          buffers):
+    n_samples = 1000
+    spec = SweepSpec("neoclassical", "classical", [n_samples], repeats=7, seed=4)
+    expected = _serial_rows(spec)
+    seen = set()
+    classical_mc = econ.classical_mc
+
+    def recording_mc(*args, out=None, **kwargs):
+        seen.add(id(out))
+        return classical_mc(*args, out=out, **kwargs)
+
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(econ, "CLASSICAL_VALUES_CAP", cap_buffers * 8 * n_samples)
+    monkeypatch.setattr(econ, "classical_mc", recording_mc)
+    rows = error_sweep(spec)
+    assert len(seen) == buffers
+    assert _without_wall_time(rows) == expected
+
+
+def test_classical_many_workers_match_serial(monkeypatch):
+    # more workers than cores, with the interpreter switching threads often
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: 8)
+    spec = SweepSpec("stress", "classical", [5 * econ.CLASSICAL_CHUNK + 7],
+                     repeats=17, seed=5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rows = error_sweep(spec)
+    finally:
+        sys.setswitchinterval(interval)
+    assert _without_wall_time(rows) == _serial_rows(spec)
 
 
 class TestResources:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmcecon import bench, cli, distributions, engine
+from qmcecon import bench, cli, distributions, econ, engine
 from qmcecon.cli import main
 from qmcecon.distributions import VariationalAnsatz, save_ansatz
 from qmcecon.econ import DEFAULT_STRESS, neoclassical_workload, stress_qmc
@@ -182,6 +182,26 @@ class TestExitCodes:
             assert not params.exists()
         with pytest.raises(Reached):
             main([*base, "--stages", "134217728:0.1"])
+
+    def test_classical_over_memory_exit_2_before_allocating(self, tmp_path,
+                                                             capsys, monkeypatch):
+        def refuse(rng, size):
+            raise AssertionError("sampled before the values budget check")
+
+        registry = econ.workload
+        monkeypatch.setattr(econ, "workload", lambda app, scenario=None: replace(
+            registry(app, scenario), sampler=refuse))
+        out = tmp_path / "rows.csv"
+        # 8 B of values per sample: 2**27 samples are exactly 1 GiB
+        for n_samples, need in (("1000000000000", 8 * 10**12),
+                                ("3000000000", 24 * 10**9),
+                                ("100,134217729", 2**30 + 8)):
+            code, _, err = run_cli(["--out", str(out), "sweep", "--app",
+                                    "neoclassical", "--estimator", "classical",
+                                    "--n-samples", n_samples], capsys)
+            assert code == 2
+            assert f"need {need} bytes of values, exceeding the cap of 1073741824" in err
+            assert not out.exists()
 
     def test_resources_empty_range_exit_1(self, tmp_path, capsys):
         out = tmp_path / "res.csv"

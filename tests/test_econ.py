@@ -13,6 +13,7 @@ from qmcecon.econ import (
     BENCH_C2,
     BENCH_SIGMA,
     DEFAULT_STRESS,
+    CLASSICAL_CHUNK,
     BankBalanceSheet,
     ModelDegeneracyError,
     NeoclassicalParams,
@@ -36,6 +37,7 @@ from qmcecon.econ import (
     workload,
 )
 from qmcecon.engine import denormalize_mu, normalize_rv
+from qmcecon.sim import ResourceLimitError
 
 from util import write_stress_config
 
@@ -234,6 +236,54 @@ class TestClassicalMc:
     def test_requires_samples(self):
         with pytest.raises(ValueError):
             classical_mc(simple_problem_sampler, simple_problem_f, 0, seed=0)
+
+    @staticmethod
+    def one_shot_mean(w, n, seed):
+        draws = w.sampler(np.random.default_rng(seed), n)
+        return float(np.asarray(w.f(draws), dtype=float).mean())
+
+    @pytest.mark.parametrize("app", APPS)
+    def test_chunked_matches_one_shot(self, app):
+        w, c = workload(app), CLASSICAL_CHUNK
+        for n in (1, c - 1, c, c + 1, 3 * c + 5):
+            for seed in (0, 388_034):
+                run = classical_mc(w.sampler, w.f, n, seed, oracle=w.mean)
+                assert run.estimate == self.one_shot_mean(w, n, seed), (n, seed)
+
+    def test_out_buffer_longer_than_n(self):
+        w, n = workload("stress"), CLASSICAL_CHUNK + 3
+        out = np.full(n + 10, np.nan)
+        run = classical_mc(w.sampler, w.f, n, 3, out=out)
+        assert run.estimate == self.one_shot_mean(w, n, 3)
+        draws = w.sampler(np.random.default_rng(3), n)
+        np.testing.assert_array_equal(out[:n], w.f(draws))
+        assert np.isnan(out[n:]).all()
+        with pytest.raises(ValueError, match="out holds 5 values, need 6"):
+            classical_mc(w.sampler, w.f, 6, 3, out=np.empty(5))
+
+    @pytest.mark.parametrize("app", APPS)
+    def test_peak_memory_is_one_values_array(self, app):
+        w, n = workload(app), 1 << 20
+        tracemalloc.start()
+        try:
+            classical_mc(w.sampler, w.f, n, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * n
+
+    def test_values_budget_checked_before_sampling(self):
+        def refuse(rng, size):
+            raise AssertionError("sampled past the budget check")
+
+        for n in (2**27 + 1, 10**12):
+            with pytest.raises(ResourceLimitError,
+                               match="exceeding the cap of 1073741824"):
+                classical_mc(refuse, simple_problem_f, n, seed=0)
+        # 2**27 values are exactly 1 GiB, which the cap admits; the short
+        # buffer stops the run before it allocates or samples
+        with pytest.raises(ValueError, match="out holds 1 values"):
+            classical_mc(refuse, simple_problem_f, 2**27, seed=0, out=np.empty(1))
 
 
 @pytest.mark.parametrize("app", APPS)

@@ -29,6 +29,14 @@ def commands():
         yield f"sweep_{app}_classical", [
             "--seed", "3", "sweep", "--app", app, "--estimator", "classical",
             "--n-samples", "100,1000,10000", "--repeats", "3"]
+    # chunk boundaries crossed, with repeats that do not divide among workers
+    yield "sweep_neoclassical_classical_chunks", [
+        "--seed", "3", "sweep", "--app", "neoclassical", "--estimator",
+        "classical", "--n-samples", "20000,100000", "--repeats", "5"]
+    # 8 TB of values: refused before the first buffer is allocated
+    yield "sweep_classical_over_memory", [
+        "sweep", "--app", "neoclassical", "--estimator", "classical",
+        "--n-samples", "1000000000000"]
     linear = ["run", "neoclassical", "--r-mode", "linear", "--m", "5", "--n", "8"]
     yield "run_linear", linear
     yield "run_linear_trained", [*linear, "--a-mode", "trained_ansatz",
