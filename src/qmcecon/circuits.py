@@ -12,11 +12,17 @@ and Linearity*, 1992).  A repeated block is counted once: its gate counts
 times r, and its matrix raised to r by squaring.  ``count_stream`` scans a
 flat stream gate by gate and is the reference for both.
 
-Circuits are built with native multi-controlled X gates, which the simulator
-applies directly; only the lowering decides how one becomes elementary gates.
+Circuits are built with native multi-controlled X gates and native
+uniformly controlled RY gates (multiplexors), which the simulator applies
+directly; only the lowering decides how one becomes elementary gates.
 A k-control MCX with k >= 3 becomes the linear ladder of 2k-3 Toffolis on
 k-2 clean work wires (Barenco et al. 1995, quant-ph/9503016, Lemma 7.2), so
-whoever lowers a circuit supplies those wires.
+whoever lowers a circuit supplies those wires.  A k-control multiplexor
+becomes the recursive tree of 2**k RY and 2**(k+1) - 2 CNOT gates (Mottonen
+et al. 2004, quant-ph/0407010; Shende, Bullock and Markov 2006,
+quant-ph/0406176).  Loading an arbitrary distribution exactly stays
+exponential in gate count on hardware (Grover and Rudolph 2002,
+quant-ph/0208112); the native gate only makes its simulation cheap.
 
 The inverse QFT here carries no SWAP network; the bit reversal it would
 implement is handled classically when reading out phase-estimation results
@@ -136,6 +142,23 @@ def _lower_mcx(gate: Gate, work: tuple[int, ...]):
         yield from _lower_toffoli(a, b, t)
 
 
+def _ucry_gates(angles: np.ndarray, controls: tuple[int, ...], target: int):
+    """Uniformly controlled RY: rotate target by angles[i] for control state i.
+
+    Recursive multiplexor built from plain RY and CNOT; the first control is
+    the most significant bit of i.  Gate count is 2**k RY + 2**(k+1) - 2 CNOT.
+    """
+    if not controls:
+        yield Gate("ry", (target,), angle=float(angles[0]))
+        return
+    half = len(angles) // 2
+    a0, a1 = angles[:half], angles[half:]
+    yield from _ucry_gates((a0 + a1) / 2, controls[1:], target)
+    yield Gate("cnot", (target,), (controls[0],))
+    yield from _ucry_gates((a0 - a1) / 2, controls[1:], target)
+    yield Gate("cnot", (target,), (controls[0],))
+
+
 def _lower_gate(gate: Gate, work: tuple[int, ...]):
     kind = gate.kind
     if kind in ELEMENTARY_KINDS:
@@ -165,6 +188,9 @@ def _lower_gate(gate: Gate, work: tuple[int, ...]):
         yield Gate("cnot", (t,), (c,))
     elif kind == "mcx":
         yield from _lower_mcx(gate, work)
+    elif kind == "ucry":
+        yield from _ucry_gates(np.array(gate.angle), gate.controls,
+                               gate.targets[0])
     else:
         raise ValueError(f"no decomposition rule for gate kind {kind!r}")
 

@@ -3,9 +3,12 @@
 Two preparation routes are provided for loading a distribution's square-root
 amplitudes onto a register:
 
-* ``exact_state_prep`` -- a uniformly controlled RY tree.  Exact to machine
-  precision but exponential in gate count, so it serves as the
-  simulation-exact reference rather than a hardware-honest circuit.
+* ``exact_state_prep`` -- a uniformly controlled RY tree, one native
+  multiplexor (``ucry``) per level.  Exact to machine precision, and the
+  simulator applies each level in one pass over the state.  On hardware it
+  stays exponential in gate count (Grover and Rudolph 2002, quant-ph/0208112:
+  level k lowers to 2**k RY and 2**(k+1) - 2 CNOT gates), so it serves as
+  the simulation-exact reference rather than a hardware-honest circuit.
 * a trainable layered ansatz (``ansatz_circuit`` / ``train_ansatz``) whose
   output distribution is fitted to the target with plain gradient descent on
   an L1 cost.  Training simulates the ansatz with a fused per-layer kernel
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import Circuit, Gate, ResourceLimitError
+from .sim import Circuit, ResourceLimitError
 
 
 @dataclass
@@ -101,28 +104,13 @@ def discretize_beta(m: int, a: float, b: float) -> DiscretizedDistribution:
 # Exact state preparation (uniformly controlled RY tree)
 # ---------------------------------------------------------------------------
 
-def _ucry_gates(angles: np.ndarray, controls: list[int], target: int):
-    """Uniformly controlled RY: rotate target by angles[i] for control state i.
-
-    Recursive multiplexor built from plain RY and CNOT; the first control is
-    the most significant bit of i.  Gate count is 2**k RY + 2**k CNOT.
-    """
-    if not controls:
-        yield Gate("ry", (target,), angle=float(angles[0]))
-        return
-    half = len(angles) // 2
-    a0, a1 = angles[:half], angles[half:]
-    yield from _ucry_gates((a0 + a1) / 2, controls[1:], target)
-    yield Gate("cnot", (target,), (controls[0],))
-    yield from _ucry_gates((a0 - a1) / 2, controls[1:], target)
-    yield Gate("cnot", (target,), (controls[0],))
-
-
 def exact_state_prep(dist: DiscretizedDistribution, qubits=None) -> Circuit:
     """Circuit mapping |0..0> to sum_i sqrt(p(i)) |i> (real, nonnegative).
 
     Level k rotates qubit k by the branch angle of each k-bit prefix, giving
-    the usual binary-tree amplitude loading.
+    the usual binary-tree amplitude loading.  Each level is one ``ucry``
+    gate with k controls and 2**k angles, m gates in all; lowered to RY and
+    CNOT it is 3 * (2**m - 1) - 2m gates.
     """
     m = dist.m
     qubits = list(range(m)) if qubits is None else list(qubits)
@@ -138,8 +126,7 @@ def exact_state_prep(dist: DiscretizedDistribution, qubits=None) -> Circuit:
         levels.append((k, angles))
         subtree = pairs.sum(axis=1)
     for k, angles in reversed(levels):
-        for g in _ucry_gates(angles, qubits[:k], qubits[k]):
-            circ.add(g)
+        circ.ucry(qubits[:k], qubits[k], angles)
     return circ
 
 

@@ -34,12 +34,10 @@ from .sim import (
     apply_circuit,
     init_state,
     probabilities,
-    QUBIT_CAP,
 )
 from .circuits import bit_reversal_permutation, inverse_qft
 from .distributions import (
     VariationalAnsatz,
-    _ucry_gates,
     ansatz_circuit,
     exact_state_prep,
 )
@@ -128,8 +126,11 @@ class LinearRParams:
 def build_R_exact(rv: RandomVariableSpec, register, ancilla: int) -> Circuit:
     """Rotate the ancilla to sqrt(f(i))|1> per register basis state i.
 
-    Uniformly controlled RY with branch angles 2*arcsin(sqrt(f(i))): exact at
-    any grid size, exponential in gate count (simulation reference route).
+    One native uniformly controlled RY (``ucry``) with branch angles
+    2*arcsin(sqrt(f(i))): exact at any grid size and simulated in one pass
+    over the state, but 3 * 2**k - 2 RY and CNOT gates once lowered for a
+    k-qubit register (simulation reference route, not a hardware-honest
+    circuit).
     """
     register = list(register)
     if rv.values.shape != (1 << len(register),):
@@ -138,10 +139,7 @@ def build_R_exact(rv: RandomVariableSpec, register, ancilla: int) -> Circuit:
             f"values, got {rv.values.shape}"
         )
     angles = 2.0 * np.arcsin(np.sqrt(np.clip(rv.values, 0.0, 1.0)))
-    circ = Circuit(max(register + [ancilla]) + 1)
-    for g in _ucry_gates(angles, register, ancilla):
-        circ.add(g)
-    return circ
+    return Circuit(max(register + [ancilla]) + 1).ucry(register, ancilla, angles)
 
 
 def build_R_linear(m: int, params: LinearRParams, register, ancilla: int) -> Circuit:
@@ -273,11 +271,15 @@ def phase_estimation_segments(f_circuit: Circuit, n: int) -> list[tuple[Circuit,
             + [(inverse_qft(est), 1)])
 
 
+# The circuit method simulates a statevector of 16 * 2**(s + n) bytes; like
+# the other memory caps it may take at most 1 GiB, that is 26 qubits.
+CIRCUIT_STATE_CAP = 1 << 30
 # The flat estimation circuit lists every gate of its 2**n - 1 controlled-Q
 # blocks; the repeats of a block share its Gate objects, so each list entry
-# costs one 8-byte reference and 2**27 entries are 1 GiB.  Every block has at
-# least 36 gates, so the cap also keeps the statevector of the circuit method
-# near 26 qubits.
+# costs one 8-byte reference and 2**27 entries are 1 GiB.  The list is bounded
+# on its own: F's multiplexors are single gates, so a block is short (8s + 8
+# gates for an s-qubit F with exact loading) while its 2**n - 1 copies are
+# many.
 GATE_LIST_CAP = 1 << 27
 
 
@@ -285,13 +287,16 @@ def phase_estimation(f_circuit: Circuit, n: int) -> Circuit:
     """Full estimation circuit: F, controlled Grover powers, inverse QFT.
 
     The segments of ``phase_estimation_segments`` written out one gate after
-    another, as the ``circuit`` method simulates them.  Both the width and
-    the length of the list are checked before any repeat is written.
+    another, as the ``circuit`` method simulates them.  The bytes of the
+    statevector it will need are checked before any segment is built, and
+    the length of the list before any repeat is written.
     """
     nq = f_circuit.num_qubits + n
-    if nq > QUBIT_CAP:
+    state_bytes = 16 * (1 << nq)
+    if state_bytes > CIRCUIT_STATE_CAP:
         raise ResourceLimitError(
-            f"phase estimation needs {nq} qubits, exceeding the cap of {QUBIT_CAP}"
+            f"phase estimation on {nq} qubits needs a statevector of "
+            f"{state_bytes} bytes, exceeding the cap of {CIRCUIT_STATE_CAP}"
         )
     segments = phase_estimation_segments(f_circuit, n)
     size = sum(len(block) * repeats for block, repeats in segments)
@@ -359,10 +364,13 @@ def denormalize_mu(mu_norm: float, rv: RandomVariableSpec,
 # Assembly and simulation
 # ---------------------------------------------------------------------------
 
-# Exact state preparation and the exact encoding emit about 1.5 * 2**s Gate
-# objects for an s = dims*m + 1 qubit F, about 160 B each (stress m = 6, 7,
-# 8: 12,640 / 49,884 / 198,104 gates, 1.9 / 7.7 / 30.2 MiB); 22 qubits is
-# about 1 GiB of gates.
+# With exact loading and encoding, an s = dims*m + 1 qubit F is s native
+# gates.  What it allocates grows as 2**s: the 16 * 2**s byte statevector
+# (with one working copy, and half-state temporaries while a multiplexor is
+# applied), the multiplexor angles as tuples of Python floats (about 32 B per
+# angle: 2**(s-1) in the encoding, fewer over all the preparation levels)
+# and the values grid.  At the cap, `run neoclassical --m 21 --n 4` peaks at
+# 440 MB RSS and takes 2.8 s on a 2-vCPU host.
 F_REGISTER_CAP = 22
 # The spectral readout peaks at about 6.3 * 8 B * 2**n (measured at n = 18,
 # 20 and 22): 1.7 GB at 25 qubits, while 27 would not fit in 7 GiB.

@@ -42,6 +42,7 @@ _GATE_SIGNATURES = {
     "cry": (1, 1, True),
     "cphase": (1, 1, True),
     "mcx": (1, None, False),  # any number of controls
+    "ucry": (1, None, True),  # any number of controls; a tuple of 2**k angles
 }
 
 _SELF_INVERSE = {"h", "x", "cnot", "cz", "mcx"}
@@ -53,12 +54,17 @@ class Gate:
 
     ``targets`` and ``controls`` must be disjoint; rotation kinds carry a
     finite ``angle`` in radians.
+
+    ``ucry`` is the uniformly controlled RY (a multiplexor): it rotates the
+    target by ``angle[i]`` when the k controls hold the bits of i, the first
+    control the most significant.  Its ``angle`` is a tuple of 2**k finite
+    floats, so the gate stays hashable and comparable like every other.
     """
 
     kind: str
     targets: tuple[int, ...]
     controls: tuple[int, ...] = ()
-    angle: float | None = None
+    angle: float | tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in _GATE_SIGNATURES:
@@ -75,7 +81,14 @@ class Gate:
             raise ValueError(f"targets/controls overlap in {self.kind}: {qubits}")
         if any(q < 0 for q in qubits):
             raise ValueError(f"negative qubit index in {self.kind}: {qubits}")
-        if has_angle:
+        if self.kind == "ucry":
+            need = 1 << len(self.controls)
+            if not isinstance(self.angle, tuple) or len(self.angle) != need:
+                raise ValueError(f"ucry with {len(self.controls)} controls needs a "
+                                 f"tuple of {need} angles")
+            if not all(map(math.isfinite, self.angle)):
+                raise ValueError("ucry needs finite angles")
+        elif has_angle:
             if self.angle is None or not math.isfinite(self.angle):
                 raise ValueError(f"{self.kind} needs a finite angle, got {self.angle}")
         elif self.angle is not None:
@@ -88,6 +101,9 @@ class Gate:
     def inverse(self) -> "Gate":
         if self.kind in _SELF_INVERSE:
             return self
+        if self.kind == "ucry":
+            return Gate("ucry", self.targets, self.controls,
+                        tuple(-a for a in self.angle))
         return Gate(self.kind, self.targets, self.controls, -self.angle)
 
 
@@ -143,6 +159,10 @@ class Circuit:
 
     def mcx(self, controls, target):
         return self.add(Gate("mcx", (target,), tuple(controls)))
+
+    def ucry(self, controls, target, angles):
+        angles = tuple(np.asarray(angles, dtype=float).tolist())
+        return self.add(Gate("ucry", (target,), tuple(controls), angles))
 
     def inverse(self) -> "Circuit":
         inv = Circuit(self.num_qubits)
@@ -241,10 +261,36 @@ def _apply_matrix_axis(view: np.ndarray, mat: np.ndarray, axis: int) -> None:
     moved[1] = mat[1, 0] * a0 + mat[1, 1] * a1
 
 
+def _apply_ucry(tensor: np.ndarray, gate: Gate) -> None:
+    """Rotate the target by angle[i] in the block where the controls read i.
+
+    The control axes and then the target axis move to the front, so the
+    tensor reads as (2**k, 2, rest) and row i turns by its own RY: one
+    vectorised pass, however many controls there are.
+    """
+    k = len(gate.controls)
+    half = np.asarray(gate.angle) / 2
+    cos, sin = np.cos(half)[:, None], np.sin(half)[:, None]
+    moved = np.moveaxis(tensor, gate.controls + gate.targets, range(k + 1))
+    rows = moved.reshape(1 << k, 2, -1)    # a copy unless the axes lead
+    top, bottom = rows[:, 0], rows[:, 1]
+    old_top = top.copy()
+    # in place: one half-state temporary at a time besides old_top
+    top *= cos
+    top -= sin * bottom
+    bottom *= cos
+    bottom += sin * old_top
+    if not np.may_share_memory(rows, tensor):
+        moved[...] = rows.reshape(moved.shape)
+
+
 def _apply_gate_tensor(tensor: np.ndarray, gate: Gate, nq: int) -> None:
     kind = gate.kind
     if kind in ("rx", "ry", "rz", "h", "x"):
         _apply_matrix_axis(tensor, _single_qubit_matrix(gate), gate.targets[0])
+        return
+    if kind == "ucry":
+        _apply_ucry(tensor, gate)
         return
     view, axis_of = _control_view(tensor, gate.controls, nq)
     t_axis = axis_of[gate.targets[0]]

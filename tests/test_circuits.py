@@ -13,7 +13,7 @@ from qmcecon.circuits import (
     inverse_qft,
     transfer_matrix,
 )
-from qmcecon.sim import Circuit, dense_unitary
+from qmcecon.sim import Circuit, Gate, dense_unitary
 
 from util import (bit_reversal_matrix, dft_matrix, lowering_error, mcx_oracle,
                   phase_aligned_distance, random_circuit, work_wires)
@@ -95,6 +95,51 @@ class TestMcx:
             decompose(Circuit(5).mcx([0, 1, 2, 3], 4), work=[5, 5])
 
 
+class TestUcry:
+    """The native multiplexor against its RY/CNOT lowering."""
+
+    @staticmethod
+    def random_ucry(rng) -> Circuit:
+        k = int(rng.integers(0, 5))
+        nq = k + 1 + int(rng.integers(0, 2))     # sometimes an idle wire
+        wires = [int(q) for q in rng.permutation(nq)]
+        return Circuit(nq).ucry(wires[:k], wires[k],
+                                rng.uniform(-2 * np.pi, 2 * np.pi, 1 << k))
+
+    def test_equals_its_lowering(self):
+        rng = np.random.default_rng(2004)
+        for _ in range(40):
+            circ = self.random_ucry(rng)
+            for c in (circ, circ.inverse()):
+                out = decompose(c)
+                assert {g.kind for g in out.gates} <= {"ry", "cnot"}
+                np.testing.assert_allclose(dense_unitary(c), dense_unitary(out),
+                                           atol=1e-13)
+
+    def test_inverse_negates_and_undoes(self):
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            circ = self.random_ucry(rng)
+            gate, inv = circ.gates[0], circ.inverse().gates[0]
+            assert inv.angle == tuple(-a for a in gate.angle)
+            both = Circuit(circ.num_qubits).extend(circ).extend(circ.inverse())
+            np.testing.assert_allclose(dense_unitary(both),
+                                       np.eye(1 << circ.num_qubits), atol=1e-14)
+
+    @pytest.mark.parametrize("kind,controls,angles", [
+        ("ucry", (), ()),
+        ("ucry", (0,), (0.1,)),
+        ("ucry", (0, 1), (0.1, 0.2, 0.3)),
+        ("ucry", (0,), (0.1, float("nan"))),
+        ("ucry", (0,), (float("inf"), 0.2)),
+        ("ucry", (0,), np.array([0.1, 0.2])),    # would leave Gate unhashable
+        ("cnot", (0,), (0.1,)),
+    ])
+    def test_bad_angles_rejected(self, kind, controls, angles):
+        with pytest.raises(ValueError, match="angle"):
+            Gate(kind, (2,), controls, angles)
+
+
 class TestDecompose:
     def test_elementary_fixpoint(self):
         circ = Circuit(2).rx(0, 0.3).ry(1, -0.2).rz(0, 1.0).cnot(0, 1)
@@ -159,8 +204,9 @@ class TestResources:
         assert count_resources(circ).depth >= depth
 
     def test_rejects_unlowered_gates(self):
-        with pytest.raises(ValueError, match="decompose"):
-            count_resources(Circuit(1).h(0))
+        for circ in (Circuit(1).h(0), Circuit(2).ucry([0], 1, [0.1, 0.2])):
+            with pytest.raises(ValueError, match="decompose"):
+                count_resources(circ)
 
 
 class TestComposedCount:

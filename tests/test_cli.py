@@ -107,6 +107,17 @@ class TestExitCodes:
         bound_gate_lists(monkeypatch)
         code, _, err = run_cli(args, capsys)
         assert code == 2
+        assert ("needs a statevector of 17179869184 bytes, exceeding the cap "
+                "of 1073741824") in err
+
+    def test_short_blocks_still_bounded_by_gate_list_cap(self, capsys,
+                                                         monkeypatch):
+        # 3 + 23 qubits are exactly 1 GiB of state, but 2**23 - 1 blocks of
+        # 32 gates would be 268M list entries
+        bound_gate_lists(monkeypatch)
+        code, _, err = run_cli(["run", "simple", "--m", "2", "--n", "23",
+                                "--method", "circuit"], capsys)
+        assert code == 2
         assert "gates, exceeding the cap of 134217728" in err
 
     @pytest.mark.parametrize("value", ["0", "-3"])

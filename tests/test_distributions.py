@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qmcecon.circuits import decompose
 from qmcecon.distributions import (
     APPENDIX_SCHEDULE,
     DiscretizedDistribution,
@@ -117,6 +118,22 @@ class TestExactStatePrep:
         d = discretize_normal(5, 0.0, 1.0, -math.pi, math.pi)
         st = apply_circuit(init_state(5), exact_state_prep(d))
         np.testing.assert_allclose(probabilities(st), d.masses, atol=1e-12)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_native_levels_match_lowering(self, m):
+        # one multiplexor per level; simulating its RY/CNOT lowering instead
+        # gives the same amplitudes
+        d = random_distribution(m, np.random.default_rng(m))
+        circ = exact_state_prep(d)
+        assert [(g.kind, len(g.controls)) for g in circ.gates] == [
+            ("ucry", k) for k in range(m)]
+        lowered = decompose(circ)
+        assert len(lowered) == 3 * ((1 << m) - 1) - 2 * m
+        native = apply_circuit(init_state(m), circ).amplitudes
+        expanded = apply_circuit(init_state(m), lowered).amplitudes
+        np.testing.assert_allclose(native, expanded, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(np.abs(native) ** 2, d.masses, rtol=0,
+                                   atol=1e-15)
 
     def test_amplitudes_real_nonnegative(self):
         rng = np.random.default_rng(5)

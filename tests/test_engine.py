@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qmcecon import econ
 from qmcecon.circuits import count_resources, decompose
 from qmcecon.distributions import (
     VariationalAnsatz,
@@ -133,6 +134,23 @@ class TestRotationEncodings:
                 assert abs(p1 - 0.5) <= c_s + 1e-12
                 assert p1 == pytest.approx(0.5 + params.a * i + params.b,
                                            abs=2 * c_s**2 + c_s**3)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_exact_native_matches_lowering(self, m):
+        # the register in a uniform superposition (RY, which lowers to
+        # itself) reaches every row of the multiplexor at once
+        rng = np.random.default_rng(60 + m)
+        rv = normalize_rv(rng.uniform(-1, 2, 1 << m))
+        circ = Circuit(m + 1)
+        for q in range(m):
+            circ.ry(q, math.pi / 2)
+        circ.extend(build_R_exact(rv, list(range(m)), m))
+        assert [g.kind for g in circ.gates[m:]] == ["ucry"]
+        native = apply_circuit(init_state(m + 1), circ).amplitudes
+        lowered = apply_circuit(init_state(m + 1), decompose(circ)).amplitudes
+        np.testing.assert_allclose(native, lowered, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(np.abs(native[1::2]) ** 2 * (1 << m),
+                                   rv.values, rtol=0, atol=1e-14)
 
     def test_size_mismatch(self):
         rv = RandomVariableSpec(np.zeros(8), 0.0, 1.0)
@@ -343,6 +361,17 @@ class TestFullPipeline:
         np.testing.assert_allclose(results["circuit"].distribution,
                                    results["auto"].distribution, atol=1e-12)
         assert results["circuit"].p1 == pytest.approx(results["auto"].p1, abs=1e-12)
+
+    def test_stress_methods_agree(self):
+        # two 3-qubit Beta registers and the 64-row loss multiplexor
+        results = {method: econ.stress_qmc(econ.DEFAULT_STRESS, 3, 6,
+                                           method=method)
+                   for method in ("circuit", "auto")}
+        circuit, auto = (results[k].estimate for k in ("circuit", "auto"))
+        np.testing.assert_allclose(circuit.distribution, auto.distribution,
+                                   rtol=0, atol=1e-12)
+        assert circuit.p1 == auto.p1
+        assert circuit.theta_hat == auto.theta_hat
 
     def test_readout_symmetry(self):
         dist, rv = small_problem(3, seed=9)

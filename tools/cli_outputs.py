@@ -41,6 +41,12 @@ def commands():
     yield "run_linear", linear
     yield "run_linear_trained", [*linear, "--a-mode", "trained_ansatz",
                                  "--params", "trained.txt"]
+    # the reference path: every gate of phase estimation simulated
+    yield "run_stress_circuit", ["run", "stress", "--m", "3", "--n", "6",
+                                 "--method", "circuit"]
+    # 30 qubits, a 16 GiB statevector: refused before the gate list is built
+    yield "run_stress_circuit_over_memory", ["run", "stress", "--m", "5", "--n",
+                                             "19", "--method", "circuit"]
     yield "resources_m3_layers2", ["resources", "--m", "3", "--layers", "2",
                                    "--n-min", "3", "--n-max", "6"]
     yield "resources_over_cap", ["resources", "--m", "5", "--n-min", "21",
