@@ -21,8 +21,7 @@ from .circuits import (ResourceReport, advance_frontier, count_stream,
 from .distributions import VariationalAnsatz
 from .engine import (LinearRParams, QMCConfig, assemble_f, normalize_rv,
                      phase_estimation_segments)
-from .sim import QUBIT_CAP, ResourceLimitError
-from . import econ
+from . import econ, sim
 
 GATE_TIMES = (1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 SPEEDUP_FACTORS = (1e3, 1e6)
@@ -95,9 +94,8 @@ def _classical_point(workload, n_samples, repeats, seed):
     # range(w, repeats, workers); the buffers are allocated here, on the
     # calling thread, because glibc's per-thread arenas would keep arrays
     # that the workers allocate and free.  All buffers together stay within
-    # the classical values cap, which error_sweep has checked one fits.
-    workers = min(repeats, _usable_cpus(),
-                  econ.CLASSICAL_VALUES_CAP // (8 * n_samples))
+    # the memory budget, which error_sweep has checked one fits.
+    workers = min(repeats, _usable_cpus(), sim.MEMORY_BUDGET // (8 * n_samples))
     buffers = [np.empty(n_samples) for _ in range(workers)]
     runs = [None] * repeats
 
@@ -121,14 +119,15 @@ def error_sweep(spec: SweepSpec, jobs: int = 1) -> list[dict]:
     concurrently.  Classical rows average the absolute error over
     ``repeats`` seeded runs; their points run in order, each spreading its
     repeats over the usable CPUs, and ``wall_time_s`` is the mean per-run
-    wall time under that concurrency; a largest N whose values exceed
-    ``econ.CLASSICAL_VALUES_CAP`` raises ``ResourceLimitError`` before any
-    run.  Rows are ordered by range point regardless of how many workers
+    wall time under that concurrency; a largest N whose 8 bytes of values
+    per sample exceed the memory budget raises ``ResourceLimitError`` before
+    any run.  Rows are ordered by range point regardless of how many workers
     computed them.
     """
     workload = spec.workload
     if spec.estimator == "classical":
-        econ.check_classical_budget(spec.range[-1])   # the largest point
+        largest = spec.range[-1]
+        sim.check_memory(f"a classical run of {largest} samples", 8 * largest)
         rows = []
         for point in spec.range:
             err, run_time = _classical_point(workload, point, spec.repeats,
@@ -201,21 +200,28 @@ def qmc_resource_report(m: int, n: int, layers: int = 10) -> ResourceReport:
     max-plus squaring.  The 2**n - 1 controlled-Q blocks are never written
     out, so the cost grows with n, not 2**n; the counts and depth equal those
     of ``count_stream`` over the flat lowering, which the tests check.
+
+    The ``QMCConfig`` built first bounds s = m + 1 <= 23 and n <= 25 (below
+    70 wires) for int64 headroom, not for memory, though its refusal names
+    the bytes a simulation would need.  The check after it holds F to
+    2**30 / (128 (n + 2)) gates, so every count and depth stays below 2**46.
     """
+    config = QMCConfig(dims=1, m=m, n=n, r_mode="linear", a_mode="trained_ansatz")
+    # F's layers * (4m - 1) gates, its inverse, the n blocks' references to
+    # both and one block's lowering: 46-111 B per gate per n + 2 traced, and
+    # below 1 MiB for the rest (the reflections, the transfer matrices).
+    sim.check_memory(f"counting {layers} ansatz layers at n={n}",
+                     8 * VariationalAnsatz.num_params(m, layers)
+                     + 128 * (n + 2) * layers * (4 * m - 1) + (1 << 20))
     # Each controlled zero reflection is one MCX with s = m + 1 controls (the
     # estimation wire and every F wire but its target), and its linear
     # Toffoli ladder needs s - 2 clean work wires; they follow the s + n
     # wires of the circuit.  No other gate needs work wires.
     s = m + 1
     width = s + n + max(0, s - 2)
-    if width > QUBIT_CAP:
-        raise ResourceLimitError(
-            f"phase estimation needs {width} qubits, exceeding the cap of {QUBIT_CAP}"
-        )
     workload = econ.neoclassical_workload(symmetric=True)
     dist = workload.shock(m)
     rv = normalize_rv(workload.values(dist))
-    config = QMCConfig(dims=1, m=m, n=n, r_mode="linear", a_mode="trained_ansatz")
     linear = LinearRParams.for_oracle_budget(m, n, increasing=False)
     f_circuit = assemble_f(config, [dist], rv, _bench_ansatz(m, layers), linear)
     work = range(s + n, width)

@@ -1,6 +1,7 @@
 """Command-line front door for runs, sweeps, resources, and benchmarks.
 
-Exit codes: 0 success, 1 argument/usage errors, 2 resource-cap errors.
+Exit codes: 0 success, 1 argument/usage errors, 2 a request over the memory
+budget.
 CSV is the primary output format; ``--format json`` serializes the same rows
 losslessly.  Wall-time columns are tagged non-deterministic in the header
 comment; everything else is byte-identical across runs at a fixed seed.

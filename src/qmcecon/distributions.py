@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import Circuit, ResourceLimitError
+from .sim import Circuit, check_memory
 
 
 @dataclass
@@ -200,10 +200,6 @@ def ansatz_circuit(ansatz: VariationalAnsatz, qubits=None) -> Circuit:
 # and one gather per layer.  The gradient reuses the states of one forward
 # sweep in one reverse sweep instead of simulating 2P+1 shifted circuits.
 
-# The reverse sweep keeps (layers + 1) states of 2**m complex128 amplitudes;
-# like engine.GATE_LIST_CAP's gate list they may take at most 1 GiB.
-TRAINING_STATE_CAP = 1 << 30
-
 _MINUS_I_HALF_Z = np.diag([-0.5j, 0.5j])     # (d RZ(t)/dt) RZ(t)^+
 
 
@@ -316,27 +312,19 @@ def train_ansatz(target: DiscretizedDistribution, layers: int,
 
     Parameters start at seeded uniform values in [-0.1, 0.1].  Returns the
     trained ansatz and the per-epoch cost trace (deterministic given seed).
-    Raises ``ResourceLimitError`` before allocating anything when the states
-    kept for the reverse sweep, or the cost trace of 8 bytes per epoch, would
-    exceed ``TRAINING_STATE_CAP``.
+    Before anything is allocated, the memory budget is checked for the
+    (layers + 1) * 2**m * 16 bytes of states that the reverse sweep keeps,
+    and on its own for the cost trace of 8 bytes per epoch.
     """
     if layers < 1:
         raise ValueError(f"need at least one layer, got {layers}")
     m = target.m
-    state_bytes = (layers + 1) * (1 << m) * np.dtype(np.complex128).itemsize
-    if state_bytes > TRAINING_STATE_CAP:
-        raise ResourceLimitError(
-            f"training m={m} with {layers} layers stores {state_bytes} bytes of "
-            f"states, exceeding the cap of {TRAINING_STATE_CAP}"
-        )
-    # A check of its own: adding the trace to the states' budget would move
+    check_memory(f"training m={m} with {layers} layers",
+                 (layers + 1) * (1 << m) * 16)
+    # A check of its own: adding the trace to the states' bytes would move
     # the boundary above (m=20 trains 63 layers, not 64).
-    trace_bytes = schedule.total_epochs() * np.dtype(float).itemsize
-    if trace_bytes > TRAINING_STATE_CAP:
-        raise ResourceLimitError(
-            f"training {schedule.total_epochs()} epochs keeps a cost trace of "
-            f"{trace_bytes} bytes, exceeding the cap of {TRAINING_STATE_CAP}"
-        )
+    check_memory(f"a cost trace of {schedule.total_epochs()} epochs",
+                 8 * schedule.total_epochs())
     rng = np.random.default_rng(schedule.seed)
     params = rng.uniform(-0.1, 0.1, size=VariationalAnsatz.num_params(m, layers))
     trace = np.empty(schedule.total_epochs())

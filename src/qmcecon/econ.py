@@ -37,7 +37,7 @@ from .engine import (
     normalize_rv,
     run_qmc,
 )
-from .sim import ResourceLimitError
+from .sim import check_memory
 
 
 class ModelDegeneracyError(ValueError):
@@ -316,18 +316,6 @@ class MCRun:
 # Samples drawn and evaluated per step of a classical run: the draws and the
 # temporaries of f for 2**13 samples stay in L2.
 CLASSICAL_CHUNK = 1 << 13
-# The float64 values of one classical run may take at most 1 GiB.
-CLASSICAL_VALUES_CAP = 1 << 30
-
-
-def check_classical_budget(num_samples: int) -> None:
-    """Refuse a run whose 8-byte-per-sample values array exceeds the cap."""
-    need = 8 * num_samples
-    if need > CLASSICAL_VALUES_CAP:
-        raise ResourceLimitError(
-            f"{num_samples} classical samples need {need} bytes of values, "
-            f"exceeding the cap of {CLASSICAL_VALUES_CAP}"
-        )
 
 
 def classical_mc(sampler, f, num_samples: int, seed: int,
@@ -340,14 +328,15 @@ def classical_mc(sampler, f, num_samples: int, seed: int,
     the draws and f's temporaries never span the whole run; the estimate is
     the array's mean, bit-identical to ``f(sampler(rng, N)).mean()``.  That
     array is the first ``num_samples`` entries of ``out`` when given, else
-    a new one, which ``check_classical_budget`` bounds before any allocation.
+    a new one; its 8 bytes per sample are checked against the memory budget
+    before anything is allocated.
     Runs on the calling thread and is deterministic for a given seed; wall
     time covers sampling and evaluation (the benchmark's time-per-sample
     primitive).
     """
     if num_samples < 1:
         raise ValueError(f"need at least one sample, got {num_samples}")
-    check_classical_budget(num_samples)
+    check_memory(f"a classical run of {num_samples} samples", 8 * num_samples)
     if out is not None and out.shape[0] < num_samples:
         raise ValueError(f"out holds {out.shape[0]} values, need {num_samples}")
     rng = np.random.default_rng(seed)
@@ -491,7 +480,7 @@ def estimate(workload: Workload, m: int, n: int, r_mode: str = "exact",
     """Amplitude-estimate the workload's mean: m qubits per register, n
     estimation qubits.  ``a_mode="trained_ansatz"`` prepares every register
     with ``ansatz``."""
-    # the config checks the qubit caps before the 2**(dims m) grid is built
+    # the config checks its memory before the 2**(dims m) grid is built
     config = QMCConfig(dims=workload.dims, m=m, n=n, r_mode=r_mode,
                        a_mode=a_mode, method=method)
     dist = workload.shock(m)

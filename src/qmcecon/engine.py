@@ -30,8 +30,8 @@ import numpy as np
 from .sim import (
     Circuit,
     Gate,
-    ResourceLimitError,
     apply_circuit,
+    check_memory,
     init_state,
     probabilities,
 )
@@ -225,20 +225,22 @@ def grover_operator(f_circuit: Circuit) -> Circuit:
     return circ
 
 
-def build_controlled_Q(f_circuit: Circuit, control: int) -> Circuit:
+def build_controlled_Q(f_circuit: Circuit, control: int,
+                       f_inv: Circuit | None = None) -> Circuit:
     """Controlled Grover operator without a controlled version of F.
 
     Only the two reflections need the control: controlled-V collapses to a CZ
     between the control and the ancilla, and the zero reflection gains the
     control as one more MCX control.  With the control off, the F / F^dag
-    pairs cancel to the identity.
+    pairs cancel to the identity.  ``f_inv``, F's inverse if given, lets
+    several blocks share its gates.
     """
     system = list(range(f_circuit.num_qubits))
     ancilla = system[-1]
     if control in system:
         raise ValueError(f"control qubit {control} overlaps the encoding register")
     circ = Circuit(max(system + [control]) + 1)
-    f_inv = f_circuit.inverse()
+    f_inv = f_circuit.inverse() if f_inv is None else f_inv
     for _ in range(2):
         circ.cz(control, ancilla)
         circ.extend(f_inv)
@@ -255,8 +257,9 @@ def phase_estimation_segments(f_circuit: Circuit, n: int) -> list[tuple[Circuit,
     oracle applications in total; then the inverse QFT once.  The circuit
     has the s wires of F followed by the n estimation wires; each controlled
     zero reflection is one MCX with s controls, so lowering it needs s - 2
-    clean work wires besides these.  ``phase_estimation`` flattens these
-    segments for simulation and ``bench`` counts each block once.
+    clean work wires besides these.  The blocks share one inverse of F.
+    ``phase_estimation`` flattens these segments for simulation and
+    ``bench`` counts each block once.
     """
     if n < 1:
         raise ValueError(f"need at least one estimation qubit, got {n}")
@@ -265,46 +268,38 @@ def phase_estimation_segments(f_circuit: Circuit, n: int) -> list[tuple[Circuit,
     prep = Circuit(s + n).extend(f_circuit)
     for q in est:
         prep.h(q)
+    f_inv = f_circuit.inverse()
     return ([(prep, 1)]
-            + [(build_controlled_Q(f_circuit, est[k]), 2 ** (n - 1 - k))
+            + [(build_controlled_Q(f_circuit, est[k], f_inv), 2 ** (n - 1 - k))
                for k in range(n)]
             + [(inverse_qft(est), 1)])
-
-
-# The circuit method simulates a statevector of 16 * 2**(s + n) bytes; like
-# the other memory caps it may take at most 1 GiB, that is 26 qubits.
-CIRCUIT_STATE_CAP = 1 << 30
-# The flat estimation circuit lists every gate of its 2**n - 1 controlled-Q
-# blocks; the repeats of a block share its Gate objects, so each list entry
-# costs one 8-byte reference and 2**27 entries are 1 GiB.  The list is bounded
-# on its own: F's multiplexors are single gates, so a block is short (8s + 8
-# gates for an s-qubit F with exact loading) while its 2**n - 1 copies are
-# many.
-GATE_LIST_CAP = 1 << 27
 
 
 def phase_estimation(f_circuit: Circuit, n: int) -> Circuit:
     """Full estimation circuit: F, controlled Grover powers, inverse QFT.
 
     The segments of ``phase_estimation_segments`` written out one gate after
-    another, as the ``circuit`` method simulates them.  The bytes of the
-    statevector it will need are checked before any segment is built, and
-    the length of the list before any repeat is written.
+    another, as the ``circuit`` method simulates them.  Before any segment
+    is built, the whole simulation's memory is checked from F's length and
+    angles and n: five statevectors of 16 * 2**(s + n) bytes (the initial
+    state, its working copy, up to three states of multiplexor temporaries),
+    8 bytes per list entry, 32 per gate stored in the segments, 64 per
+    multiplexor angle (Python floats, in F and in its one inverse), and
+    1 MiB for numpy's buffers and small objects.
     """
-    nq = f_circuit.num_qubits + n
-    state_bytes = 16 * (1 << nq)
-    if state_bytes > CIRCUIT_STATE_CAP:
-        raise ResourceLimitError(
-            f"phase estimation on {nq} qubits needs a statevector of "
-            f"{state_bytes} bytes, exceeding the cap of {CIRCUIT_STATE_CAP}"
-        )
+    s, f_len = f_circuit.num_qubits, len(f_circuit)
+    nq = s + n
+    # F and the H layer, and the inverse QFT's n H and n (n - 1) / 2 phase
+    # gates, once each; a controlled-Q block is twice a CZ, F's inverse, a
+    # zero reflection of 2s + 3 gates and F, stored n times, run 2**n - 1
+    ends = f_len + n + n * (n + 1) // 2
+    block = 4 * f_len + 4 * s + 8
+    size = ends + ((1 << n) - 1) * block
+    angles = sum(len(g.angle) for g in f_circuit.gates if g.kind == "ucry")
+    check_memory(f"phase estimation on {nq} qubits with {size} gates",
+                 80 * (1 << nq) + 8 * size + 32 * (ends + n * block)
+                 + 64 * angles + (1 << 20))
     segments = phase_estimation_segments(f_circuit, n)
-    size = sum(len(block) * repeats for block, repeats in segments)
-    if size > GATE_LIST_CAP:
-        raise ResourceLimitError(
-            f"phase estimation needs {size} gates, exceeding the cap of "
-            f"{GATE_LIST_CAP}"
-        )
     circ = Circuit(nq)
     for block, repeats in segments:
         for _ in range(repeats):
@@ -364,17 +359,13 @@ def denormalize_mu(mu_norm: float, rv: RandomVariableSpec,
 # Assembly and simulation
 # ---------------------------------------------------------------------------
 
-# With exact loading and encoding, an s = dims*m + 1 qubit F is s native
-# gates.  What it allocates grows as 2**s: the 16 * 2**s byte statevector
-# (with one working copy, and half-state temporaries while a multiplexor is
-# applied), the multiplexor angles as tuples of Python floats (about 32 B per
-# angle: 2**(s-1) in the encoding, fewer over all the preparation levels)
-# and the values grid.  At the cap, `run neoclassical --m 21 --n 4` peaks at
-# 440 MB RSS and takes 2.8 s on a 2-vCPU host.
-F_REGISTER_CAP = 22
-# The spectral readout peaks at about 6.3 * 8 B * 2**n (measured at n = 18,
-# 20 and 22): 1.7 GB at 25 qubits, while 27 would not fit in 7 GiB.
-ESTIMATION_REGISTER_CAP = 25
+# An exact s = dims*m + 1 qubit F is s native gates, but it allocates as
+# 2**s: the statevector with a working copy and multiplexor temporaries, the
+# angles as Python floats (about 32 B each, some 2**s of them) and the values
+# grid.  tracemalloc measured 86-115 B per amplitude at s = 13-17; QMCConfig
+# checks 128, so s = 23 fits (`run neoclassical --m 22 --n 4`: 873 MB RSS).
+# The spectral readout, run once F is freed, holds 3.125 float64 arrays of
+# 2**n, checked as four, so n = 25 fits (`--m 22 --n 25`: 954 MB RSS).
 
 
 @dataclass
@@ -398,13 +389,9 @@ class QMCConfig:
         if self.m < 1 or self.n < 1:
             raise ValueError(f"need m >= 1 and n >= 1, got m={self.m}, n={self.n}")
         # Fail before anything sized by the registers is allocated.
-        for name, qubits, cap in (
-                ("F register", self.dims * self.m + 1, F_REGISTER_CAP),
-                ("estimation register", self.n, ESTIMATION_REGISTER_CAP)):
-            if qubits > cap:
-                raise ResourceLimitError(
-                    f"{name} needs {qubits} qubits, exceeding the cap of {cap}"
-                )
+        s = self.dims * self.m + 1
+        check_memory(f"an F register of {s} qubits", 128 * (1 << s))
+        check_memory(f"a readout of {self.n} estimation qubits", 32 * (1 << self.n))
 
 
 @dataclass
@@ -469,12 +456,22 @@ def assemble_f(config: QMCConfig, dists, rv: RandomVariableSpec,
     return build_F(a_all, r_circ)
 
 
+def _wrap(d: np.ndarray, size: int, scratch: np.ndarray) -> None:
+    """d -= size * round(d / size), in place, with ``scratch`` as workspace."""
+    np.divide(d, size, out=scratch)
+    np.round(scratch, out=scratch)
+    scratch *= size
+    d -= scratch
+
+
 def _kernel(theta: float, n: int) -> np.ndarray:
     """|<y| QFT^-1 |phase theta>|^2 for y = 0..2**n-1 (Dirichlet kernel).
 
     Evaluated as (sin(pi d) / (size sin(pi d / size)))**2 with the integer
     offset d = theta*size - y reduced into [-size/2, size/2]; this form stays
-    accurate for large registers where theta*size is a big number.
+    accurate for large registers where theta*size is a big number.  Every
+    step writes into ``d`` or the result, so the kernel holds two float64
+    arrays of 2**n and a mask.
     """
     size = 1 << n
     # Split theta and reduce the exact high part modulo the register size
@@ -482,15 +479,21 @@ def _kernel(theta: float, n: int) -> np.ndarray:
     # would otherwise lose ~size*eps of absolute precision.
     theta_hi = round(theta * (1 << 26)) / (1 << 26)
     theta_lo = theta - theta_hi
-    d = theta_hi * size - np.arange(size, dtype=float)
-    d -= size * np.round(d / size)
-    d += theta_lo * size
-    d -= size * np.round(d / size)
+    d = np.arange(size, dtype=float)
+    np.subtract(theta_hi * size, d, out=d)
     out = np.empty(size)
-    small = np.abs(d) < 1e-9
-    num = np.sin(np.pi * d[~small])
-    den = size * np.sin(np.pi * d[~small] / size)
-    out[~small] = (num / den) ** 2
+    _wrap(d, size, out)
+    d += theta_lo * size
+    _wrap(d, size, out)
+    small = np.abs(d, out=out) < 1e-9
+    np.sin(np.multiply(d, np.pi, out=out), out=out)
+    np.multiply(d, np.pi, out=d)
+    d /= size
+    np.sin(d, out=d)
+    d *= size
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out /= d        # 0/0 where d is an integer; those are set below
+    np.square(out, out=out)
     out[small] = 1.0
     return out
 
@@ -504,7 +507,10 @@ def spectral_distribution(p1: float, n: int) -> np.ndarray:
     tests.
     """
     theta = math.acos(max(-1.0, min(1.0, 1.0 - 2.0 * p1))) / math.pi
-    return 0.5 * (_kernel(theta, n) + _kernel(-theta, n))
+    out = _kernel(theta, n)
+    out += _kernel(-theta, n)
+    out *= 0.5
+    return out
 
 
 def _simulate_distribution(config, f_circuit, n):
@@ -512,8 +518,12 @@ def _simulate_distribution(config, f_circuit, n):
     s = f_circuit.num_qubits
     # the reference circuit is built, and its size checked, before any state
     circ = phase_estimation(f_circuit, n) if config.method == "circuit" else None
-    chi = apply_circuit(init_state(s), f_circuit)
-    p1 = float(probabilities(chi, [s - 1])[1])
+    p1 = float(probabilities(apply_circuit(init_state(s), f_circuit), [s - 1])[1])
+    # F's state and gates go before the spectral readout allocates (the
+    # caller keeps no reference), so the two memory checks of QMCConfig never
+    # overlap; the circuit method's list keeps F's gates, which
+    # phase_estimation's check counts
+    del f_circuit
     if circ is None:
         return spectral_distribution(p1, n), p1
     state = apply_circuit(init_state(circ.num_qubits), circ)
@@ -537,8 +547,8 @@ def run_qmc(config: QMCConfig, dists, rv: RandomVariableSpec,
     if config.r_mode == "linear":
         increasing = bool(rv.values[-1] >= rv.values[0])
         linear = LinearRParams.for_oracle_budget(config.m, config.n, increasing)
-    f_circuit = assemble_f(config, dists, rv, ansatz, linear)
-    distribution, p1 = _simulate_distribution(config, f_circuit, config.n)
+    distribution, p1 = _simulate_distribution(
+        config, assemble_f(config, dists, rv, ansatz, linear), config.n)
     theta_hat = extract_theta(distribution)
     mu_norm = theta_to_mu(theta_hat)
     mu = denormalize_mu(mu_norm, rv, linear)

@@ -18,16 +18,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Hard cap for statevector allocation (2**q complex amplitudes): 30 qubits
-# already mean 16 GiB.
-QUBIT_CAP = 30
-
-# dense_unitary builds a 2**q x 2**q matrix; 12 qubits -> 256 MiB.
-DENSE_UNITARY_CAP = 12
+# Bytes that one request may allocate at its peak.  Read at call time as
+# ``sim.MEMORY_BUDGET``, so setting it moves every check at once.
+MEMORY_BUDGET = 1 << 30
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when a request would exceed simulator memory limits."""
+    """Raised when a request would exceed the memory budget."""
+
+
+def check_memory(what: str, nbytes: int) -> None:
+    """Refuse a request whose peak allocation ``nbytes`` exceeds the budget.
+
+    Every request sized by a register or by a count from the command line
+    calls this once, before it allocates, with ``what`` naming it.
+    """
+    if nbytes > MEMORY_BUDGET:
+        raise ResourceLimitError(
+            f"{what} needs {nbytes} bytes, exceeding the cap of {MEMORY_BUDGET}")
 
 
 # gate kind -> (num targets, num controls, takes angle)
@@ -184,17 +192,12 @@ class StateVector:
 def init_state(num_qubits: int) -> StateVector:
     """Return |0...0> on ``num_qubits`` qubits.
 
-    Raises ResourceLimitError above ``QUBIT_CAP`` qubits, naming the memory a
-    dense statevector of that size would need.
+    The state is 16 * 2**num_qubits bytes of complex128 amplitudes, checked
+    against the memory budget before it is allocated (26 qubits fit).
     """
     if num_qubits < 1:
         raise ValueError(f"need at least one qubit, got {num_qubits}")
-    if num_qubits > QUBIT_CAP:
-        need = 16 * (1 << num_qubits)
-        raise ResourceLimitError(
-            f"{num_qubits} qubits exceed the cap of {QUBIT_CAP}: a dense "
-            f"statevector would need {need} bytes ({need / 2**30:.1f} GiB)"
-        )
+    check_memory(f"a statevector of {num_qubits} qubits", 16 * (1 << num_qubits))
     amp = np.zeros(1 << num_qubits, dtype=np.complex128)
     amp[0] = 1.0
     return StateVector(num_qubits, amp)
@@ -348,12 +351,14 @@ def probabilities(state: StateVector, qubits=None) -> np.ndarray:
 
 
 def dense_unitary(circuit: Circuit) -> np.ndarray:
-    """Full 2**q x 2**q matrix of a circuit (q <= DENSE_UNITARY_CAP)."""
+    """Full 2**q x 2**q matrix of a circuit.
+
+    Checked as four complex128 matrices, 64 * 4**q bytes (12 qubits fit):
+    a 2x2 gate's temporaries bring the peak to 2.5 of them, and a
+    multiplexor's working copy to 3.0-3.3.
+    """
     q = circuit.num_qubits
-    if q > DENSE_UNITARY_CAP:
-        raise ResourceLimitError(
-            f"dense unitary for {q} qubits exceeds the {DENSE_UNITARY_CAP}-qubit cap"
-        )
+    check_memory(f"a dense unitary of {q} qubits", 64 * (1 << 2 * q))
     dim = 1 << q
     mat = np.eye(dim, dtype=np.complex128)
     tensor = mat.reshape((2,) * q + (dim,))

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qmcecon import bench, econ
+from qmcecon import bench, econ, sim
 from qmcecon.bench import (
     ScalingFit,
     SweepSpec,
@@ -139,7 +139,7 @@ def test_classical_workers_fit_values_cap(monkeypatch, cpus, cap_buffers,
         return classical_mc(*args, out=out, **kwargs)
 
     monkeypatch.setattr(bench, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(econ, "CLASSICAL_VALUES_CAP", cap_buffers * 8 * n_samples)
+    monkeypatch.setattr(sim, "MEMORY_BUDGET", cap_buffers * 8 * n_samples)
     monkeypatch.setattr(econ, "classical_mc", recording_mc)
     rows = error_sweep(spec)
     assert len(seen) == buffers

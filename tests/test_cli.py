@@ -19,19 +19,24 @@ from qmcecon.sim import Circuit
 from util import write_stress_config
 
 
+class Reached(AssertionError):
+    """An allocation that a memory check should guard was reached."""
+
+
 def bound_gate_lists(monkeypatch):
-    """Fail the test if a flat phase-estimation list is filled or simulated."""
+    """Raise Reached once a flat phase-estimation list is filled or simulated."""
     extend = Circuit.extend
 
     def bounded_extend(circ, gates):
         # F and the per-k blocks stay far below 2**20 gates; a list that
         # grows past that is being filled, so stop before it takes GiBs
         extend(circ, gates)
-        assert len(circ) < 1 << 20, "gate list filled past the cap check"
+        if len(circ) >= 1 << 20:
+            raise Reached("gate list filled past 2**20 entries")
         return circ
 
     def refuse(*a, **k):
-        raise AssertionError("state simulated before the cap check")
+        raise Reached("state simulated")
 
     monkeypatch.setattr(Circuit, "extend", bounded_extend)
     monkeypatch.setattr(engine, "init_state", refuse)
@@ -72,7 +77,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("args,allocator", [
         (["stress", "--m", "15"], "stress_rv_grid"),   # 2**30 grid values
         (["simple", "--n", "31"], "run_qmc"),          # 2**31 outcomes
-        (["stress", "--m", "11"], "stress_rv_grid"),   # 23-qubit F
+        (["stress", "--m", "12"], "stress_rv_grid"),   # 25-qubit F
         (["simple", "--n", "26"], "run_qmc")])         # 26 estimation qubits
     def test_oversized_register_exit_2_before_allocating(self, capsys,
                                                          monkeypatch, args,
@@ -86,39 +91,106 @@ class TestExitCodes:
         assert code == 2
         assert "exceeding the cap" in err
 
+    @pytest.mark.parametrize("args,allocator", [
+        (["stress", "--m", "11"], "stress_rv_grid"),   # 23-qubit F: 1 GiB
+        (["simple", "--n", "25"], "run_qmc")])         # 2**25 outcomes: 1 GiB
+    def test_largest_registers_reach_allocator(self, monkeypatch, args,
+                                               allocator):
+        def refuse(*a, **k):
+            raise Reached(allocator)
+
+        monkeypatch.setattr(cli.econ, allocator, refuse)
+        with pytest.raises(Reached):
+            main(["run", *args])
+
     def test_resource_count_over_cap_exit_2_before_building(self, capsys,
                                                              monkeypatch):
         def refuse(*a, **k):
             raise AssertionError("circuit built before the cap check")
 
-        monkeypatch.setattr(bench, "assemble_f", refuse)
-        monkeypatch.setattr(bench, "phase_estimation_segments", refuse)
-        # 6 F wires + 21 estimation wires + 4 work wires = 31 qubits
-        code, _, err = run_cli(["resources", "--m", "5", "--n-min", "21",
-                                "--n-max", "21"], capsys)
+        with monkeypatch.context() as patch:
+            patch.setattr(bench, "assemble_f", refuse)
+            patch.setattr(bench, "phase_estimation_segments", refuse)
+            # QMCConfig's readout bound, 32 B per outcome, holds n to 25;
+            # counting allocates no readout, but keeps the bound for its
+            # int64 depths
+            code, _, err = run_cli(["resources", "--m", "5", "--n-min", "26",
+                                    "--n-max", "26"], capsys)
         assert code == 2
-        assert "needs 31 qubits, exceeding the cap of 30" in err
+        assert "needs 2147483648 bytes, exceeding the cap of 1073741824" in err
+        # 6 F wires + 21 estimation wires + 4 work wires = 31 qubits, and
+        # no statevector: counted
+        code, out, _ = run_cli(["resources", "--m", "5", "--n-min", "21",
+                                "--n-max", "21"], capsys)
+        assert code == 0
+        [row] = csv.DictReader(out.splitlines())
+        assert row["n"] == "21" and row["num_qubits"] == "31"
 
-    @pytest.mark.parametrize("args", [
-        ["run", "stress", "--m", "5", "--n", "19", "--method", "circuit"]],
-        ids=["run-6.8G-gates"])
+    def test_resources_huge_layers_exit_2_before_allocating(self, capsys,
+                                                            monkeypatch):
+        def refuse(*a, **k):
+            raise AssertionError("ansatz drawn before the memory check")
+
+        monkeypatch.setattr(bench, "_bench_ansatz", refuse)
+        code, _, err = run_cli(["resources", "--m", "3", "--layers",
+                                "1000000000", "--n-min", "3", "--n-max", "3"],
+                               capsys)
+        assert code == 2
+        assert ("counting 1000000000 ansatz layers at n=3 needs 7112001048576 "
+                "bytes, exceeding the cap of 1073741824") in err
+
+    @pytest.mark.parametrize("args,message", [
+        (["run", "stress", "--m", "5", "--n", "19", "--method", "circuit"],
+         "phase estimation on 30 qubits with 50331772 gates needs "
+         "86303183584 bytes, exceeding the cap of 1073741824"),
+        (["run", "neoclassical", "--m", "16", "--n", "9", "--method", "circuit"],
+         "phase estimation on 26 qubits with 73655 gates needs 5378779224 bytes, "
+         "exceeding the cap of 1073741824")],
+        ids=["run-6.8G-gates", "run-large-F"])
     def test_gate_list_over_cap_exit_2_before_building(self, capsys,
-                                                       monkeypatch, args):
+                                                       monkeypatch, args,
+                                                       message):
+        # refused from F's length and angles alone: no block (and no inverse
+        # of F's 2**s angles) is built first
+        def refuse(*a, **k):
+            raise Reached("segments built before the memory check")
+
         bound_gate_lists(monkeypatch)
+        monkeypatch.setattr(engine, "phase_estimation_segments", refuse)
         code, _, err = run_cli(args, capsys)
         assert code == 2
-        assert ("needs a statevector of 17179869184 bytes, exceeding the cap "
-                "of 1073741824") in err
+        assert message in err
 
-    def test_short_blocks_still_bounded_by_gate_list_cap(self, capsys,
-                                                         monkeypatch):
-        # 3 + 23 qubits are exactly 1 GiB of state, but 2**23 - 1 blocks of
-        # 32 gates would be 268M list entries
+    def test_circuit_method_fits_23_qubits(self, capsys, monkeypatch):
+        # five statevectors of 16 * 2**q bytes: 24 qubits need 1.25 GiB
         bound_gate_lists(monkeypatch)
-        code, _, err = run_cli(["run", "simple", "--m", "2", "--n", "23",
-                                "--method", "circuit"], capsys)
+        base = ["run", "stress", "--m", "5", "--method", "circuit"]
+        code, _, err = run_cli([*base, "--n", "13"], capsys)
         assert code == 2
-        assert "gates, exceeding the cap of 134217728" in err
+        assert ("phase estimation on 24 qubits with 786451 gates needs "
+                "1349630584 bytes, exceeding the cap of 1073741824") in err
+        with pytest.raises(Reached):
+            main([*base, "--n", "12"])
+
+    def test_long_blocks_bounded_by_gate_list_bytes(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # A trained-ansatz F of 11 gates per layer makes each controlled-Q
+        # block long; at n = 16 the flat list of its 65535 copies outweighs
+        # the 84 MB of state
+        bound_gate_lists(monkeypatch)
+        base = ["run", "neoclassical", "--m", "3", "--n", "16", "--r-mode",
+                "linear", "--a-mode", "trained_ansatz", "--method", "circuit",
+                "--params"]
+        for layers in (41, 42):
+            params = tmp_path / f"layers{layers}.txt"
+            save_ansatz(params, VariationalAnsatz(3, layers, np.zeros(9 * layers)),
+                        seed=0, final_cost=0.0)
+        code, _, err = run_cli([*base, str(tmp_path / "layers42.txt")], capsys)
+        assert code == 2
+        assert ("phase estimation on 20 qubits with 123992839 gates needs "
+                "1077865880 bytes, exceeding the cap of 1073741824") in err
+        with pytest.raises(Reached):
+            main([*base, str(tmp_path / "layers41.txt")])
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_jobs_below_one_exit_1_before_running(self, tmp_path, value):
@@ -211,7 +283,7 @@ class TestExitCodes:
                                     "neoclassical", "--estimator", "classical",
                                     "--n-samples", n_samples], capsys)
             assert code == 2
-            assert f"need {need} bytes of values, exceeding the cap of 1073741824" in err
+            assert f"needs {need} bytes, exceeding the cap of 1073741824" in err
             assert not out.exists()
 
     def test_resources_empty_range_exit_1(self, tmp_path, capsys):

@@ -254,6 +254,17 @@ class TestPhaseEstimationCircuit:
         flat = [g for block, r in segments for _ in range(r) for g in block.gates]
         assert flat == phase_estimation(f, 4).gates
 
+    def test_blocks_share_one_inverse_of_f(self):
+        # an exact F's multiplexors carry 2**s angles; n blocks must not
+        # each negate a copy of them
+        dist, rv = small_problem(3)
+        f = assemble_f(QMCConfig(dims=1, m=3, n=1), [dist], rv)
+        blocks = [block for block, _ in phase_estimation_segments(f, 3)[1:-1]]
+        own = {id(g) for g in f.gates}
+        inverses = [{id(g) for g in block.gates if g.kind == "ucry"} - own
+                    for block in blocks]
+        assert len(inverses[0]) == len(f) and inverses == inverses[:1] * 3
+
     def test_work_register_size(self):
         dist, rv = small_problem(3)
         f = assemble_f(QMCConfig(dims=1, m=3, n=2), [dist], rv)
@@ -305,6 +316,32 @@ class TestReadout:
         assert np.all(np.diff(mus) > 0)
         with pytest.raises(ValueError):
             theta_to_mu(1.5)
+
+    def test_in_place_readout_equals_masked_form(self):
+        # the readout kernel as it was written before it worked in place:
+        # the bits of every CSV distribution rest on this arithmetic
+        def kernel(theta, n):
+            size = 1 << n
+            theta_hi = round(theta * (1 << 26)) / (1 << 26)
+            d = theta_hi * size - np.arange(size, dtype=float)
+            d -= size * np.round(d / size)
+            d += (theta - theta_hi) * size
+            d -= size * np.round(d / size)
+            out = np.empty(size)
+            small = np.abs(d) < 1e-9
+            num = np.sin(np.pi * d[~small])
+            den = size * np.sin(np.pi * d[~small] / size)
+            out[~small] = (num / den) ** 2
+            out[small] = 1.0
+            return out
+
+        rng = np.random.default_rng(17)
+        for n in range(1, 15):
+            for p1 in [*rng.uniform(size=6), 0.0, 1e-12, 0.25, 0.5 - 1e-7, 0.5,
+                       0.75, 1.0]:
+                theta = math.acos(1.0 - 2.0 * p1) / math.pi
+                expected = 0.5 * (kernel(theta, n) + kernel(-theta, n))
+                assert np.array_equal(spectral_distribution(p1, n), expected)
 
     def test_denormalize_endpoints(self):
         rv = normalize_rv([2.0, 5.0, 8.0])
@@ -428,9 +465,13 @@ class TestFullPipeline:
         for bad in ({"n": 0}, {"n": -1}, {"m": 0}):
             with pytest.raises(ValueError, match="need m >= 1 and n >= 1"):
                 QMCConfig(**bad)
-        # fixed caps: 22 qubits of F, 25 estimation qubits
-        QMCConfig(dims=1, m=21, n=25)
-        with pytest.raises(ResourceLimitError, match="F register needs 23"):
-            QMCConfig(dims=2, m=11)
-        with pytest.raises(ResourceLimitError, match="estimation register needs 26"):
+        # 128 B per amplitude of F and 32 B per outcome of the readout
+        # within the 1 GiB budget: 23 qubits of F, 25 estimation qubits
+        QMCConfig(dims=1, m=22, n=25)
+        QMCConfig(dims=2, m=11)
+        with pytest.raises(ResourceLimitError,
+                           match="F register of 24 qubits needs 2147483648 bytes"):
+            QMCConfig(dims=1, m=23)
+        with pytest.raises(ResourceLimitError,
+                           match="readout of 26 estimation qubits needs 2147483648"):
             QMCConfig(n=26)

@@ -1,8 +1,14 @@
+import ast
 import math
+import tracemalloc
+import weakref
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from qmcecon import bench, distributions, econ, engine, sim
 from qmcecon.sim import (
     Circuit,
     Gate,
@@ -176,3 +182,160 @@ class TestDenseUnitary:
 def test_global_phase_helper_sane():
     u = dense_unitary(Circuit(1).h(0))
     assert phase_aligned_distance(u, np.exp(0.7j) * u) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The memory budget
+# ---------------------------------------------------------------------------
+
+
+def test_one_memory_budget():
+    """ResourceLimitError has one raise site, and no module has a cap of its own."""
+    sites, caps = [], []
+    for path in sorted((Path(sim.__file__).parent).glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (path.stem, node.name) == (
+                    "sim", "check_memory"):
+                allowed = {id(inner) for inner in ast.walk(node)}
+        sites += [(path.stem, node.lineno, id(node) in allowed)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Raise) and node.exc is not None
+                  and "ResourceLimitError" in ast.unparse(node.exc)]
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            caps += [f"{path.stem}.{target.id}" for target in targets
+                     if isinstance(target, ast.Name) and target.id.endswith("_CAP")]
+    assert [inside for *_, inside in sites] == [True], sites
+    assert caps == []
+
+
+@pytest.mark.parametrize("build,fits,allocator", [
+    (init_state, 26, "zeros"),                      # 16 B per amplitude
+    (lambda q: dense_unitary(Circuit(q)), 12, "eye")],  # 64 B per entry
+    ids=["init_state", "dense_unitary"])
+def test_budget_boundary(monkeypatch, build, fits, allocator):
+    class Reached(Exception):
+        pass
+
+    def refuse(*a, **k):
+        raise Reached
+
+    monkeypatch.setattr(sim, "np", SimpleNamespace(complex128=np.complex128,
+                                                   **{allocator: refuse}))
+    with pytest.raises(ResourceLimitError, match="exceeding the cap of 1073741824"):
+        build(fits + 1)
+    with pytest.raises(Reached):
+        build(fits)
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """(what, nbytes) of every memory check made while the test runs."""
+    calls = []
+    check = sim.check_memory
+
+    def record(what, nbytes):
+        calls.append((what, nbytes))
+        check(what, nbytes)
+
+    for module in (sim, engine, distributions, econ):
+        monkeypatch.setattr(module, "check_memory", record)
+    return calls
+
+
+def checked_bytes(calls, what):
+    [nbytes] = [b for w, b in calls if w.startswith(what)]
+    return nbytes
+
+
+def traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFormulasCoverPeaks:
+    """A request's traced peak stays within the bytes its check counted."""
+
+    @pytest.mark.parametrize("app,m", [("simple", 14), ("stress", 7),
+                                       ("neoclassical", 12)])
+    def test_f_path(self, checked, app, m):
+        peak = traced_peak(lambda: econ.estimate(econ.workload(app), m, 1))
+        assert peak <= checked_bytes(checked, "an F register")
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_readout(self, checked, n):
+        peak = traced_peak(lambda: econ.estimate(econ.workload("simple"), 1, n))
+        assert peak <= checked_bytes(checked, "a readout")
+
+    def test_readout_after_f_is_freed(self, monkeypatch):
+        # the F path's and the readout's bytes are checked apart, so F's
+        # gates and state must be gone before the readout allocates
+        built = []
+        assemble_f, spectral = engine.assemble_f, engine.spectral_distribution
+
+        def assemble(*args, **kwargs):
+            f = assemble_f(*args, **kwargs)
+            built.append(weakref.ref(f))
+            return f
+
+        def readout(p1, n):
+            assert built[0]() is None, "F still alive at the readout"
+            return spectral(p1, n)
+
+        monkeypatch.setattr(engine, "assemble_f", assemble)
+        monkeypatch.setattr(engine, "spectral_distribution", readout)
+        econ.estimate(econ.workload("stress"), 3, 4)
+
+    @pytest.mark.parametrize("app,m,n", [("stress", 6, 1), ("simple", 12, 2),
+                                         ("neoclassical", 13, 2),
+                                         ("neoclassical", 15, 1)],
+                             ids=["14-qubits", "15-qubits", "16-qubits",
+                                  "17-qubits-large-F"])
+    def test_circuit_method(self, checked, app, m, n):
+        peak = traced_peak(lambda: econ.estimate(econ.workload(app), m, n,
+                                                 method="circuit"))
+        assert peak <= checked_bytes(checked, "phase estimation")
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_circuit_method_counts_before_building(self, checked, n):
+        # the list's length is reckoned from F's length, not from the blocks
+        rng = np.random.default_rng(n)
+        f = random_circuit(5, 40, rng)
+        f.ucry([0, 1, 2], 4, rng.uniform(-3, 3, 8))
+        circ = engine.phase_estimation(f, n)
+        assert checked == [(f"phase estimation on {5 + n} qubits with "
+                            f"{len(circ)} gates", checked[0][1])]
+
+    def test_circuit_method_gate_list(self, checked):
+        # a trained-ansatz F of 11 gates per layer: the flat list and the
+        # stored blocks are most of what phase_estimation allocates
+        m, n = 3, 7
+        config = engine.QMCConfig(m=m, n=n, r_mode="linear",
+                                  a_mode="trained_ansatz")
+        dist = econ.neoclassical_shock_grid(m)
+        f = engine.assemble_f(config, [dist], engine.normalize_rv(dist.grid),
+                              bench._bench_ansatz(m, 50),
+                              engine.LinearRParams.for_oracle_budget(m, n))
+        peak = traced_peak(lambda: engine.phase_estimation(f, n))
+        assert peak <= checked_bytes(checked, "phase estimation")
+
+    @pytest.mark.parametrize("q", [8, 9])
+    def test_dense_unitary(self, checked, q):
+        rng = np.random.default_rng(q)
+        circ = random_circuit(q, 30, rng)
+        for k in range(4):      # a multiplexor's working copy is the peak
+            circ.ucry(range(k), q - 1, rng.uniform(-3, 3, 1 << k))
+        peak = traced_peak(lambda: dense_unitary(circ))
+        assert peak <= checked_bytes(checked, "a dense unitary")
+
+    @pytest.mark.parametrize("m,n,layers", [(3, 3, 100), (5, 6, 20)])
+    def test_resource_count(self, checked, m, n, layers):
+        peak = traced_peak(lambda: bench.qmc_resource_report(m, n, layers))
+        assert peak <= checked_bytes(checked, "counting")

@@ -44,13 +44,20 @@ def commands():
     # the reference path: every gate of phase estimation simulated
     yield "run_stress_circuit", ["run", "stress", "--m", "3", "--n", "6",
                                  "--method", "circuit"]
-    # 30 qubits, a 16 GiB statevector: refused before the gate list is built
+    # 30 qubits, five 16 GiB statevectors: refused before the gate list is built
     yield "run_stress_circuit_over_memory", ["run", "stress", "--m", "5", "--n",
                                              "19", "--method", "circuit"]
     yield "resources_m3_layers2", ["resources", "--m", "3", "--layers", "2",
                                    "--n-min", "3", "--n-max", "6"]
-    yield "resources_over_cap", ["resources", "--m", "5", "--n-min", "21",
-                                 "--n-max", "21"]
+    # 31 wires and no statevector: counted
+    yield "resources_m5_n21", ["resources", "--m", "5", "--n-min", "21",
+                               "--n-max", "21"]
+    # the readout bound of the config: 2 GiB for 26 estimation qubits
+    yield "resources_n26_over_memory", ["resources", "--m", "5", "--n-min", "26",
+                                        "--n-max", "26"]
+    # 9e9 ansatz angles and 7 TB of gates: refused before they are drawn
+    yield "resources_huge_layers", ["resources", "--m", "3", "--layers",
+                                    "1000000000", "--n-min", "3", "--n-max", "3"]
     yield "resources_m5_n20", ["resources", "--m", "5", "--n-min", "20",
                                "--n-max", "20"]
     yield "resources_empty_range", ["resources", "--m", "3", "--layers", "2",
@@ -69,6 +76,9 @@ def commands():
     yield "train_many_epochs", ["train-a", "--m", "3", "--layers", "1", "--stages",
                                 "1000000000000:0.1", "--params-out", "many.txt"]
     yield "run_simple_n0", ["run", "simple", "--n", "0"]
+    # a 25-qubit F and a 26-qubit readout: refused before their grids
+    yield "run_f_over_memory", ["run", "stress", "--m", "12"]
+    yield "run_readout_over_memory", ["run", "simple", "--n", "26"]
     yield "bench", ["bench", "all", "--out-dir", "bench"]
 
 
