@@ -20,7 +20,7 @@ from .circuits import (ResourceReport, advance_frontier, count_stream,
                        lower_gates, transfer_matrix)
 from .distributions import VariationalAnsatz
 from .engine import (LinearRParams, QMCConfig, assemble_f, normalize_rv,
-                     phase_estimation_segments)
+                     phase_estimation)
 from . import econ, sim
 
 GATE_TIMES = (1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
@@ -193,11 +193,11 @@ def qmc_resource_report(m: int, n: int, layers: int = 10) -> ResourceReport:
     """Counts and depth of the decomposed estimation circuit.
 
     Builds the macro benchmark F (layered preparation ansatz, linear rotation
-    encoding) and the same ``phase_estimation_segments`` that the ``circuit``
-    method flattens and simulates.  Each segment is lowered once, into a
-    short list: its gate counts are multiplied by its repeats, and its
-    transfer matrix carries the per-wire frontier through those repeats by
-    max-plus squaring.  The 2**n - 1 controlled-Q blocks are never written
+    encoding) and the same ``phase_estimation`` segments that the ``circuit``
+    method simulates.  Each segment is lowered once, into a short list: its
+    gate counts are multiplied by its repeats, and its transfer matrix
+    carries the per-wire frontier through those repeats by max-plus
+    squaring.  The 2**n - 1 controlled-Q blocks are never written
     out, so the cost grows with n, not 2**n; the counts and depth equal those
     of ``count_stream`` over the flat lowering, which the tests check.
 
@@ -227,7 +227,7 @@ def qmc_resource_report(m: int, n: int, layers: int = 10) -> ResourceReport:
     work = range(s + n, width)
     counts = Counter()
     frontier = np.zeros(width, dtype=np.int64)
-    for block, repeats in phase_estimation_segments(f_circuit, n):
+    for block, repeats in phase_estimation(f_circuit, n):
         lowered = list(lower_gates(block.gates, work))
         counts.update({kind: c * repeats
                        for kind, c in count_stream(lowered, width).counts.items()})

@@ -28,7 +28,7 @@ from .distributions import (
     train_ansatz,
     ansatz_probs,
 )
-from .sim import ResourceLimitError
+from .sim import ResourceLimitError, check_memory
 
 NONDETERMINISTIC_COLUMNS = ("wall_time_s",)
 
@@ -126,6 +126,10 @@ def _cmd_run(args) -> int:
         ansatz, _ = load_ansatz(args.params)
     workload = econ.workload(args.app, _stress_params(args))
     m = workload.m if args.m is None else args.m
+    if args.distribution_out:
+        # a dict per outcome and the text: up to 843 B each traced (JSON)
+        check_memory(f"--distribution-out of {args.n} estimation qubits",
+                     1024 * (1 << args.n))
     result = econ.estimate(workload, m, args.n, r_mode=args.r_mode,
                            a_mode=args.a_mode, ansatz=ansatz, method=args.method)
     est, abs_error = result.estimate, result.abs_error_grid

@@ -14,10 +14,10 @@ circuit.  The production path ("auto") feeds it to the closed-form spectral
 readout, which is exact: F|0> splits evenly over the two Grover eigenstates
 with phases +-theta, sin^2(pi theta / 2) = p1, so the outcome distribution
 of phase estimation depends on p1 alone.  The reference path ("circuit")
-simulates the whole phase-estimation circuit gate by gate; the test suite
-pins the two against each other and against a brute-force oracle.  The
-resource counts in ``bench`` lower the blocks of that same circuit
-(``phase_estimation_segments``), so what is counted is what is simulated.
+simulates the ``(block, repeats)`` segments of ``phase_estimation`` gate by
+gate; the test suite pins the two against each other and against a
+brute-force oracle.  The resource counts in ``bench`` lower the same
+segments, so what is counted is what is simulated.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .sim import (
     Circuit,
     Gate,
     apply_circuit,
+    apply_segments,
     check_memory,
     init_state,
     probabilities,
@@ -249,17 +250,17 @@ def build_controlled_Q(f_circuit: Circuit, control: int,
     return circ
 
 
-def phase_estimation_segments(f_circuit: Circuit, n: int) -> list[tuple[Circuit, int]]:
+def phase_estimation(f_circuit: Circuit, n: int) -> list[tuple[Circuit, int]]:
     """The estimation circuit as ``[(block, repeats), ...]``, in order.
 
     F followed by the H layer once; for each estimation qubit k, the block
     ``build_controlled_Q(f, est[k])`` repeated 2**(n-1-k) times, for 2**n - 1
-    oracle applications in total; then the inverse QFT once.  The circuit
-    has the s wires of F followed by the n estimation wires; each controlled
-    zero reflection is one MCX with s controls, so lowering it needs s - 2
-    clean work wires besides these.  The blocks share one inverse of F.
-    ``phase_estimation`` flattens these segments for simulation and
-    ``bench`` counts each block once.
+    oracle applications in total; then the inverse QFT once.  Every block
+    spans the s wires of F followed by the n estimation wires; each
+    controlled zero reflection is one MCX with s controls, so lowering it
+    needs s - 2 clean work wires besides these.  The blocks share one inverse
+    of F.  The ``circuit`` method simulates these segments and ``bench``
+    counts them, each block once.
     """
     if n < 1:
         raise ValueError(f"need at least one estimation qubit, got {n}")
@@ -270,41 +271,9 @@ def phase_estimation_segments(f_circuit: Circuit, n: int) -> list[tuple[Circuit,
         prep.h(q)
     f_inv = f_circuit.inverse()
     return ([(prep, 1)]
-            + [(build_controlled_Q(f_circuit, est[k], f_inv), 2 ** (n - 1 - k))
-               for k in range(n)]
+            + [(Circuit(s + n, build_controlled_Q(f_circuit, est[k], f_inv).gates),
+                2 ** (n - 1 - k)) for k in range(n)]
             + [(inverse_qft(est), 1)])
-
-
-def phase_estimation(f_circuit: Circuit, n: int) -> Circuit:
-    """Full estimation circuit: F, controlled Grover powers, inverse QFT.
-
-    The segments of ``phase_estimation_segments`` written out one gate after
-    another, as the ``circuit`` method simulates them.  Before any segment
-    is built, the whole simulation's memory is checked from F's length and
-    angles and n: five statevectors of 16 * 2**(s + n) bytes (the initial
-    state, its working copy, up to three states of multiplexor temporaries),
-    8 bytes per list entry, 32 per gate stored in the segments, 64 per
-    multiplexor angle (Python floats, in F and in its one inverse), and
-    1 MiB for numpy's buffers and small objects.
-    """
-    s, f_len = f_circuit.num_qubits, len(f_circuit)
-    nq = s + n
-    # F and the H layer, and the inverse QFT's n H and n (n - 1) / 2 phase
-    # gates, once each; a controlled-Q block is twice a CZ, F's inverse, a
-    # zero reflection of 2s + 3 gates and F, stored n times, run 2**n - 1
-    ends = f_len + n + n * (n + 1) // 2
-    block = 4 * f_len + 4 * s + 8
-    size = ends + ((1 << n) - 1) * block
-    angles = sum(len(g.angle) for g in f_circuit.gates if g.kind == "ucry")
-    check_memory(f"phase estimation on {nq} qubits with {size} gates",
-                 80 * (1 << nq) + 8 * size + 32 * (ends + n * block)
-                 + 64 * angles + (1 << 20))
-    segments = phase_estimation_segments(f_circuit, n)
-    circ = Circuit(nq)
-    for block, repeats in segments:
-        for _ in range(repeats):
-            circ.extend(block)
-    return circ
 
 
 # ---------------------------------------------------------------------------
@@ -514,19 +483,32 @@ def spectral_distribution(p1: float, n: int) -> np.ndarray:
 
 
 def _simulate_distribution(config, f_circuit, n):
-    """theta-ordered outcome distribution and the encoded probability p1."""
-    s = f_circuit.num_qubits
-    # the reference circuit is built, and its size checked, before any state
-    circ = phase_estimation(f_circuit, n) if config.method == "circuit" else None
+    """theta-ordered outcome distribution and the encoded probability p1.
+
+    The ``circuit`` method checks its memory from F and n before any block or
+    state is built: five statevectors of 16 * 2**(s + n) bytes (the initial
+    state, its working copy, up to three states of multiplexor temporaries),
+    32 per gate stored in the segments (F and the H layer; n blocks of twice
+    a CZ, F's inverse, a zero reflection of 2s + 3 gates and F; the inverse
+    QFT), 64 per multiplexor angle (Python floats, in F and its one inverse)
+    and 1 MiB for numpy's buffers and small objects.
+    """
+    s, f_len = f_circuit.num_qubits, len(f_circuit)
+    segments = None
+    if config.method == "circuit":
+        stored = f_len + n + n * (n + 1) // 2 + n * (4 * f_len + 4 * s + 8)
+        angles = sum(len(g.angle) for g in f_circuit.gates if g.kind == "ucry")
+        check_memory(f"phase estimation on {s + n} qubits",
+                     80 * (1 << (s + n)) + 32 * stored + 64 * angles + (1 << 20))
+        segments = phase_estimation(f_circuit, n)
     p1 = float(probabilities(apply_circuit(init_state(s), f_circuit), [s - 1])[1])
     # F's state and gates go before the spectral readout allocates (the
     # caller keeps no reference), so the two memory checks of QMCConfig never
-    # overlap; the circuit method's list keeps F's gates, which
-    # phase_estimation's check counts
+    # overlap; the circuit method's segments keep F's gates, counted above
     del f_circuit
-    if circ is None:
+    if segments is None:
         return spectral_distribution(p1, n), p1
-    state = apply_circuit(init_state(circ.num_qubits), circ)
+    state = apply_segments(init_state(s + n), segments)
     measured = probabilities(state, range(s, s + n))
     return measured[bit_reversal_permutation(n)], p1
 

@@ -24,7 +24,7 @@ from qmcecon.distributions import discretize_normal
 from qmcecon.engine import (LinearRParams, QMCConfig, assemble_f, normalize_rv,
                             phase_estimation)
 
-from util import fit_r_squared
+from util import fit_r_squared, flatten
 
 
 def _benchmark_f(m, n, layers):
@@ -169,10 +169,10 @@ class TestResources:
         assert rows[1]["depth"] > rows[0]["depth"]
 
     def test_counts_match_direct_decomposition(self):
-        # the composed count against the flat lowering of phase_estimation
+        # the composed count against the lowering of the flattened segments
         cases = [(3, 2, n) for n in range(3, 8)] + [(7, 10, n) for n in range(3, 7)]
         for m, layers, n in cases:
-            circuit = phase_estimation(_benchmark_f(m, n, layers), n)
+            circuit = flatten(phase_estimation(_benchmark_f(m, n, layers), n))
             # m+1 system wires: the controlled MCX has m+1 controls, m-1 work wires
             work = range(circuit.num_qubits, circuit.num_qubits + m - 1)
             direct = count_resources(decompose(circuit, work))

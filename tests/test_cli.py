@@ -14,7 +14,6 @@ from qmcecon import bench, cli, distributions, econ, engine
 from qmcecon.cli import main
 from qmcecon.distributions import VariationalAnsatz, save_ansatz
 from qmcecon.econ import DEFAULT_STRESS, neoclassical_workload, stress_qmc
-from qmcecon.sim import Circuit
 
 from util import write_stress_config
 
@@ -23,24 +22,13 @@ class Reached(AssertionError):
     """An allocation that a memory check should guard was reached."""
 
 
-def bound_gate_lists(monkeypatch):
-    """Raise Reached once a flat phase-estimation list is filled or simulated."""
-    extend = Circuit.extend
-
-    def bounded_extend(circ, gates):
-        # F and the per-k blocks stay far below 2**20 gates; a list that
-        # grows past that is being filled, so stop before it takes GiBs
-        extend(circ, gates)
-        if len(circ) >= 1 << 20:
-            raise Reached("gate list filled past 2**20 entries")
-        return circ
-
+def refuse_simulation(monkeypatch):
+    """Raise Reached once the engine allocates a statevector or simulates."""
     def refuse(*a, **k):
         raise Reached("state simulated")
 
-    monkeypatch.setattr(Circuit, "extend", bounded_extend)
     monkeypatch.setattr(engine, "init_state", refuse)
-    monkeypatch.setattr(engine, "apply_circuit", refuse)
+    monkeypatch.setattr(engine, "apply_segments", refuse)
 
 
 def run_cli(args, capsys):
@@ -110,7 +98,7 @@ class TestExitCodes:
 
         with monkeypatch.context() as patch:
             patch.setattr(bench, "assemble_f", refuse)
-            patch.setattr(bench, "phase_estimation_segments", refuse)
+            patch.setattr(bench, "phase_estimation", refuse)
             # QMCConfig's readout bound, 32 B per outcome, holds n to 25;
             # counting allocates no readout, but keeps the bound for its
             # int64 depths
@@ -141,56 +129,65 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("args,message", [
         (["run", "stress", "--m", "5", "--n", "19", "--method", "circuit"],
-         "phase estimation on 30 qubits with 50331772 gates needs "
-         "86303183584 bytes, exceeding the cap of 1073741824"),
+         "phase estimation on 30 qubits needs 85900529408 bytes, "
+         "exceeding the cap of 1073741824"),
         (["run", "neoclassical", "--m", "16", "--n", "9", "--method", "circuit"],
-         "phase estimation on 26 qubits with 73655 gates needs 5378779224 bytes, "
+         "phase estimation on 26 qubits needs 5378189984 bytes, "
          "exceeding the cap of 1073741824")],
-        ids=["run-6.8G-gates", "run-large-F"])
-    def test_gate_list_over_cap_exit_2_before_building(self, capsys,
-                                                       monkeypatch, args,
-                                                       message):
+        ids=["run-30-qubits", "run-large-F"])
+    def test_circuit_method_over_cap_exit_2_before_building(
+            self, capsys, monkeypatch, args, message):
         # refused from F's length and angles alone: no block (and no inverse
         # of F's 2**s angles) is built first
         def refuse(*a, **k):
             raise Reached("segments built before the memory check")
 
-        bound_gate_lists(monkeypatch)
-        monkeypatch.setattr(engine, "phase_estimation_segments", refuse)
+        refuse_simulation(monkeypatch)
+        monkeypatch.setattr(engine, "phase_estimation", refuse)
         code, _, err = run_cli(args, capsys)
         assert code == 2
         assert message in err
 
     def test_circuit_method_fits_23_qubits(self, capsys, monkeypatch):
         # five statevectors of 16 * 2**q bytes: 24 qubits need 1.25 GiB
-        bound_gate_lists(monkeypatch)
+        refuse_simulation(monkeypatch)
         base = ["run", "stress", "--m", "5", "--method", "circuit"]
         code, _, err = run_cli([*base, "--n", "13"], capsys)
         assert code == 2
-        assert ("phase estimation on 24 qubits with 786451 gates needs "
-                "1349630584 bytes, exceeding the cap of 1073741824") in err
+        assert ("phase estimation on 24 qubits needs 1343338976 bytes, "
+                "exceeding the cap of 1073741824") in err
         with pytest.raises(Reached):
             main([*base, "--n", "12"])
 
-    def test_long_blocks_bounded_by_gate_list_bytes(self, tmp_path, capsys,
-                                                    monkeypatch):
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_long_blocks_reach_simulation(self, tmp_path, monkeypatch, n):
         # A trained-ansatz F of 11 gates per layer makes each controlled-Q
-        # block long; at n = 16 the flat list of its 65535 copies outweighs
-        # the 84 MB of state
-        bound_gate_lists(monkeypatch)
-        base = ["run", "neoclassical", "--m", "3", "--n", "16", "--r-mode",
-                "linear", "--a-mode", "trained_ansatz", "--method", "circuit",
-                "--params"]
-        for layers in (41, 42):
-            params = tmp_path / f"layers{layers}.txt"
-            save_ansatz(params, VariationalAnsatz(3, layers, np.zeros(9 * layers)),
-                        seed=0, final_cost=0.0)
-        code, _, err = run_cli([*base, str(tmp_path / "layers42.txt")], capsys)
-        assert code == 2
-        assert ("phase estimation on 20 qubits with 123992839 gates needs "
-                "1077865880 bytes, exceeding the cap of 1073741824") in err
+        # block long; each is stored once and repeated in place, so only the
+        # state term, 80 * 2**(4 + n) bytes, bounds the request
+        refuse_simulation(monkeypatch)
+        params = tmp_path / "layers42.txt"
+        save_ansatz(params, VariationalAnsatz(3, 42, np.zeros(9 * 42)),
+                    seed=0, final_cost=0.0)
         with pytest.raises(Reached):
-            main([*base, str(tmp_path / "layers41.txt")])
+            main(["run", "neoclassical", "--m", "3", "--n", str(n), "--r-mode",
+                  "linear", "--a-mode", "trained_ansatz", "--method", "circuit",
+                  "--params", str(params)])
+
+    def test_distribution_out_over_cap_exit_2_before_estimating(
+            self, tmp_path, capsys, monkeypatch):
+        # one dict per outcome and the whole text, checked as 1024 B per
+        # outcome: 2**21 outcomes need 2 GiB
+        def refuse(*a, **k):
+            raise Reached("estimated before the memory check")
+
+        monkeypatch.setattr(econ, "estimate", refuse)
+        code, _, err = run_cli(["run", "simple", "--n", "21",
+                                "--distribution-out", str(tmp_path / "d.csv")],
+                               capsys)
+        assert code == 2
+        assert ("--distribution-out of 21 estimation qubits needs 2147483648 "
+                "bytes, exceeding the cap of 1073741824") in err
+        assert not (tmp_path / "d.csv").exists()
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_jobs_below_one_exit_1_before_running(self, tmp_path, value):
@@ -473,7 +470,7 @@ class TestResourcesCommand:
                                                 monkeypatch):
         # 6 F wires + 20 estimation wires + 4 work wires = 30 qubits, and
         # 2**20 - 1 controlled-Q blocks: counted once each, never listed
-        bound_gate_lists(monkeypatch)
+        refuse_simulation(monkeypatch)
         path = tmp_path / "res.csv"
         code, _, _ = run_cli(["--out", str(path), "resources", "--m", "5",
                               "--n-min", "20", "--n-max", "20"], capsys)

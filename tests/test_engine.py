@@ -25,7 +25,6 @@ from qmcecon.engine import (
     grover_operator,
     normalize_rv,
     phase_estimation,
-    phase_estimation_segments,
     run_qmc,
     spectral_distribution,
     theta_to_mu,
@@ -34,12 +33,14 @@ from qmcecon.sim import (
     Circuit,
     ResourceLimitError,
     apply_circuit,
+    apply_segments,
     dense_unitary,
     init_state,
     probabilities,
 )
 
-from util import brute_force_phase_estimation, random_distribution
+from util import (brute_force_phase_estimation, flatten, random_circuit,
+                  random_distribution)
 
 
 class TestNormalizeRv:
@@ -240,26 +241,38 @@ class TestPhaseEstimationCircuit:
         dist, rv = small_problem(2)
         f = assemble_f(QMCConfig(dims=1, m=2, n=1), [dist], rv)
         block = build_controlled_Q(f, control=3)
-        circ6 = phase_estimation(f, 6)
+        circ6 = flatten(phase_estimation(f, 6))
         # gate-count identity: F + n Hadamards + 63 blocks + inverse QFT
         iqft_gates = 6 + 15
         expected = len(f.gates) + 6 + 63 * len(block.gates) + iqft_gates
         assert len(circ6.gates) == expected
 
-    def test_segments_flatten_to_the_circuit(self):
+    def test_segments_span_every_wire(self):
         dist, rv = small_problem(2)
         f = assemble_f(QMCConfig(dims=1, m=2, n=1), [dist], rv)
-        segments = phase_estimation_segments(f, 4)
+        segments = phase_estimation(f, 4)
         assert [r for _, r in segments] == [1, 8, 4, 2, 1, 1]
-        flat = [g for block, r in segments for _ in range(r) for g in block.gates]
-        assert flat == phase_estimation(f, 4).gates
+        assert {block.num_qubits for block, _ in segments} == {3 + 4}
+
+    def test_segments_flatten_to_the_circuit(self):
+        # applying each block repeats times in place equals applying the
+        # flat circuit, bit for bit
+        rng = np.random.default_rng(5)
+        for nq in (3, 5, 6):
+            segments = [(random_circuit(nq, int(rng.integers(1, 12)), rng),
+                         int(rng.integers(1, 5))) for _ in range(4)]
+            start = apply_circuit(init_state(nq), random_circuit(nq, 8, rng))
+            assert np.array_equal(apply_segments(start, segments).amplitudes,
+                                  apply_circuit(start, flatten(segments)).amplitudes)
+        with pytest.raises(ValueError, match="circuit has 2 qubits"):
+            apply_segments(init_state(3), [(Circuit(3), 1), (Circuit(2), 2)])
 
     def test_blocks_share_one_inverse_of_f(self):
         # an exact F's multiplexors carry 2**s angles; n blocks must not
         # each negate a copy of them
         dist, rv = small_problem(3)
         f = assemble_f(QMCConfig(dims=1, m=3, n=1), [dist], rv)
-        blocks = [block for block, _ in phase_estimation_segments(f, 3)[1:-1]]
+        blocks = [block for block, _ in phase_estimation(f, 3)[1:-1]]
         own = {id(g) for g in f.gates}
         inverses = [{id(g) for g in block.gates if g.kind == "ucry"} - own
                     for block in blocks]
@@ -268,7 +281,7 @@ class TestPhaseEstimationCircuit:
     def test_work_register_size(self):
         dist, rv = small_problem(3)
         f = assemble_f(QMCConfig(dims=1, m=3, n=2), [dist], rv)
-        circ = phase_estimation(f, 2)
+        circ = flatten(phase_estimation(f, 2))
         assert circ.num_qubits == 4 + 2
         # system of m+1 wires: controls = est + m register wires -> m-1 work
         widest = max(len(g.controls) for g in circ.gates if g.kind == "mcx")
@@ -280,7 +293,7 @@ class TestPhaseEstimationCircuit:
     def test_decomposable_and_countable(self):
         dist, rv = small_problem(2)
         f = assemble_f(QMCConfig(dims=1, m=2, n=2), [dist], rv)
-        circ = phase_estimation(f, 2)
+        circ = flatten(phase_estimation(f, 2))
         # m+1 = 3 system wires: the controlled MCX has 3 controls, 1 work wire
         rep = count_resources(decompose(circ, work=[circ.num_qubits]))
         assert rep.total_gates > 0

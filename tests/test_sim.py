@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qmcecon import bench, distributions, econ, engine, sim
+from qmcecon import bench, cli, distributions, econ, engine, sim
 from qmcecon.sim import (
     Circuit,
     Gate,
@@ -241,7 +241,7 @@ def checked(monkeypatch):
         calls.append((what, nbytes))
         check(what, nbytes)
 
-    for module in (sim, engine, distributions, econ):
+    for module in (sim, engine, distributions, econ, cli):
         monkeypatch.setattr(module, "check_memory", record)
     return calls
 
@@ -304,27 +304,46 @@ class TestFormulasCoverPeaks:
         assert peak <= checked_bytes(checked, "phase estimation")
 
     @pytest.mark.parametrize("n", [1, 2, 5])
-    def test_circuit_method_counts_before_building(self, checked, n):
-        # the list's length is reckoned from F's length, not from the blocks
+    def test_circuit_method_counts_before_building(self, checked, monkeypatch, n):
+        # the stored gates are reckoned from F's length, before any block is
+        # built, and equal those of the segments
         rng = np.random.default_rng(n)
         f = random_circuit(5, 40, rng)
         f.ucry([0, 1, 2], 4, rng.uniform(-3, 3, 8))
-        circ = engine.phase_estimation(f, n)
-        assert checked == [(f"phase estimation on {5 + n} qubits with "
-                            f"{len(circ)} gates", checked[0][1])]
+        config = engine.QMCConfig(m=4, n=n, method="circuit")
+        build, checks_before = engine.phase_estimation, []
+
+        def segments(*args):
+            checks_before.append(len(checked))
+            return build(*args)
+
+        checked.clear()
+        monkeypatch.setattr(engine, "phase_estimation", segments)
+        engine._simulate_distribution(config, f, n)
+        stored = sum(len(block) for block, _ in build(f, n))
+        assert checks_before == [1]
+        assert checked[0] == (f"phase estimation on {5 + n} qubits",
+                              80 * (1 << 5 + n) + 32 * stored + 64 * 8 + (1 << 20))
 
     def test_circuit_method_gate_list(self, checked):
-        # a trained-ansatz F of 11 gates per layer: the flat list and the
-        # stored blocks are most of what phase_estimation allocates
-        m, n = 3, 7
+        # a trained-ansatz F of 11 gates per layer makes each stored
+        # controlled-Q block long, and it runs 2**(n-1-k) times in place
+        m, n = 3, 2
         config = engine.QMCConfig(m=m, n=n, r_mode="linear",
-                                  a_mode="trained_ansatz")
+                                  a_mode="trained_ansatz", method="circuit")
         dist = econ.neoclassical_shock_grid(m)
         f = engine.assemble_f(config, [dist], engine.normalize_rv(dist.grid),
-                              bench._bench_ansatz(m, 50),
+                              bench._bench_ansatz(m, 30),
                               engine.LinearRParams.for_oracle_budget(m, n))
-        peak = traced_peak(lambda: engine.phase_estimation(f, n))
+        peak = traced_peak(lambda: engine._simulate_distribution(config, f, n))
         assert peak <= checked_bytes(checked, "phase estimation")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_distribution_out(self, checked, capsys, tmp_path, fmt):
+        argv = ["--format", fmt, "run", "simple", "--n", "12",
+                "--distribution-out", str(tmp_path / f"dist.{fmt}")]
+        peak = traced_peak(lambda: cli.main(argv))
+        assert peak <= checked_bytes(checked, "--distribution-out")
 
     @pytest.mark.parametrize("q", [8, 9])
     def test_dense_unitary(self, checked, q):

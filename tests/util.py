@@ -76,6 +76,13 @@ def lowering_error(reference: np.ndarray, lowered: Circuit) -> float:
                float(np.max(np.abs(leak), initial=0.0)))
 
 
+def flatten(segments) -> Circuit:
+    """The ``(block, repeats)`` segments as one circuit, each block written
+    out repeats times: the flat form that ``count_stream`` reads."""
+    return Circuit(segments[0][0].num_qubits,
+                   [g for block, repeats in segments for g in block.gates * repeats])
+
+
 def brute_force_phase_estimation(q_matrix: np.ndarray, chi: np.ndarray,
                                  n: int) -> np.ndarray:
     """Reference estimation-register distribution by direct linear algebra.

@@ -44,7 +44,12 @@ def commands():
     # the reference path: every gate of phase estimation simulated
     yield "run_stress_circuit", ["run", "stress", "--m", "3", "--n", "6",
                                  "--method", "circuit"]
-    # 30 qubits, five 16 GiB statevectors: refused before the gate list is built
+    # the reference path with long controlled-Q blocks, each repeated in place
+    yield "run_linear_trained_circuit", [
+        "run", "neoclassical", "--r-mode", "linear", "--m", "5", "--n", "6",
+        "--a-mode", "trained_ansatz", "--params", "trained.txt", "--method",
+        "circuit"]
+    # 30 qubits, five 16 GiB statevectors: refused before any block is built
     yield "run_stress_circuit_over_memory", ["run", "stress", "--m", "5", "--n",
                                              "19", "--method", "circuit"]
     yield "resources_m3_layers2", ["resources", "--m", "3", "--layers", "2",
@@ -79,6 +84,9 @@ def commands():
     # a 25-qubit F and a 26-qubit readout: refused before their grids
     yield "run_f_over_memory", ["run", "stress", "--m", "12"]
     yield "run_readout_over_memory", ["run", "simple", "--n", "26"]
+    # 2**21 outcome rows of about 1 KB each: refused before the estimate
+    yield "run_distribution_over_memory", ["run", "simple", "--n", "21",
+                                           "--distribution-out", "dist.csv"]
     yield "bench", ["bench", "all", "--out-dir", "bench"]
 
 
