@@ -64,6 +64,8 @@ class SweepSpec:
         _check_increasing(self.range)
         if self.estimator == "classical" and self.repeats < 1:
             raise ValueError("classical sweeps need repeats >= 1")
+        if self.estimator == "classical" and self.range[0] < 1:
+            raise ValueError("classical sweeps need sample counts >= 1")
         workload = self.workload
         if self.estimator == "qmc_linear" and workload.dims != 1:
             raise ValueError("the linear encoding handles one dimension only")
@@ -194,7 +196,11 @@ def qmc_resource_report(m: int, n: int, layers: int = 10) -> ResourceReport:
 
     Builds the macro benchmark F (layered preparation ansatz, linear rotation
     encoding) and the same ``phase_estimation`` segments that the ``circuit``
-    method simulates.  Each segment is lowered once, into a short list: its
+    method simulates.  Three segments are lowered, each into a short list:
+    F with the H layer, the first controlled-Q block and the inverse QFT.
+    The lowering reads only the positions of a gate's wires, so every later
+    controlled-Q block has the first's counts and, with its estimation wire
+    exchanged for the first's, the first's transfer matrix.  Each segment's
     gate counts are multiplied by its repeats, and its transfer matrix
     carries the per-wire frontier through those repeats by max-plus
     squaring.  The 2**n - 1 controlled-Q blocks are never written
@@ -225,14 +231,25 @@ def qmc_resource_report(m: int, n: int, layers: int = 10) -> ResourceReport:
     linear = LinearRParams.for_oracle_budget(m, n, increasing=False)
     f_circuit = assemble_f(config, [dist], rv, _bench_ansatz(m, layers), linear)
     work = range(s + n, width)
+
+    def lowered_cost(block):
+        lowered = list(lower_gates(block.gates, work))
+        return count_stream(lowered, width).counts, transfer_matrix(lowered, width)
+
+    (prep, _), *controlled, (iqft, _) = phase_estimation(f_circuit, n)
+    q_counts, q_transfer = lowered_cost(controlled[0][0])
+    costs = [(*lowered_cost(prep), 1)]
+    for k, (_, repeats) in enumerate(controlled):
+        # block k is block 0 with estimation wires s and s + k exchanged
+        perm = np.arange(width)
+        perm[[s, s + k]] = s + k, s
+        costs.append((q_counts, q_transfer[np.ix_(perm, perm)], repeats))
+    costs.append((*lowered_cost(iqft), 1))
     counts = Counter()
     frontier = np.zeros(width, dtype=np.int64)
-    for block, repeats in phase_estimation(f_circuit, n):
-        lowered = list(lower_gates(block.gates, work))
-        counts.update({kind: c * repeats
-                       for kind, c in count_stream(lowered, width).counts.items()})
-        frontier = advance_frontier(frontier, transfer_matrix(lowered, width),
-                                    repeats)
+    for block_counts, transfer, repeats in costs:
+        counts.update({kind: c * repeats for kind, c in block_counts.items()})
+        frontier = advance_frontier(frontier, transfer, repeats)
     return ResourceReport(dict(counts), sum(counts.values()), int(frontier.max()),
                           width)
 

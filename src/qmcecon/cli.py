@@ -322,7 +322,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train-a", help="train the state-preparation ansatz")
     p.add_argument("--m", type=int, default=5)
-    p.add_argument("--layers", type=int, default=10)
+    p.add_argument("--layers", type=_positive_int, default=10)
     p.add_argument("--mean", type=float, default=1.0)
     p.add_argument("--sigma", type=float, default=econ.BENCH_SIGMA)
     p.add_argument("--x-min", type=float, default=1.0 - 3.0 * econ.BENCH_SIGMA)
@@ -360,7 +360,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("resources", help="decomposed gate counts and depth")
     p.add_argument("--m", type=int, default=5)
-    p.add_argument("--layers", type=int, default=10)
+    p.add_argument("--layers", type=_positive_int, default=10)
     p.add_argument("--n-min", type=int, default=3)
     p.add_argument("--n-max", type=int, default=10)
     p.add_argument("--gate-time", type=_positive_seconds, default=None,

@@ -259,8 +259,10 @@ def phase_estimation(f_circuit: Circuit, n: int) -> list[tuple[Circuit, int]]:
     spans the s wires of F followed by the n estimation wires; each
     controlled zero reflection is one MCX with s controls, so lowering it
     needs s - 2 clean work wires besides these.  The blocks share one inverse
-    of F.  The ``circuit`` method simulates these segments and ``bench``
-    counts them, each block once.
+    of F.  Controlled-Q block k touches no estimation wire but est[k], so it
+    is block 0 with wires est[0] and est[k] exchanged, gate for gate.  The
+    ``circuit`` method simulates these segments; ``bench`` counts them and
+    relies on that exchange.
     """
     if n < 1:
         raise ValueError(f"need at least one estimation qubit, got {n}")

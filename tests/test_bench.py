@@ -19,7 +19,7 @@ from qmcecon.bench import (
     runtime_extrapolate,
     time_per_sample,
 )
-from qmcecon.circuits import count_resources, decompose
+from qmcecon.circuits import count_resources, decompose, lower_gates
 from qmcecon.distributions import discretize_normal
 from qmcecon.engine import (LinearRParams, QMCConfig, assemble_f, normalize_rv,
                             phase_estimation)
@@ -169,14 +169,32 @@ class TestResources:
         assert rows[1]["depth"] > rows[0]["depth"]
 
     def test_counts_match_direct_decomposition(self):
-        # the composed count against the lowering of the flattened segments
-        cases = [(3, 2, n) for n in range(3, 8)] + [(7, 10, n) for n in range(3, 7)]
+        # the composed count against the lowering of the flattened segments;
+        # n = 1 exchanges no wires and n = 2 one pair, m = 1 lowers the
+        # controlled reflection as one Toffoli and m = 2 as a one-wire ladder
+        cases = ([(m, 2, n) for m in (1, 2) for n in range(1, 5)]
+                 + [(3, 2, n) for n in range(1, 8)]
+                 + [(7, 10, n) for n in range(1, 7)])
         for m, layers, n in cases:
             circuit = flatten(phase_estimation(_benchmark_f(m, n, layers), n))
             # m+1 system wires: the controlled MCX has m+1 controls, m-1 work wires
             work = range(circuit.num_qubits, circuit.num_qubits + m - 1)
             direct = count_resources(decompose(circuit, work))
             assert qmc_resource_report(m, n, layers) == direct, (m, layers, n)
+
+    def test_controlled_q_blocks_lower_alike_up_to_a_wire_exchange(self):
+        # the report counts block 0 only and exchanges est[0] and est[k]
+        m, n = 3, 4
+        s = m + 1
+        work = range(s + n, s + n + m - 1)
+        _, *controlled, _ = phase_estimation(_benchmark_f(m, n, 2), n)
+        first = list(lower_gates(controlled[0][0].gates, work))
+        for k, (block, _) in enumerate(controlled):
+            swap = {s: s + k, s + k: s}
+            exchanged = [replace(g, targets=tuple(swap.get(q, q) for q in g.targets),
+                                 controls=tuple(swap.get(q, q) for q in g.controls))
+                         for g in first]
+            assert list(lower_gates(block.gates, work)) == exchanged, k
 
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError, match="non-empty and increasing"):

@@ -55,6 +55,31 @@ class TestExitCodes:
         assert code == 1
         assert "repeats" in err
 
+    @pytest.mark.parametrize("n_samples", ["0", "0,100", "-5"])
+    def test_classical_sweep_needs_positive_samples(self, tmp_path, capsys,
+                                                    n_samples):
+        out = tmp_path / "rows.csv"
+        code, _, err = run_cli(
+            ["--out", str(out), "sweep", "--app", "simple", "--estimator",
+             "classical", "--n-samples", n_samples], capsys)
+        assert code == 1
+        assert "classical sweeps need sample counts >= 1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("command", [
+        ["resources", "--m", "3", "--n-min", "3", "--n-max", "3"],
+        ["train-a", "--m", "3", "--stages", "1:0.1", "--params-out", "p.txt"]],
+        ids=["resources", "train-a"])
+    def test_layers_below_one_exit_1_before_running(self, tmp_path, capsys,
+                                                     monkeypatch, command, value):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", "rows.csv", *command, "--layers", value])
+        assert exc.value.code == 1
+        assert "--layers: must be an integer >= 1" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_resource_cap_exit_2(self, capsys):
         code, _, err = run_cli(
             ["run", "stress", "--m", "5", "--n", "25", "--method", "circuit"],

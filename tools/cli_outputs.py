@@ -33,6 +33,9 @@ def commands():
     yield "sweep_neoclassical_classical_chunks", [
         "--seed", "3", "sweep", "--app", "neoclassical", "--estimator",
         "classical", "--n-samples", "20000,100000", "--repeats", "5"]
+    yield "sweep_classical_zero_samples", [
+        "sweep", "--app", "simple", "--estimator", "classical", "--n-samples",
+        "0,100"]
     # 8 TB of values: refused before the first buffer is allocated
     yield "sweep_classical_over_memory", [
         "sweep", "--app", "neoclassical", "--estimator", "classical",
@@ -63,6 +66,8 @@ def commands():
     # 9e9 ansatz angles and 7 TB of gates: refused before they are drawn
     yield "resources_huge_layers", ["resources", "--m", "3", "--layers",
                                     "1000000000", "--n-min", "3", "--n-max", "3"]
+    yield "resources_layers_zero", ["resources", "--m", "3", "--layers", "0",
+                                    "--n-min", "3", "--n-max", "3"]
     yield "resources_m5_n20", ["resources", "--m", "5", "--n-min", "20",
                                "--n-max", "20"]
     yield "resources_empty_range", ["resources", "--m", "3", "--layers", "2",
