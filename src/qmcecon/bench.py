@@ -287,33 +287,29 @@ def depth_fit(rows) -> ScalingFit:
 # ---------------------------------------------------------------------------
 
 
-def time_per_sample(single_draw=None, n_samples: int = 20_000,
-                    repeats: int = 5, seed: int = 0) -> float:
+def time_per_sample(seed: int = 0) -> float:
     """Median seconds per Monte Carlo sample of a single-threaded loop.
 
-    ``single_draw(rng) -> float`` evaluates the variable at one fresh draw;
-    the default is the macro benchmark residual.  The loop is deliberately a
-    plain interpreted one-sample-at-a-time accumulation: the extrapolated
-    classical competitor is one CPU core running straightforward MC code,
-    with HPC parallelism applied as an external speedup factor.  Each of the
-    ``repeats`` timings uses a monotonic clock; the median is returned since
+    The loop draws the macro benchmark residual one sample at a time: the
+    extrapolated classical competitor is one CPU core running plain MC code,
+    with HPC parallelism applied as an external speedup factor.  The median
+    of five 20,000-sample timings on a monotonic clock is returned, since
     single runs are too noisy to anchor the runtime crossover.
 
     The result measures the host it runs on and is reported for information;
     the crossovers written by ``qmcecon bench fig9``/``fig10`` use
     ``REFERENCE_SECONDS_PER_SAMPLE`` so that they do not depend on the host.
     """
-    if single_draw is None:
-        single_draw = econ.neoclassical_single_draw
+    single_draw = econ.neoclassical_single_draw
     times = []
-    for rep in range(repeats):
+    for rep in range(5):
         rng = np.random.default_rng(seed + rep)
         start = time.perf_counter()
         acc = 0.0
-        for _ in range(n_samples):
+        for _ in range(20_000):
             acc += single_draw(rng)
         elapsed = time.perf_counter() - start
-        times.append(elapsed / n_samples)
+        times.append(elapsed / 20_000)
     return float(np.median(times))
 
 
@@ -322,84 +318,48 @@ def time_per_sample(single_draw=None, n_samples: int = 20_000,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CrossoverRow:
-    gate_time: float
-    speedup_factor: float
-    crossover_time: float | None   # None: no crossover in range
-    crossover_error: float | None
-    quantum_time_at_target: float
-    classical_time_at_target: float
+def runtime_extrapolate(quantum_fit: ScalingFit, dfit: ScalingFit,
+                        classical_fit: ScalingFit,
+                        seconds_per_sample: float) -> list[dict]:
+    """Fig. 9/10 crossover rows, one per (gate time, speed-up factor).
 
-    @property
-    def advantage_at_target(self) -> float:
-        return self.classical_time_at_target / self.quantum_time_at_target
-
-
-def _quantum_time_line(quantum_fit: ScalingFit, dfit: ScalingFit,
-                       gate_time: float):
-    """Coefficients of log10(T) as an affine map of log10(error).
-
-    error = 10**(b_q) * N**s_q and depth = 2**(b_d + s_d * n) with
-    N = 2**n - 1 ~ 2**n give T = t * depth as a power law in the error.
+    error = 10**b_q * N**s_q and depth = 2**(b_d + s_d * n) with N ~ 2**n
+    make the quantum time t * depth a power law in the error, as is the
+    classical tau * N / factor; equating the two solves the crossover in
+    closed form.  Where the slopes match there is none, and both crossover
+    columns hold "".
     """
     # log10 depth = c0 + c1 * log10 N  with  log10 depth = (b_d + s_d n) log10 2
     c1 = dfit.slope                     # d log2(depth) / d n == d log2 depth / d log2 N
     c0 = dfit.intercept * math.log10(2.0)
-    # log10 N = (log10 e - b_q) / s_q
-    def time_of_error(error: float) -> float:
+
+    def quantum_time(gate_time: float, error: float) -> float:
+        # log10 N = (log10 e - b_q) / s_q
         log_n = (math.log10(error) - quantum_fit.intercept) / quantum_fit.slope
         log_depth = c0 + c1 * log_n
         return gate_time * 10 ** log_depth
 
-    return time_of_error
-
-
-def runtime_extrapolate(quantum_fit: ScalingFit, dfit: ScalingFit,
-                        classical_fit: ScalingFit, seconds_per_sample: float,
-                        gate_times=GATE_TIMES, speedup_factors=SPEEDUP_FACTORS,
-                        target_error: float = CROSSOVER_TARGET_ERROR) -> list[CrossoverRow]:
-    """Crossovers between the extrapolated quantum and classical time lines.
-
-    Both lines are power laws in the error; equating them solves the
-    crossover in closed form.  A crossover only exists when the quantum error
-    falls faster with time than the classical one.
-    """
-    rows = []
-    # classical: error = 10**b_c * N**s_c, T = tau * N / factor
     s_c, b_c = classical_fit.slope, classical_fit.intercept
-    for gate_time in gate_times:
-        q_time = _quantum_time_line(quantum_fit, dfit, gate_time)
-        # quantum log10 T = log10(t) + c0 + (c1/s_q)(log10 e - b_q)
-        c1 = dfit.slope
-        q_slope = c1 / quantum_fit.slope          # d log10 T / d log10 error
-        q_off = math.log10(q_time(1.0))
-        for factor in speedup_factors:
-            c_slope = 1.0 / s_c
+    # quantum log10 T = log10(t) + c0 + (c1/s_q)(log10 e - b_q)
+    q_slope = c1 / quantum_fit.slope          # d log10 T / d log10 error
+    c_slope = 1.0 / s_c
+    rows = []
+    for gate_time in GATE_TIMES:
+        q_off = math.log10(quantum_time(gate_time, 1.0))
+        t_q_target = quantum_time(gate_time, CROSSOVER_TARGET_ERROR)
+        for factor in SPEEDUP_FACTORS:
             c_off = math.log10(seconds_per_sample / factor) - b_c / s_c
-            t_q_target = q_time(target_error)
-            t_c_target = 10 ** (c_off + c_slope * math.log10(target_error))
+            t_c_target = 10 ** (c_off + c_slope * math.log10(CROSSOVER_TARGET_ERROR))
             if abs(q_slope - c_slope) < 1e-12:
-                rows.append(CrossoverRow(gate_time, factor, None, None,
-                                         t_q_target, t_c_target))
-                continue
-            log_err = (c_off - q_off) / (q_slope - c_slope)
-            log_t = q_off + q_slope * log_err
-            rows.append(CrossoverRow(gate_time, factor, 10 ** log_t,
-                                     10 ** log_err, t_q_target, t_c_target))
+                crossover_time = crossover_error = ""
+            else:
+                log_err = (c_off - q_off) / (q_slope - c_slope)
+                crossover_time = 10 ** (q_off + q_slope * log_err)
+                crossover_error = 10 ** log_err
+            rows.append({"gate_time_s": gate_time, "speedup_factor": factor,
+                         "crossover_time_s": crossover_time,
+                         "crossover_error": crossover_error,
+                         "quantum_time_at_target_s": t_q_target,
+                         "classical_time_at_target_s": t_c_target,
+                         "advantage_at_target": t_c_target / t_q_target})
     return rows
-
-
-def crossover_rows(crossovers: list[CrossoverRow]) -> list[dict]:
-    out = []
-    for row in crossovers:
-        out.append({
-            "gate_time_s": row.gate_time,
-            "speedup_factor": row.speedup_factor,
-            "crossover_time_s": "" if row.crossover_time is None else row.crossover_time,
-            "crossover_error": "" if row.crossover_error is None else row.crossover_error,
-            "quantum_time_at_target_s": row.quantum_time_at_target,
-            "classical_time_at_target_s": row.classical_time_at_target,
-            "advantage_at_target": row.advantage_at_target,
-        })
-    return out

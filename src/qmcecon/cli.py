@@ -93,6 +93,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _check_shock_grid(m: int) -> None:
+    # the grid of 2**m points with its masses and temporaries: 33 B per point
+    # traced for a normal grid, 41 B for the stress oracle
+    check_memory(f"a shock grid of 2**{m} points", 48 * 2**m)
+
+
 def _stress_params(args) -> econ.StressTestParams:
     if getattr(args, "config", None):
         return econ.load_stress_config(args.config)
@@ -105,6 +111,7 @@ def _stress_params(args) -> econ.StressTestParams:
 
 
 def _cmd_train_a(args) -> int:
+    _check_shock_grid(args.m)
     target = discretize_normal(args.m, args.mean, args.sigma, args.x_min, args.x_max)
     schedule = TrainingSchedule(_parse_stages(args.stages), seed=args.seed)
     ansatz, trace = train_ansatz(target, args.layers, schedule)
@@ -124,6 +131,8 @@ def _cmd_run(args) -> int:
         if not args.params:
             raise ValueError("trained_ansatz mode needs --params FILE")
         ansatz, _ = load_ansatz(args.params)
+    elif args.params:
+        raise ValueError("--params needs --a-mode trained_ansatz")
     workload = econ.workload(args.app, _stress_params(args))
     m = workload.m if args.m is None else args.m
     if args.distribution_out:
@@ -181,6 +190,7 @@ def _cmd_oracle(args) -> int:
     params = _stress_params(args)
     workload = econ.workload(args.app, params)
     m = workload.m if args.m is None else args.m
+    _check_shock_grid(m)
     cont, grid = workload.mean, workload.grid_mean(workload.shock(m))
     if args.app == "stress":
         coeffs = econ.stress_coefficients(params)
@@ -251,9 +261,8 @@ def _bench_crossover(args, out_dir, measured_tau, fig6_rows=None,
     if hypothetical:
         qfit = replace(qfit, slope=-1.0)
     dfit = bench.depth_fit(bench.resource_rows(econ.BENCH_M, range(3, 11)))
-    table = bench.runtime_extrapolate(qfit, dfit, cfit,
-                                      bench.REFERENCE_SECONDS_PER_SAMPLE)
-    rows = bench.crossover_rows(table)
+    rows = bench.runtime_extrapolate(qfit, dfit, cfit,
+                                     bench.REFERENCE_SECONDS_PER_SAMPLE)
     name = "fig10_crossover_ideal_slope.csv" if hypothetical else "fig9_crossover.csv"
     _write_rows(rows, str(out_dir / name), args.format)
     print(f"{name}: classical tau measured={measured_tau * 1e9:.0f} ns/sample, "

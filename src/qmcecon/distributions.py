@@ -362,5 +362,8 @@ def load_ansatz(path) -> tuple[VariationalAnsatz, dict]:
             key, _, value = token.partition("=")
             meta[key] = value
         params = np.array([float(line) for line in fh if line.strip()])
+    for key in ("m", "layers"):
+        if key not in meta:
+            raise ValueError(f"{path} header has no {key}= entry")
     m, layers = int(meta["m"]), int(meta["layers"])
     return VariationalAnsatz(m, layers, params), meta

@@ -291,12 +291,11 @@ def neoclassical_shock_grid(m: int, sigma: float = BENCH_SIGMA,
 
 def neoclassical_qmc(c1: float, c2: float, sigma: float, m: int, n: int,
                      r_mode: str = "exact", a_mode: str = "exact_prep",
-                     ansatz=None, symmetric_grid: bool = False,
-                     method: str = "auto") -> WorkloadEstimate:
+                     ansatz=None) -> WorkloadEstimate:
     """Estimate E[C1 + C2 z'] over the discretized shock.  ``r_mode`` selects
     the exact rotation encoding or the rescaled linear cascade."""
-    return estimate(neoclassical_workload(c1, c2, sigma, symmetric_grid),
-                    m, n, r_mode, a_mode, ansatz, method)
+    return estimate(neoclassical_workload(c1, c2, sigma), m, n, r_mode, a_mode,
+                    ansatz)
 
 
 # ---------------------------------------------------------------------------

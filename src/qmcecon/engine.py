@@ -240,14 +240,11 @@ def build_controlled_Q(f_circuit: Circuit, control: int,
     ancilla = system[-1]
     if control in system:
         raise ValueError(f"control qubit {control} overlaps the encoding register")
-    circ = Circuit(max(system + [control]) + 1)
     f_inv = f_circuit.inverse() if f_inv is None else f_inv
-    for _ in range(2):
-        circ.cz(control, ancilla)
-        circ.extend(f_inv)
-        circ.extend(_zero_reflection_gates(system, control=control))
-        circ.extend(f_circuit)
-    return circ
+    # every gate lies on F's wires or the control, so none is checked again
+    half = [Gate("cz", (ancilla,), (control,)), *f_inv.gates,
+            *_zero_reflection_gates(system, control=control), *f_circuit.gates]
+    return Circuit(max(system + [control]) + 1, half * 2)
 
 
 def phase_estimation(f_circuit: Circuit, n: int) -> list[tuple[Circuit, int]]:

@@ -10,7 +10,6 @@ from qmcecon.bench import (
     ScalingFit,
     SweepSpec,
     _bench_ansatz,
-    crossover_rows,
     depth_fit,
     error_sweep,
     loglog_fit,
@@ -209,6 +208,32 @@ class TestResources:
             rows[2]["depth"], rel=0.1)
 
 
+# The Fig. 9 fits (slope, intercept) of the committed linear-encoding error
+# sweep, depth table and classical sweep at seed 0, and the rows that the
+# crossover table had for them, written with repr: a change that moves any
+# cell by one bit fails here by name.
+FIG9_FITS = ((-0.6291642052134448, -1.0509782626259454),
+             (1.0198567090238466, 9.068546090370686),
+             (-0.4983404598639012, -0.3294360721849748))
+FIG9_ROWS = [
+    (1e-09, 1000.0, 70.58354130951476, 8.718030083056197e-07, 98642.63263260318, 552667.4333367294, 5.602723878985999),
+    (1e-09, 1000000.0, 286456863648311.44, 1.4525903739441854e-14, 98642.63263260318, 552.6674333367295, 0.005602723878986),
+    (1e-08, 1000.0, 11258711.919573342, 2.2266910463825715e-09, 986426.3263260317, 552667.4333367294, 0.5602723878986),
+    (1e-08, 1000000.0, 4.569245528583428e+19, 3.710092703177679e-17, 986426.3263260317, 552.6674333367295, 0.0005602723878986001),
+    (1e-07, 1000.0, 1795866171294.7395, 5.687240086125281e-12, 9864263.263260316, 552667.4333367294, 0.056027238789860004),
+    (1e-07, 1000000.0, 7.288359034088978e+24, 9.476028557725494e-20, 9864263.263260316, 552.6674333367295, 5.602723878986001e-05),
+    (1e-06, 1000.0, 2.8645686364831146e+17, 1.4525903739441854e-14, 98642632.63260317, 552667.4333367294, 0.005602723878986),
+    (1e-06, 1000000.0, 1.1625590500113585e+30, 2.420293087283795e-22, 98642632.63260317, 552.6674333367295, 5.602723878986001e-06),
+    (1e-05, 1000.0, 4.569245528583428e+22, 3.710092703177679e-17, 986426326.3260318, 552667.4333367294, 0.0005602723878986),
+    (1e-05, 1000000.0, 1.8543866163040543e+35, 6.181723274333095e-25, 986426326.3260318, 552.6674333367295, 5.602723878985999e-07),
+    (0.0001, 1000.0, 7.288359034088978e+27, 9.476028557725494e-20, 9864263263.260317, 552667.4333367294, 5.602723878986e-05),
+    (0.0001, 1000000.0, 2.957914028275765e+40, 1.5788874017451042e-27, 9864263263.260317, 552.6674333367295, 5.602723878986e-08),
+]
+CROSSOVER_COLUMNS = ["gate_time_s", "speedup_factor", "crossover_time_s",
+                     "crossover_error", "quantum_time_at_target_s",
+                     "classical_time_at_target_s", "advantage_at_target"]
+
+
 class TestCrossover:
     def test_known_intersection(self):
         # quantum: e = 1e-2 (T/t)^(-2/3) with depth = N (slope 1, intercept 0)
@@ -216,26 +241,27 @@ class TestCrossover:
         dfit = ScalingFit(1.0, 0.0, [])  # log2 depth = n, i.e. depth = N
         cfit = ScalingFit(-0.5, math.log10(0.5), [])
         tau = 1e-6
-        row = runtime_extrapolate(qfit, dfit, cfit, tau, gate_times=(1e-9,),
-                                  speedup_factors=(1e3,))[0]
-        # closed form: equate t*(c_q/e)^{3/2} = tau/s * (c_c/e)^2
-        t, s, cq, cc = 1e-9, 1e3, 1e-2, 0.5
-        log_e = (math.log10(t) - math.log10(tau / s) + 1.5 * math.log10(cq)
-                 - 2 * math.log10(cc)) / (1.5 - 2.0)
-        e_star = 10 ** log_e
-        t_star = t * (cq / e_star) ** 1.5
-        assert row.crossover_error == pytest.approx(e_star, rel=1e-9)
-        assert row.crossover_time == pytest.approx(t_star, rel=1e-9)
+        rows = runtime_extrapolate(qfit, dfit, cfit, tau)
+        assert [(r["gate_time_s"], r["speedup_factor"]) for r in rows] == [
+            (t, s) for t in bench.GATE_TIMES for s in bench.SPEEDUP_FACTORS]
+        cq, cc = 1e-2, 0.5
+        for row in rows:
+            # closed form: equate t*(c_q/e)^{3/2} = tau/s * (c_c/e)^2
+            t, s = row["gate_time_s"], row["speedup_factor"]
+            log_e = (math.log10(t) - math.log10(tau / s) + 1.5 * math.log10(cq)
+                     - 2 * math.log10(cc)) / (1.5 - 2.0)
+            e_star = 10 ** log_e
+            t_star = t * (cq / e_star) ** 1.5
+            assert row["crossover_error"] == pytest.approx(e_star, rel=1e-9)
+            assert row["crossover_time_s"] == pytest.approx(t_star, rel=1e-9)
 
     def test_identical_slopes_no_crossover(self):
         qfit = ScalingFit(-0.5, -1.0, [])
         dfit = ScalingFit(1.0, 0.0, [])
         cfit = ScalingFit(-0.5, 0.0, [])
-        table = runtime_extrapolate(qfit, dfit, cfit, 1e-6,
-                                    gate_times=(1e-9,), speedup_factors=(1e3,))
-        assert table[0].crossover_time is None
-        rows = crossover_rows(table)
-        assert rows[0]["crossover_time_s"] == ""
+        rows = runtime_extrapolate(qfit, dfit, cfit, 1e-6)
+        assert all(r["crossover_time_s"] == r["crossover_error"] == ""
+                   for r in rows)
 
     def test_ideal_slope_moves_crossovers_earlier(self):
         qfit = ScalingFit(-2 / 3, math.log10(0.2), [])
@@ -244,8 +270,8 @@ class TestCrossover:
         base = runtime_extrapolate(qfit, dfit, cfit, 3e-7)
         ideal = runtime_extrapolate(replace(qfit, slope=-1.0), dfit, cfit, 3e-7)
         for b, i in zip(base, ideal):
-            assert i.crossover_time < b.crossover_time
-            assert i.quantum_time_at_target < b.quantum_time_at_target
+            assert i["crossover_time_s"] < b["crossover_time_s"]
+            assert i["quantum_time_at_target_s"] < b["quantum_time_at_target_s"]
 
     def test_advantage_scales_with_tau(self):
         qfit = ScalingFit(-2 / 3, math.log10(0.2), [])
@@ -253,12 +279,24 @@ class TestCrossover:
         cfit = ScalingFit(-0.5, math.log10(0.4628), [])
         slow = runtime_extrapolate(qfit, dfit, cfit, 6e-7)[0]
         fast = runtime_extrapolate(qfit, dfit, cfit, 3e-7)[0]
-        assert slow.advantage_at_target == pytest.approx(
-            2 * fast.advantage_at_target, rel=1e-9)
+        assert slow["advantage_at_target"] == pytest.approx(
+            2 * fast["advantage_at_target"], rel=1e-9)
+
+    def test_fig9_rows_bit_exact(self):
+        qfit, dfit, cfit = (ScalingFit(slope, intercept, [])
+                            for slope, intercept in FIG9_FITS)
+        rows = runtime_extrapolate(qfit, dfit, cfit,
+                                   bench.REFERENCE_SECONDS_PER_SAMPLE)
+        assert all(list(row) == CROSSOVER_COLUMNS for row in rows)
+        assert len(rows) == len(FIG9_ROWS)
+        for row, expected in zip(rows, FIG9_ROWS):
+            for column, value in zip(CROSSOVER_COLUMNS, expected):
+                assert row[column] == value, (column, row["gate_time_s"],
+                                              row["speedup_factor"])
 
 
 def test_time_per_sample_positive_and_stable():
-    a = time_per_sample(n_samples=2000, repeats=3, seed=0)
-    b = time_per_sample(n_samples=2000, repeats=3, seed=1)
+    a = time_per_sample(seed=0)
+    b = time_per_sample(seed=1)
     assert a > 0 and b > 0
     assert 0.2 < a / b < 5.0

@@ -288,6 +288,50 @@ class TestExitCodes:
         with pytest.raises(Reached):
             main([*base, "--stages", "134217728:0.1"])
 
+    @pytest.mark.parametrize("command", [
+        ["oracle", "simple"], ["oracle", "stress"], ["oracle", "neoclassical"],
+        ["train-a", "--layers", "1", "--stages", "1:0.1", "--params-out", "p.txt"]],
+        ids=["oracle-simple", "oracle-stress", "oracle-neoclassical", "train-a"])
+    def test_shock_grid_over_memory_exit_2_before_building(self, tmp_path, capsys,
+                                                           monkeypatch, command):
+        def refuse(*a, **k):
+            raise Reached("shock grid built")
+
+        for module, name in ((econ, "discretize_normal"), (econ, "discretize_beta"),
+                             (cli, "discretize_normal")):
+            monkeypatch.setattr(module, name, refuse)
+        monkeypatch.chdir(tmp_path)
+        # 48 B per grid point: 2**24 points fit, 2**25 do not
+        code, out, err = run_cli([*command, "--m", "25"], capsys)
+        assert code == 2
+        assert "a shock grid of 2**25 points" in err
+        assert out == "" and not any(tmp_path.iterdir())
+        with pytest.raises(Reached):
+            main([*command, "--m", "24"])
+
+    def test_params_without_trained_mode_exit_1(self, tmp_path, capsys):
+        params = tmp_path / "zero.txt"
+        save_ansatz(params, VariationalAnsatz(3, 1, np.zeros(9)), 0, 0.0)
+        code, out, err = run_cli(["run", "simple", "--m", "3", "--n", "5",
+                                  "--params", str(params)], capsys)
+        assert code == 1
+        assert "--params needs --a-mode trained_ansatz" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("missing", ["m", "layers"])
+    def test_params_header_without_size_exit_1(self, tmp_path, capsys, missing):
+        params = tmp_path / "params.txt"
+        header = {"m": 3, "layers": 1, "seed": 1}
+        del header[missing]
+        params.write_text("# " + " ".join(f"{k}={v}" for k, v in header.items())
+                          + "\n" + "0.0\n" * 9)
+        code, out, err = run_cli(["run", "simple", "--m", "3", "--n", "5",
+                                  "--a-mode", "trained_ansatz",
+                                  "--params", str(params)], capsys)
+        assert code == 1
+        assert f"header has no {missing}= entry" in err
+        assert out == ""
+
     def test_classical_over_memory_exit_2_before_allocating(self, tmp_path,
                                                              capsys, monkeypatch):
         def refuse(rng, size):

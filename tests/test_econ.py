@@ -26,6 +26,7 @@ from qmcecon.econ import (
     neoclassical_coeffs,
     neoclassical_qmc,
     neoclassical_shock_grid,
+    neoclassical_workload,
     simple_problem_f,
     simple_problem_sampler,
     stress_coefficients,
@@ -204,8 +205,7 @@ class TestNeoclassical:
         # grid symmetric about the mean: the phase sits exactly on the
         # half-turn and readout returns the oracle at any register size
         for n in (3, 6, 9):
-            res = neoclassical_qmc(BENCH_C1, BENCH_C2, BENCH_SIGMA, 4, n,
-                                   symmetric_grid=True)
+            res = estimate(neoclassical_workload(symmetric=True), 4, n)
             assert res.abs_error_grid < 1e-9
 
     def test_benchmark_grid_estimate_converges(self):

@@ -345,6 +345,19 @@ class TestFormulasCoverPeaks:
         peak = traced_peak(lambda: cli.main(argv))
         assert peak <= checked_bytes(checked, "--distribution-out")
 
+    @pytest.mark.parametrize("command", [
+        ["oracle", "simple"], ["oracle", "stress"], ["oracle", "neoclassical"],
+        ["train-a", "--layers", "1", "--params-out", "unused.txt"]],
+        ids=["oracle-simple", "oracle-stress", "oracle-neoclassical", "train-a"])
+    @pytest.mark.parametrize("m", [16, 18])
+    def test_shock_grid(self, checked, monkeypatch, capsys, command, m):
+        def stop(*args):
+            raise ValueError("the training states are checked on their own")
+
+        monkeypatch.setattr(cli, "train_ansatz", stop)
+        peak = traced_peak(lambda: cli.main([*command, "--m", str(m)]))
+        assert peak <= checked_bytes(checked, "a shock grid")
+
     @pytest.mark.parametrize("q", [8, 9])
     def test_dense_unitary(self, checked, q):
         rng = np.random.default_rng(q)

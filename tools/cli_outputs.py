@@ -44,6 +44,7 @@ def commands():
     yield "run_linear", linear
     yield "run_linear_trained", [*linear, "--a-mode", "trained_ansatz",
                                  "--params", "trained.txt"]
+    yield "run_params_without_trained_mode", [*linear, "--params", "trained.txt"]
     # the reference path: every gate of phase estimation simulated
     yield "run_stress_circuit", ["run", "stress", "--m", "3", "--n", "6",
                                  "--method", "circuit"]
@@ -85,6 +86,8 @@ def commands():
     # A cost trace of 8 TB: refused before it is allocated.
     yield "train_many_epochs", ["train-a", "--m", "3", "--layers", "1", "--stages",
                                 "1000000000000:0.1", "--params-out", "many.txt"]
+    # 2**25 stress grid points at 48 B each: refused before the grid is built
+    yield "oracle_stress_over_memory", ["oracle", "stress", "--m", "25"]
     yield "run_simple_n0", ["run", "simple", "--n", "0"]
     # a 25-qubit F and a 26-qubit readout: refused before their grids
     yield "run_f_over_memory", ["run", "stress", "--m", "12"]
