@@ -135,6 +135,8 @@ def _cmd_run(args) -> int:
         raise ValueError("--params needs --a-mode trained_ansatz")
     workload = econ.workload(args.app, _stress_params(args))
     m = workload.m if args.m is None else args.m
+    if ansatz is not None and ansatz.m != m:
+        raise ValueError(f"{args.params} has m={ansatz.m}, but --m is {m}")
     if args.distribution_out:
         # a dict per outcome and the text: up to 843 B each traced (JSON)
         check_memory(f"--distribution-out of {args.n} estimation qubits",

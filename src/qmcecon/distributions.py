@@ -11,11 +11,15 @@ amplitudes onto a register:
   the simulation-exact reference rather than a hardware-honest circuit.
 * a trainable layered ansatz (``ansatz_circuit`` / ``train_ansatz``) whose
   output distribution is fitted to the target with plain gradient descent on
-  an L1 cost.  Training simulates the ansatz with a fused per-layer kernel
-  (one 2x2 per qubit, one index permutation per CNOT chain) and takes the
-  gradient from one reverse sweep over the stored forward states.  That
-  gradient equals the parameter-shift rule exactly; hardware, which cannot
-  store states, would evaluate the shifted circuits instead.
+  an L1 cost.  Training simulates the ansatz with a fused per-layer kernel:
+  the register is cut into chunks of at most ``CHUNK_QUBITS`` consecutive
+  qubits, each chunk's rotations are one dense 2**k x 2**k matrix applied
+  with one matmul, and the CNOT chain is one index permutation.  The
+  gradient comes from one reverse sweep over the stored forward states,
+  which keeps one 2**k x 2**k overlap block per layer and chunk and reads
+  each qubit's 2x2 overlap from its block's partial trace.  That gradient
+  equals the parameter-shift rule exactly; hardware, which cannot store
+  states, would evaluate the shifted circuits instead.
 """
 
 from __future__ import annotations
@@ -81,6 +85,8 @@ def discretize_beta(m: int, a: float, b: float) -> DiscretizedDistribution:
     where the plain product overflows.  At an endpoint a zero exponent gives
     exactly 1, a positive one 0 and a negative one +inf.
     """
+    if m < 1:
+        raise ValueError(f"need m >= 1 grid qubits, got {m}")
     if not (math.isfinite(a) and math.isfinite(b) and a > 0 and b > 0):
         raise ValueError(f"Beta shapes must be positive and finite, got a={a}, b={b}")
     grid = np.linspace(0.0, 1.0, 1 << m)
@@ -195,10 +201,13 @@ def ansatz_circuit(ansatz: VariationalAnsatz, qubits=None) -> Circuit:
 
 
 # -- fused evaluation ---------------------------------------------------------
-# Each layer is one 2x2 matrix per qubit (its RZ-RY-RZ multiplied out) and one
-# basis-index permutation for the CNOT chain, so a state costs m small matmuls
-# and one gather per layer.  The gradient reuses the states of one forward
-# sweep in one reverse sweep instead of simulating 2P+1 shifted circuits.
+# Each layer is one dense matrix per chunk of at most CHUNK_QUBITS consecutive
+# qubits (the chunk's RZ-RY-RZ rotations multiplied out) and one basis-index
+# permutation for the CNOT chain, so a state costs one matmul per chunk and
+# one gather per layer.  The gradient reuses the states of one forward sweep
+# in one reverse sweep instead of simulating 2P+1 shifted circuits.
+
+CHUNK_QUBITS = 5
 
 _MINUS_I_HALF_Z = np.diag([-0.5j, 0.5j])     # (d RZ(t)/dt) RZ(t)^+
 
@@ -217,6 +226,30 @@ def _layer_unitaries(m: int, layers: int, params: np.ndarray) -> np.ndarray:
     return u
 
 
+def _chunk_bytes(m: int, layers: int) -> int:
+    """Bytes of every layer's chunk matrices and overlap blocks."""
+    return 2 * layers * 16 * sum(4 ** min(CHUNK_QUBITS, m - q0)
+                                 for q0 in range(0, m, CHUNK_QUBITS))
+
+
+def _kron(u: np.ndarray) -> np.ndarray:
+    """u[:, 0] (x) u[:, 1] (x) ... for every layer: (layers, k, 2, 2) to
+    (layers, 2**k, 2**k).  Halving the qubits at each step keeps the large
+    products few: five qubits are ((q0 q1) (q2 (q3 q4)))."""
+    if u.shape[1] == 1:
+        return u[:, 0]
+    a, b = _kron(u[:, :u.shape[1] // 2]), _kron(u[:, u.shape[1] // 2:])
+    n = a.shape[-1] * b.shape[-1]
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(-1, n, n)
+
+
+def _chunk_unitaries(u: np.ndarray) -> list[np.ndarray]:
+    """The rotations of each chunk of at most CHUNK_QUBITS consecutive qubits
+    as one matrix per layer: (layers, 2**k, 2**k)."""
+    return [_kron(u[:, q0:q0 + CHUNK_QUBITS])
+            for q0 in range(0, u.shape[1], CHUNK_QUBITS)]
+
+
 def _cnot_chain_gather(m: int) -> np.ndarray:
     """The CNOT chain q -> q+1 as a gather: it maps ``state`` to ``state[gather]``.
 
@@ -227,22 +260,29 @@ def _cnot_chain_gather(m: int) -> np.ndarray:
     return index ^ (index >> 1)
 
 
-def _rotate(state: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Apply u[q] to qubit q of a flat state, for every q."""
-    for q, uq in enumerate(u):
-        state = np.matmul(uq, state.reshape(1 << q, 2, -1)).reshape(-1)
+def _rotate(state: np.ndarray, mats) -> np.ndarray:
+    """Apply each chunk's matrix to its qubits of a flat state, in order."""
+    prefix = 1
+    for mat in mats:
+        state = np.matmul(mat, state.reshape(prefix, len(mat), -1)).reshape(-1)
+        prefix *= len(mat)
     return state
 
 
-def _forward(u: np.ndarray, gather: np.ndarray):
+def _forward(chunks: list[np.ndarray], gather: np.ndarray):
     """Ansatz state from |0..0>, and the state after each layer's rotations."""
-    rotated = np.empty((u.shape[0], gather.size), dtype=np.complex128)
+    rotated = np.empty((len(chunks[0]), gather.size), dtype=np.complex128)
     state = np.zeros(gather.size, dtype=np.complex128)
     state[0] = 1.0
-    for layer, u_layer in enumerate(u):
-        rotated[layer] = state = _rotate(state, u_layer)
+    for layer, mats in enumerate(zip(*chunks)):
+        rotated[layer] = state = _rotate(state, mats)
         state = state[gather]
     return state, rotated
+
+
+def _chunk_rows(state: np.ndarray, prefix: int, size: int) -> np.ndarray:
+    """The state as a (size, rest) matrix whose row is the chunk's index."""
+    return state.reshape(prefix, size, -1).swapaxes(0, 1).reshape(size, -1)
 
 
 def _generators(u: np.ndarray, u_dag: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -261,7 +301,7 @@ def _generators(u: np.ndarray, u_dag: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def ansatz_probs(ansatz: VariationalAnsatz) -> np.ndarray:
     u = _layer_unitaries(ansatz.m, ansatz.layers, ansatz.params)
-    state, _ = _forward(u, _cnot_chain_gather(ansatz.m))
+    state, _ = _forward(_chunk_unitaries(u), _cnot_chain_gather(ansatz.m))
     return np.abs(state) ** 2
 
 
@@ -280,27 +320,44 @@ def _cost_and_gradient(m, layers, params, target_masses):
     through the circuit (Jones and Gacon 2020, arXiv:2009.02823).  At layer l
     it meets r, the stored state after that layer's rotations, and the angle
     k of qubit q contributes 2 Re sum_ab G_k[a, b] M_q[a, b], where
-    M_q[a, b] sums conj(lambda)[..a..] r[..b..] over the other qubits.  This
-    equals the parameter-shift rule (p(theta + pi/2) - p(theta - pi/2)) / 2
-    exactly, up to rounding.  Hardware cannot store states, so there the
-    gradient would come from the shifted circuits.
+    M_q[a, b] sums conj(lambda)[..a..] r[..b..] over the other qubits.  The
+    sweep keeps, per layer and chunk, the block B[A, B] that sums
+    conj(lambda)[..A..] r[..B..] over the qubits outside the chunk; M_q is
+    then B's partial trace over the chunk's other qubits.  This equals the
+    parameter-shift rule (p(theta + pi/2) - p(theta - pi/2)) / 2 exactly, up
+    to rounding.  Hardware cannot store states, so there the gradient would
+    come from the shifted circuits.
     """
     u = _layer_unitaries(m, layers, params)
+    chunks = _chunk_unitaries(u)
     gather = _cnot_chain_gather(m)
-    state, rotated = _forward(u, gather)
+    state, rotated = _forward(chunks, gather)
     residual = np.abs(state) ** 2 - target_masses
     cost = float(np.abs(residual).sum())
     scatter = np.argsort(gather)    # the chain's inverse permutation
-    u_dag = u.conj().swapaxes(-1, -2)
-    adjoint = np.sign(residual) * state
-    overlap = np.empty((layers, m, 2, 2), dtype=np.complex128)
+    # The sweep carries bra = conj(lambda), which U^+ maps to U^T bra, so the
+    # chunk matrices' transposes serve and no adjoint is built.
+    chunks_t = [mat.swapaxes(-1, -2) for mat in chunks]
+    blocks = [np.empty_like(mat) for mat in chunks]
+    bra = np.sign(residual) * state.conj()
     for layer in range(layers - 1, -1, -1):
-        adjoint = adjoint[scatter]
-        bra, ket = adjoint.conj(), rotated[layer]
-        for q in range(m):
-            overlap[layer, q] = np.einsum("xar,xbr->ab", bra.reshape(1 << q, 2, -1),
-                                          ket.reshape(1 << q, 2, -1))
-        adjoint = _rotate(adjoint, u_dag[layer])
+        bra = bra[scatter]
+        prefix = 1
+        for block in blocks:
+            size = block.shape[-1]
+            block[layer] = (_chunk_rows(bra, prefix, size)
+                            @ _chunk_rows(rotated[layer], prefix, size).T)
+            prefix *= size
+        bra = _rotate(bra, [mat[layer] for mat in chunks_t])
+    overlap = np.empty((layers, m, 2, 2), dtype=np.complex128)
+    q = 0
+    for block in blocks:
+        k = block.shape[-1].bit_length() - 1
+        for j in range(k):
+            split = (layers, 1 << j, 2, 1 << (k - 1 - j), 1 << j, 2, 1 << (k - 1 - j))
+            overlap[:, q] = np.einsum("lxayxby->lab", block.reshape(split))
+            q += 1
+    u_dag = u.conj().swapaxes(-1, -2)
     g = _generators(u, u_dag, params.reshape(layers, m, 3)[..., 2])
     grad = 2.0 * np.einsum("lqkab,lqab->lqk", g, overlap).real
     return cost, grad.reshape(-1)
@@ -313,16 +370,20 @@ def train_ansatz(target: DiscretizedDistribution, layers: int,
     Parameters start at seeded uniform values in [-0.1, 0.1].  Returns the
     trained ansatz and the per-epoch cost trace (deterministic given seed).
     Before anything is allocated, the memory budget is checked for the
-    (layers + 1) * 2**m * 16 bytes of states that the reverse sweep keeps,
-    and on its own for the cost trace of 8 bytes per epoch.
+    (layers + 1) * 2**m * 16 bytes of states that the reverse sweep keeps;
+    on its own for the chunk matrices and overlap blocks, two 2**k x 2**k
+    complex arrays per layer and chunk; and on its own for the cost trace of
+    8 bytes per epoch.
     """
     if layers < 1:
         raise ValueError(f"need at least one layer, got {layers}")
     m = target.m
     check_memory(f"training m={m} with {layers} layers",
                  (layers + 1) * (1 << m) * 16)
-    # A check of its own: adding the trace to the states' bytes would move
-    # the boundary above (m=20 trains 63 layers, not 64).
+    # Checks of their own: adding the blocks or the trace to the states'
+    # bytes would move the boundary above (m=20 trains 63 layers, not 64).
+    check_memory(f"the chunk matrices and overlap blocks of {layers} layers "
+                 f"at m={m}", _chunk_bytes(m, layers))
     check_memory(f"a cost trace of {schedule.total_epochs()} epochs",
                  8 * schedule.total_epochs())
     rng = np.random.default_rng(schedule.seed)

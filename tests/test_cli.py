@@ -318,6 +318,19 @@ class TestExitCodes:
         assert "--params needs --a-mode trained_ansatz" in err
         assert out == ""
 
+    @pytest.mark.parametrize("m_args,m", [(["--m", "3"], 3),
+                                          ([], neoclassical_workload().m)],
+                             ids=["given", "default"])
+    def test_params_for_another_m_exit_1(self, tmp_path, capsys, m_args, m):
+        params = tmp_path / "five.txt"
+        save_ansatz(params, VariationalAnsatz(5, 1, np.zeros(15)), 0, 0.0)
+        code, out, err = run_cli(["run", "neoclassical", "--r-mode", "linear",
+                                  *m_args, "--n", "4", "--a-mode", "trained_ansatz",
+                                  "--params", str(params)], capsys)
+        assert code == 1
+        assert f"{params} has m=5, but --m is {m}" in err
+        assert out == ""
+
     @pytest.mark.parametrize("missing", ["m", "layers"])
     def test_params_header_without_size_exit_1(self, tmp_path, capsys, missing):
         params = tmp_path / "params.txt"

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qmcecon import distributions, sim
 from qmcecon.circuits import decompose
 from qmcecon.distributions import (
     APPENDIX_SCHEDULE,
@@ -24,6 +25,7 @@ from qmcecon.distributions import (
 )
 from qmcecon.sim import (
     Circuit,
+    ResourceLimitError,
     StateVector,
     apply_circuit,
     init_state,
@@ -80,6 +82,11 @@ class TestDiscretizeBeta:
         for a, b in [(0.5, 2.0), (2.0, 0.5)]:
             with pytest.raises(ValueError, match="diverges at a grid endpoint"):
                 discretize_beta(3, a, b)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_invalid_m(self, m):
+        with pytest.raises(ValueError, match=f"need m >= 1 grid qubits, got {m}"):
+            discretize_beta(m, 2.0, 10.0)
 
     @pytest.mark.parametrize("a,b", [(2, 10), (1, 1), (1, 3), (3, 1), (2.5, 7.3),
                                      (50, 50), (600, 600)])
@@ -187,8 +194,8 @@ class TestAnsatz:
     def test_batched_probs_match_simulator(self):
         rng = np.random.default_rng(9)
         # m=1 has no CNOT; from m=3 on the chain's permutation is not its
-        # own inverse
-        for m, layers in [(1, 4), (4, 3), (5, 10)]:
+        # own inverse; m=7 and m=11 have several chunks, the last partial
+        for m, layers in [(1, 4), (4, 3), (5, 10), (7, 2), (11, 1)]:
             ans = VariationalAnsatz(m, layers, rng.uniform(
                 -np.pi, np.pi, VariationalAnsatz.num_params(m, layers)))
             st = apply_circuit(init_state(m), ansatz_circuit(ans))
@@ -212,7 +219,9 @@ def parameter_shift_gradient(ansatz, target):
 
 
 class TestFusedKernel:
-    @pytest.mark.parametrize("m,layers", [(1, 3), (2, 1), (3, 2), (5, 10), (6, 4)])
+    # from m=6 on the register has more than one chunk, the last one partial
+    @pytest.mark.parametrize("m,layers", [(1, 3), (2, 1), (3, 2), (5, 10), (6, 4),
+                                          (7, 2), (11, 1)])
     def test_gradient_matches_parameter_shift(self, m, layers):
         rng = np.random.default_rng(100 * m + layers)
         target = random_distribution(m, rng)
@@ -249,6 +258,21 @@ class TestFusedKernel:
         finally:
             tracemalloc.stop()
         assert peak < 4 << 20
+
+    def test_chunk_blocks_over_memory_refused_before_training(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an epoch ran before the blocks were checked")
+
+        monkeypatch.setattr(distributions, "_cost_and_gradient", refuse)
+        # 10 layers of one 32x32 chunk matrix and one overlap block: 327680 B,
+        # far above the 5632 B of stored states
+        monkeypatch.setattr(sim, "MEMORY_BUDGET", 2 * 10 * 16 * 32 * 32 - 1)
+        with pytest.raises(ResourceLimitError,
+                           match="chunk matrices and overlap blocks of 10 layers"):
+            train_ansatz(uniform_dist(5), 10, TrainingSchedule([(1, 0.1)]))
+        monkeypatch.setattr(sim, "MEMORY_BUDGET", 2 * 10 * 16 * 32 * 32)
+        with pytest.raises(AssertionError, match="an epoch ran"):
+            train_ansatz(uniform_dist(5), 10, TrainingSchedule([(1, 0.1)]))
 
 
 UNIFORM_SCHEDULE = TrainingSchedule(

@@ -45,6 +45,10 @@ def commands():
     yield "run_linear_trained", [*linear, "--a-mode", "trained_ansatz",
                                  "--params", "trained.txt"]
     yield "run_params_without_trained_mode", [*linear, "--params", "trained.txt"]
+    # a parameter file for m=5 on a register of 3 qubits
+    yield "run_params_m_mismatch", ["run", "neoclassical", "--r-mode", "linear",
+                                    "--m", "3", "--n", "8", "--a-mode",
+                                    "trained_ansatz", "--params", "trained.txt"]
     # the reference path: every gate of phase estimation simulated
     yield "run_stress_circuit", ["run", "stress", "--m", "3", "--n", "6",
                                  "--method", "circuit"]
@@ -88,6 +92,7 @@ def commands():
                                 "1000000000000:0.1", "--params-out", "many.txt"]
     # 2**25 stress grid points at 48 B each: refused before the grid is built
     yield "oracle_stress_over_memory", ["oracle", "stress", "--m", "25"]
+    yield "oracle_stress_m_negative", ["oracle", "stress", "--m", "-1"]
     yield "run_simple_n0", ["run", "simple", "--n", "0"]
     # a 25-qubit F and a 26-qubit readout: refused before their grids
     yield "run_f_over_memory", ["run", "stress", "--m", "12"]
