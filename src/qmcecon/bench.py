@@ -19,8 +19,7 @@ import numpy as np
 from .circuits import (ResourceReport, advance_frontier, count_stream,
                        lower_gates, transfer_matrix)
 from .distributions import VariationalAnsatz
-from .engine import (LinearRParams, QMCConfig, assemble_f, normalize_rv,
-                     phase_estimation)
+from .engine import LinearRParams, assemble_f, normalize_rv, phase_estimation
 from . import econ, sim
 
 GATE_TIMES = (1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
@@ -114,23 +113,22 @@ def _classical_point(workload, n_samples, repeats, seed):
             float(np.mean([run.wall_time for run in runs])))
 
 
-def error_sweep(spec: SweepSpec, jobs: int = 1) -> list[dict]:
-    """One row per range point: (n, N, error, wall_time_s).
+def error_sweep(spec: SweepSpec) -> list[dict]:
+    """One row per range point, in range order: (n, N, error, wall_time_s).
 
-    Quantum rows are deterministic, and ``jobs`` workers compute their points
-    concurrently.  Classical rows average the absolute error over
-    ``repeats`` seeded runs; their points run in order, each spreading its
-    repeats over the usable CPUs, and ``wall_time_s`` is the mean per-run
-    wall time under that concurrency; a largest N whose 8 bytes of values
-    per sample exceed the memory budget raises ``ResourceLimitError`` before
-    any run.  Rows are ordered by range point regardless of how many workers
-    computed them.
+    Quantum rows are deterministic; their points run one after another on the
+    calling thread, so each estimate's memory check covers all that is
+    allocated.  Classical rows average the absolute error over ``repeats``
+    seeded runs; their points also run in order, each spreading its repeats
+    over the usable CPUs, and ``wall_time_s`` is the mean per-run wall time
+    under that concurrency; a largest N whose 8 bytes of values per sample
+    exceed the memory budget raises ``ResourceLimitError`` before any run.
     """
     workload = spec.workload
+    rows = []
     if spec.estimator == "classical":
         largest = spec.range[-1]
         sim.check_memory(f"a classical run of {largest} samples", 8 * largest)
-        rows = []
         for point in spec.range:
             err, run_time = _classical_point(workload, point, spec.repeats,
                                              spec.seed)
@@ -138,18 +136,13 @@ def error_sweep(spec: SweepSpec, jobs: int = 1) -> list[dict]:
                          "N": point, "error": err, "wall_time_s": run_time})
         return rows
     r_mode = "linear" if spec.estimator == "qmc_linear" else "exact"
-
-    def run_point(point):
+    for point in spec.range:
         start = time.perf_counter()
         err = _quantum_point(workload, spec.m, point, r_mode)
-        return {"app": spec.app, "estimator": spec.estimator, "n": point,
-                "N": 2**point - 1, "error": err,
-                "wall_time_s": time.perf_counter() - start}
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run_point, spec.range))
-    return [run_point(p) for p in spec.range]
+        rows.append({"app": spec.app, "estimator": spec.estimator, "n": point,
+                     "N": 2**point - 1, "error": err,
+                     "wall_time_s": time.perf_counter() - start})
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +184,13 @@ def _bench_ansatz(m: int, layers: int) -> VariationalAnsatz:
                                          VariationalAnsatz.num_params(m, layers)))
 
 
+def _lowered_bound(block) -> int:
+    # At most 2k - 3 Toffolis of 17 gates for an MCX with k >= 2 controls,
+    # and 5 for any other gate of an F without multiplexors and its blocks
+    return sum(17 * (2 * len(g.controls) - 3) if g.kind == "mcx" else 5
+               for g in block.gates)
+
+
 def qmc_resource_report(m: int, n: int, layers: int = 10) -> ResourceReport:
     """Counts and depth of the decomposed estimation circuit.
 
@@ -207,17 +207,18 @@ def qmc_resource_report(m: int, n: int, layers: int = 10) -> ResourceReport:
     out, so the cost grows with n, not 2**n; the counts and depth equal those
     of ``count_stream`` over the flat lowering, which the tests check.
 
-    The ``QMCConfig`` built first bounds s = m + 1 <= 23 and n <= 25 (below
-    70 wires) for int64 headroom, not for memory, though its refusal names
-    the bytes a simulation would need.  The check after it holds F to
-    2**30 / (128 (n + 2)) gates, so every count and depth stays below 2**46.
+    Nothing of size 2**n is allocated, so n is bounded by the integer range
+    instead: a request whose lowered gate total, and so its depth, could
+    reach 2**61 (the headroom ``circuits.NO_PATH`` leaves in int64) raises
+    ``ResourceLimitError`` before anything is lowered.
     """
-    config = QMCConfig(dims=1, m=m, n=n, r_mode="linear", a_mode="trained_ansatz")
-    # F's layers * (4m - 1) gates, its inverse, the n blocks' references to
-    # both and one block's lowering: 46-111 B per gate per n + 2 traced, and
-    # below 1 MiB for the rest (the reflections, the transfer matrices).
+    # The 2**m shock grid with its variable and linearity check: 49-103 B
+    # per point traced at m = 14-16.  F's layers * (4m - 1) gates, its
+    # inverse, the n blocks' references to both and one block's lowering:
+    # 46-111 B per gate per n + 2 traced, and below 1 MiB for the rest (the
+    # reflections, the transfer matrices).
     sim.check_memory(f"counting {layers} ansatz layers at n={n}",
-                     8 * VariationalAnsatz.num_params(m, layers)
+                     128 * 2**m + 8 * VariationalAnsatz.num_params(m, layers)
                      + 128 * (n + 2) * layers * (4 * m - 1) + (1 << 20))
     # Each controlled zero reflection is one MCX with s = m + 1 controls (the
     # estimation wire and every F wire but its target), and its linear
@@ -229,14 +230,20 @@ def qmc_resource_report(m: int, n: int, layers: int = 10) -> ResourceReport:
     dist = workload.shock(m)
     rv = normalize_rv(workload.values(dist))
     linear = LinearRParams.for_oracle_budget(m, n, increasing=False)
-    f_circuit = assemble_f(config, [dist], rv, _bench_ansatz(m, layers), linear)
+    f_circuit = assemble_f([dist], rv, _bench_ansatz(m, layers), linear)
+    (prep, _), *controlled, (iqft, _) = phase_estimation(f_circuit, n)
+    total = (_lowered_bound(prep) + _lowered_bound(iqft)
+             + (2**n - 1) * _lowered_bound(controlled[0][0]))
+    if total >= 1 << 61:
+        raise sim.ResourceLimitError(
+            f"counting n={n} at m={m} may reach {total} gates, past the "
+            f"2**61 that int64 depths hold")
     work = range(s + n, width)
 
     def lowered_cost(block):
         lowered = list(lower_gates(block.gates, work))
         return count_stream(lowered, width).counts, transfer_matrix(lowered, width)
 
-    (prep, _), *controlled, (iqft, _) = phase_estimation(f_circuit, n)
     q_counts, q_transfer = lowered_cost(controlled[0][0])
     costs = [(*lowered_cost(prep), 1)]
     for k, (_, repeats) in enumerate(controlled):

@@ -172,7 +172,7 @@ def _cmd_sweep(args) -> int:
                            range=rng_points, repeats=args.repeats,
                            seed=args.seed, m=args.m,
                            scenario=_stress_params(args))
-    rows = bench.error_sweep(spec, jobs=args.jobs)
+    rows = bench.error_sweep(spec)
     _write_rows(rows, args.out, args.format)
     return 0
 
@@ -223,11 +223,11 @@ def _bench_fig6(args, out_dir):
     for estimator in ("qmc_exact", "qmc_linear"):
         spec = bench.SweepSpec("neoclassical", estimator, list(range(4, 13)),
                                seed=args.seed)
-        rows.extend(bench.error_sweep(spec, jobs=args.jobs))
+        rows.extend(bench.error_sweep(spec))
     spec = bench.SweepSpec("neoclassical", "classical",
                            [10**k for k in range(2, 7)], repeats=50,
                            seed=args.seed)
-    rows.extend(bench.error_sweep(spec, jobs=args.jobs))
+    rows.extend(bench.error_sweep(spec))
     _write_rows(rows, str(out_dir / "fig6_neoclassical_scaling.csv"), args.format)
     return rows
 
@@ -327,8 +327,6 @@ def build_parser() -> _Parser:
     parser.add_argument("--config", help="stress scenario INI file")
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--jobs", type=_positive_int, default=1,
-                        help="concurrent quantum sweep points")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train-a", help="train the state-preparation ansatz")

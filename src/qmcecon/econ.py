@@ -155,20 +155,15 @@ def stress_loss_rv(d1, d2, coeffs: StressCoefficients, beta_lev: float):
 
 
 def stress_theoretical_mean(coeffs: StressCoefficients, beta_lev: float,
-                            dist: DiscretizedDistribution | None = None,
-                            shock_a: float = 2.0, shock_b: float = 10.0) -> float:
-    """Expected two-period loss fraction.
+                            mean_d: float) -> float:
+    """Expected two-period loss fraction K (1 + E)(2 + E) for i.i.d. loss
+    rates of mean E = ``mean_d``.
 
-    Continuous mode (dist=None) uses E[d] = a/(a+b) of the Beta shock;
-    independence factorizes the expectation to K (1 + E)(2 + E).  Grid mode
-    evaluates the same double sum over the discretized masses and is the
-    oracle the quantum estimate is judged against.
+    Independence factorizes the expectation.  With E = a/(a+b) of the Beta
+    shock it is the continuous mean; with the mean of the discretized masses
+    it is the grid oracle the quantum estimate is judged against.
     """
     k = stress_combined_constant(coeffs, beta_lev)
-    if dist is None:
-        mean_d = shock_a / (shock_a + shock_b)
-    else:
-        mean_d = dist.mean()
     return k * (1.0 + mean_d) * (2.0 + mean_d)
 
 
@@ -418,8 +413,8 @@ def stress_workload(params: StressTestParams) -> Workload:
     return Workload(
         dims=2, m=5, shock=params.shock_distribution,
         values=lambda dist: stress_rv_grid(params, dist),
-        grid_mean=lambda dist: stress_theoretical_mean(coeffs, beta, dist),
-        mean=stress_theoretical_mean(coeffs, beta, None, a, b),
+        grid_mean=lambda dist: stress_theoretical_mean(coeffs, beta, dist.mean()),
+        mean=stress_theoretical_mean(coeffs, beta, a / (a + b)),
         sampler=lambda rng, size: rng.beta(a, b, size=(size, 2)),
         f=lambda d: stress_loss_rv(d[:, 0], d[:, 1], coeffs, beta),
         sweep_against_continuous=True)
@@ -511,12 +506,16 @@ def load_stress_config(path) -> StressTestParams:
     if "system" not in parser:
         raise ValueError("scenario file misses [system]")
     sys_sec = parser["system"]
+    # a shock shape the file leaves out keeps StressTestParams' default
+    shock = {name: sys_sec.getfloat(key)
+             for name, key in (("shock_a", "shock_beta_a"),
+                               ("shock_b", "shock_beta_b"))
+             if key in sys_sec}
     return StressTestParams(
         banks=(banks[0], banks[1]),
         alpha_price=sys_sec.getfloat("price_sensitivity"),
         beta_lev=sys_sec.getfloat("leverage_ratio"),
         d0_m=sys_sec.getfloat("benchmark_mortgage_loss"),
         d0_b=sys_sec.getfloat("benchmark_business_loss"),
-        shock_a=sys_sec.getfloat("shock_beta_a", fallback=2.0),
-        shock_b=sys_sec.getfloat("shock_beta_b", fallback=10.0),
+        **shock,
     )

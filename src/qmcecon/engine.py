@@ -124,50 +124,47 @@ class LinearRParams:
 # ---------------------------------------------------------------------------
 
 
-def build_R_exact(rv: RandomVariableSpec, register, ancilla: int) -> Circuit:
+def build_R_exact(rv: RandomVariableSpec) -> Circuit:
     """Rotate the ancilla to sqrt(f(i))|1> per register basis state i.
 
-    One native uniformly controlled RY (``ucry``) with branch angles
+    The 2**k values fix the register: wires 0..k-1, with the ancilla on wire
+    k.  One native uniformly controlled RY (``ucry``) with branch angles
     2*arcsin(sqrt(f(i))): exact at any grid size and simulated in one pass
-    over the state, but 3 * 2**k - 2 RY and CNOT gates once lowered for a
-    k-qubit register (simulation reference route, not a hardware-honest
-    circuit).
+    over the state, but 3 * 2**k - 2 RY and CNOT gates once lowered (a
+    simulation reference route, not a hardware-honest circuit).
     """
-    register = list(register)
-    if rv.values.shape != (1 << len(register),):
-        raise ValueError(
-            f"register of {len(register)} qubits needs {1 << len(register)} "
-            f"values, got {rv.values.shape}"
-        )
+    size = rv.values.size
+    k = size.bit_length() - 1
+    if rv.values.shape != (size,) or k < 1 or size != 1 << k:
+        raise ValueError(f"need 2**k values for a register of k >= 1 qubits, "
+                         f"got {rv.values.shape}")
     angles = 2.0 * np.arcsin(np.sqrt(np.clip(rv.values, 0.0, 1.0)))
-    return Circuit(max(register + [ancilla]) + 1).ucry(register, ancilla, angles)
+    return Circuit(k + 1).ucry(range(k), k, angles)
 
 
-def build_R_linear(m: int, params: LinearRParams, register, ancilla: int) -> Circuit:
+def build_R_linear(m: int, params: LinearRParams) -> Circuit:
     """Controlled-RY cascade encoding the linear ramp a*i + b on the ancilla.
 
+    The register is wires 0..m-1 and the ancilla wire m.
     P(ancilla=1 | i) = sin^2(a*i + b + pi/4), which approximates
     (a*i + b) + 1/2 once c_s is small.  Register qubit k (most significant
     first) contributes rotation angle 2**(m-k) * a in the half-angle
     convention used by the simulator's RY.
     """
-    register = list(register)
-    if len(register) != m:
-        raise ValueError(f"expected {m} register qubits, got {register}")
-    circ = Circuit(max(register + [ancilla]) + 1)
-    circ.ry(ancilla, math.pi / 2)
-    circ.ry(ancilla, 2.0 * params.b)
-    for k, q in enumerate(register):
-        circ.cry(q, ancilla, 2 ** (m - k) * params.a)
+    circ = Circuit(m + 1)
+    circ.ry(m, math.pi / 2)
+    circ.ry(m, 2.0 * params.b)
+    for k in range(m):
+        circ.cry(k, m, 2 ** (m - k) * params.a)
     return circ
 
 
 def build_F(a_circuit: Circuit, r_circuit: Circuit) -> Circuit:
-    """Problem unitary: state preparation followed by the ancilla rotation."""
-    if r_circuit.num_qubits < a_circuit.num_qubits + 1:
-        raise ValueError(
-            "rotation stage must cover the preparation register plus ancilla"
-        )
+    """Problem unitary: state preparation followed by the ancilla rotation,
+    whose register must be the preparation's, with the ancilla after it."""
+    if r_circuit.num_qubits != a_circuit.num_qubits + 1:
+        raise ValueError(f"a rotation stage on {r_circuit.num_qubits} qubits does "
+                         f"not fit a {a_circuit.num_qubits}-qubit register")
     circ = Circuit(r_circuit.num_qubits)
     circ.extend(a_circuit)
     circ.extend(r_circuit)
@@ -380,48 +377,32 @@ class PhaseEstimate:
             raise ValueError(f"distribution sums to {total}, expected 1")
 
 
-def _a_circuits(config: QMCConfig, dists, ansatz: VariationalAnsatz | None):
-    circs = []
-    for j, dist in enumerate(dists):
-        reg = list(range(j * config.m, (j + 1) * config.m))
-        if config.a_mode == "exact_prep":
-            circs.append(exact_state_prep(dist, reg))
-        else:
-            if ansatz is None:
-                raise ValueError("trained_ansatz mode needs ansatz parameters")
-            circs.append(ansatz_circuit(ansatz, reg))
-    return circs
-
-
-def assemble_f(config: QMCConfig, dists, rv: RandomVariableSpec,
+def assemble_f(dists, rv: RandomVariableSpec,
                ansatz: VariationalAnsatz | None = None,
                linear: LinearRParams | None = None) -> Circuit:
-    """F circuit on dims*m register qubits plus the ancilla (last wire)."""
+    """F on one register per distribution plus the ancilla (last wire).
+
+    The inputs set everything: each register has the common ``m`` of
+    ``dists`` and is prepared by ``ansatz`` when one is given, else exactly;
+    the ancilla takes the linear cascade of ``linear`` when given, else the
+    exact rotation of ``rv``.
+    """
     dists = list(dists)
-    if len(dists) != config.dims:
-        raise ValueError(f"expected {config.dims} distributions, got {len(dists)}")
-    if any(d.m != config.m for d in dists):
-        raise ValueError("all distributions must use m qubits")
-    total_m = config.dims * config.m
-    ancilla = total_m
+    m = dists[0].m
+    if any(d.m != m for d in dists):
+        raise ValueError("all distributions must use the same m")
+    total_m = len(dists) * m
     a_all = Circuit(total_m)
-    for c in _a_circuits(config, dists, ansatz):
-        a_all.extend(c)
-    if config.r_mode == "exact":
-        if rv.values.shape != (1 << total_m,):
-            raise ValueError(
-                f"random variable needs {1 << total_m} grid values, "
-                f"got {rv.values.shape}"
-            )
-        r_circ = build_R_exact(rv, list(range(total_m)), ancilla)
-    else:
-        if linear is None:
-            raise ValueError("linear mode needs LinearRParams")
-        ramp = np.linspace(0.0, 1.0, 1 << total_m)
-        if not np.allclose(rv.values, ramp) and not np.allclose(rv.values, ramp[::-1]):
-            raise ValueError("linear encoding requires a variable linear in the grid")
-        r_circ = build_R_linear(total_m, linear, list(range(total_m)), ancilla)
-    return build_F(a_all, r_circ)
+    for j, dist in enumerate(dists):
+        reg = range(j * m, (j + 1) * m)
+        a_all.extend(exact_state_prep(dist, reg) if ansatz is None
+                     else ansatz_circuit(ansatz, reg))
+    if linear is None:
+        return build_F(a_all, build_R_exact(rv))
+    ramp = np.linspace(0.0, 1.0, 1 << total_m)
+    if not np.allclose(rv.values, ramp) and not np.allclose(rv.values, ramp[::-1]):
+        raise ValueError("linear encoding requires a variable linear in the grid")
+    return build_F(a_all, build_R_linear(total_m, linear))
 
 
 def _wrap(d: np.ndarray, size: int, scratch: np.ndarray) -> None:
@@ -518,18 +499,26 @@ def run_qmc(config: QMCConfig, dists, rv: RandomVariableSpec,
 
     Returns the exact outcome distribution over estimation bitstrings, the
     extracted phase, and the recovered expectation in normalized and original
-    units.  The linear rotation encoding recomputes its c_s rescaling for the
+    units.  ``config`` must describe ``dists``, whose sizes its memory checks
+    counted; ``ansatz`` prepares the registers only in the trained-ansatz
+    mode.  The linear rotation encoding recomputes its c_s rescaling for the
     configured number of estimation qubits.  The phase is always read from
     the left half of the distribution, so an encoded p1 above 1/2 returns the
     mirrored mean 1 - mu (normalized) without a warning.
     """
     dists = list(dists)
+    if len(dists) != config.dims or any(d.m != config.m for d in dists):
+        raise ValueError(f"expected {config.dims} distributions of m={config.m}")
+    if config.a_mode == "exact_prep":
+        ansatz = None
+    elif ansatz is None:
+        raise ValueError("trained_ansatz mode needs ansatz parameters")
     linear = None
     if config.r_mode == "linear":
         increasing = bool(rv.values[-1] >= rv.values[0])
         linear = LinearRParams.for_oracle_budget(config.m, config.n, increasing)
     distribution, p1 = _simulate_distribution(
-        config, assemble_f(config, dists, rv, ansatz, linear), config.n)
+        config, assemble_f(dists, rv, ansatz, linear), config.n)
     theta_hat = extract_theta(distribution)
     mu_norm = theta_to_mu(theta_hat)
     mu = denormalize_mu(mu_norm, rv, linear)

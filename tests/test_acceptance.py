@@ -164,11 +164,12 @@ def test_criterion_03_stress_test(stress_runs):
 
 
 def test_criterion_04_stress_plateau():
-    coeffs = econ.stress_coefficients(econ.DEFAULT_STRESS)
-    cont = econ.stress_theoretical_mean(coeffs, econ.DEFAULT_STRESS.beta_lev)
+    params = econ.DEFAULT_STRESS
+    coeffs = econ.stress_coefficients(params)
+    cont = econ.stress_theoretical_mean(
+        coeffs, params.beta_lev, params.shock_a / (params.shock_a + params.shock_b))
     grid = econ.stress_theoretical_mean(
-        coeffs, econ.DEFAULT_STRESS.beta_lev,
-        econ.DEFAULT_STRESS.shock_distribution(5))
+        coeffs, params.beta_lev, params.shock_distribution(5).mean())
     bias = abs(grid - cont) / cont
     errors = {}
     for n in (6, 10, 14, 20, 21, 22):
@@ -217,7 +218,7 @@ def test_criterion_07_oracle_equivalence():
                 rv = normalize_rv(rng.uniform(-2, 3, 1 << m))
                 config = QMCConfig(dims=1, m=m, n=n, method="circuit")
                 res = run_qmc(config, [dist], rv)
-                f = assemble_f(config, [dist], rv)
+                f = assemble_f([dist], rv)
                 q = dense_unitary(grover_operator(f))
                 chi = dense_unitary(f)[:, 0]
                 oracle = brute_force_phase_estimation(q, chi, n)

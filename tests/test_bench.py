@@ -20,8 +20,7 @@ from qmcecon.bench import (
 )
 from qmcecon.circuits import count_resources, decompose, lower_gates
 from qmcecon.distributions import discretize_normal
-from qmcecon.engine import (LinearRParams, QMCConfig, assemble_f, normalize_rv,
-                            phase_estimation)
+from qmcecon.engine import LinearRParams, assemble_f, normalize_rv, phase_estimation
 
 from util import fit_r_squared, flatten
 
@@ -30,9 +29,8 @@ def _benchmark_f(m, n, layers):
     """The F circuit that ``qmc_resource_report`` counts, built by hand."""
     dist = discretize_normal(m, 1.0, econ.BENCH_SIGMA, 0.94, 1.06)
     rv = normalize_rv(econ.BENCH_C1 + econ.BENCH_C2 * dist.grid)
-    config = QMCConfig(dims=1, m=m, n=n, r_mode="linear", a_mode="trained_ansatz")
     linear = LinearRParams.for_oracle_budget(m, n, increasing=False)
-    return assemble_f(config, [dist], rv, _bench_ansatz(m, layers), linear)
+    return assemble_f([dist], rv, _bench_ansatz(m, layers), linear)
 
 
 class TestLoglogFit:
@@ -85,15 +83,6 @@ class TestSweepSpec:
         rows = error_sweep(spec)
         assert len(rows) == 2
         assert all(row["error"] > 0 for row in rows)
-
-    def test_jobs_preserve_order(self):
-        for spec in (SweepSpec("simple", "qmc_exact", [3, 4, 5], m=3),
-                     SweepSpec("stress", "classical", [10, 100, 1000],
-                               repeats=3, seed=2)):
-            seq = error_sweep(spec, jobs=1)
-            par = error_sweep(spec, jobs=3)
-            assert [r["error"] for r in seq] == [r["error"] for r in par]
-            assert [r["N"] for r in seq] == [r["N"] for r in par]
 
 
 def _serial_rows(spec):
@@ -194,6 +183,27 @@ class TestResources:
                                  controls=tuple(swap.get(q, q) for q in g.controls))
                          for g in first]
             assert list(lower_gates(block.gates, work)) == exchanged, k
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_lowered_bound_covers_each_segment(self, m):
+        # the integer bound is reckoned before lowering, so it must not
+        # undercount what the lowering makes of any segment
+        n = 3
+        work = range(m + 1 + n, 2 * m + n)
+        for block, _ in phase_estimation(_benchmark_f(m, n, 2), n):
+            lowered = sum(1 for _ in lower_gates(block.gates, work))
+            assert lowered <= bench._lowered_bound(block)
+
+    def test_count_past_int64_headroom_rejected(self):
+        # n = 48 may reach 0.54 * 2**61 gates at m = 5 and is counted, so
+        # every depth stays below the NO_PATH headroom; n = 49 is refused
+        assert qmc_resource_report(5, 48).depth < 1 << 61
+        with pytest.raises(sim.ResourceLimitError, match="past the 2\\*\\*61"):
+            qmc_resource_report(5, 49)
+        for m, n, message in ((0, 3, "need m >= 1"), (-1, 3, "need m >= 1"),
+                              (3, 0, "at least one estimation qubit")):
+            with pytest.raises(ValueError, match=message):
+                qmc_resource_report(m, n)
 
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError, match="non-empty and increasing"):

@@ -48,6 +48,13 @@ class TestExitCodes:
             main(["run", "simple", "--warp", "9"])
         assert exc.value.code == 1
 
+    def test_jobs_option_gone(self):
+        # sweeps run their points in order; no option spreads them over threads
+        with pytest.raises(SystemExit) as exc:
+            main(["--jobs", "2", "sweep", "--app", "simple", "--estimator",
+                  "qmc_exact", "--n-min", "3", "--n-max", "4"])
+        assert exc.value.code == 1
+
     def test_classical_sweep_needs_repeats(self, capsys):
         code, _, err = run_cli(
             ["sweep", "--app", "neoclassical", "--estimator", "classical",
@@ -119,25 +126,24 @@ class TestExitCodes:
     def test_resource_count_over_cap_exit_2_before_building(self, capsys,
                                                              monkeypatch):
         def refuse(*a, **k):
-            raise AssertionError("circuit built before the cap check")
+            raise AssertionError("circuit lowered before the integer bound")
 
+        # 4396 lowered gates at most per controlled-Q block of m = 5, so
+        # 2**49 - 1 blocks could pass the 2**61 that int64 depths hold
         with monkeypatch.context() as patch:
-            patch.setattr(bench, "assemble_f", refuse)
-            patch.setattr(bench, "phase_estimation", refuse)
-            # QMCConfig's readout bound, 32 B per outcome, holds n to 25;
-            # counting allocates no readout, but keeps the bound for its
-            # int64 depths
-            code, _, err = run_cli(["resources", "--m", "5", "--n-min", "26",
-                                    "--n-max", "26"], capsys)
+            patch.setattr(bench, "lower_gates", refuse)
+            code, _, err = run_cli(["resources", "--m", "5", "--n-min", "49",
+                                    "--n-max", "49"], capsys)
         assert code == 2
-        assert "needs 2147483648 bytes, exceeding the cap of 1073741824" in err
-        # 6 F wires + 21 estimation wires + 4 work wires = 31 qubits, and
-        # no statevector: counted
-        code, out, _ = run_cli(["resources", "--m", "5", "--n-min", "21",
-                                "--n-max", "21"], capsys)
+        assert ("counting n=49 at m=5 may reach 2474727995240090511 gates, "
+                "past the 2**61 that int64 depths hold") in err
+        # 6 F wires + 26 estimation wires + 4 work wires = 36 qubits: counting
+        # allocates no readout of 2**26 outcomes, so nothing refuses it
+        code, out, _ = run_cli(["resources", "--m", "5", "--n-min", "26",
+                                "--n-max", "26"], capsys)
         assert code == 0
         [row] = csv.DictReader(out.splitlines())
-        assert row["n"] == "21" and row["num_qubits"] == "31"
+        assert row["n"] == "26" and row["num_qubits"] == "36"
 
     def test_resources_huge_layers_exit_2_before_allocating(self, capsys,
                                                             monkeypatch):
@@ -149,7 +155,7 @@ class TestExitCodes:
                                 "1000000000", "--n-min", "3", "--n-max", "3"],
                                capsys)
         assert code == 2
-        assert ("counting 1000000000 ansatz layers at n=3 needs 7112001048576 "
+        assert ("counting 1000000000 ansatz layers at n=3 needs 7112001049600 "
                 "bytes, exceeding the cap of 1073741824") in err
 
     @pytest.mark.parametrize("args,message", [
@@ -213,15 +219,6 @@ class TestExitCodes:
         assert ("--distribution-out of 21 estimation qubits needs 2147483648 "
                 "bytes, exceeding the cap of 1073741824") in err
         assert not (tmp_path / "d.csv").exists()
-
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_jobs_below_one_exit_1_before_running(self, tmp_path, value):
-        out = tmp_path / "rows.csv"
-        with pytest.raises(SystemExit) as exc:
-            main(["--jobs", value, "--out", str(out), "sweep", "--app", "simple",
-                  "--estimator", "qmc_exact", "--n-min", "3", "--n-max", "4"])
-        assert exc.value.code == 1
-        assert not out.exists()
 
     def test_train_zero_qubits_exit_1_before_writing(self, tmp_path, capsys):
         params = tmp_path / "params.txt"

@@ -110,10 +110,14 @@ class TestStressLoss:
         np.testing.assert_allclose(via_gamma, factored, rtol=1e-9)
 
 
+# mean loss rate a / (a + b) of the default Beta(2, 10) shock
+BETA_MEAN = DEFAULT_STRESS.shock_a / (DEFAULT_STRESS.shock_a + DEFAULT_STRESS.shock_b)
+
+
 class TestStressMeans:
     def test_continuous_value_near_published(self):
         co = stress_coefficients(DEFAULT_STRESS)
-        mean = stress_theoretical_mean(co, DEFAULT_STRESS.beta_lev)
+        mean = stress_theoretical_mean(co, DEFAULT_STRESS.beta_lev, BETA_MEAN)
         assert abs(mean - 0.01618) / 0.01618 < 0.01
 
     def test_point_mass_grid(self):
@@ -122,15 +126,15 @@ class TestStressMeans:
         masses = np.zeros(8)
         masses[0] = 1.0
         dist = DiscretizedDistribution(3, np.linspace(0, 1, 8), masses)
-        mean = stress_theoretical_mean(co, DEFAULT_STRESS.beta_lev, dist)
+        mean = stress_theoretical_mean(co, DEFAULT_STRESS.beta_lev, dist.mean())
         assert mean == pytest.approx(2 * k)
         assert mean == pytest.approx(0.0128, rel=0.01)
 
     def test_grid_within_half_percent_of_continuous(self):
         co = stress_coefficients(DEFAULT_STRESS)
-        cont = stress_theoretical_mean(co, DEFAULT_STRESS.beta_lev)
+        cont = stress_theoretical_mean(co, DEFAULT_STRESS.beta_lev, BETA_MEAN)
         grid = stress_theoretical_mean(co, DEFAULT_STRESS.beta_lev,
-                                       DEFAULT_STRESS.shock_distribution(5))
+                                       DEFAULT_STRESS.shock_distribution(5).mean())
         assert abs(grid - cont) / cont < 0.005
 
     def test_grid_oracle_consistency_with_encoding(self):
@@ -312,6 +316,22 @@ class TestScenarioConfig:
         write_stress_config(path, DEFAULT_STRESS)
         loaded = load_stress_config(path)
         assert loaded == DEFAULT_STRESS
+
+    @pytest.mark.parametrize("kept", [(), ("shock_beta_a",), ("shock_beta_b",)])
+    def test_missing_shock_shape_keeps_default(self, tmp_path, kept):
+        # a scenario with its own shape parameters, written without some
+        params = replace(DEFAULT_STRESS, shock_a=3.0, shock_b=7.0)
+        path = tmp_path / "scenario.ini"
+        write_stress_config(path, params)
+        lines = [line for line in path.read_text().splitlines()
+                 if not line.startswith("shock_beta_") or line.split()[0] in kept]
+        path.write_text("\n".join(lines) + "\n")
+        loaded = load_stress_config(path)
+        assert loaded.shock_a == (3.0 if "shock_beta_a" in kept
+                                  else StressTestParams.shock_a)
+        assert loaded.shock_b == (7.0 if "shock_beta_b" in kept
+                                  else StressTestParams.shock_b)
+        assert replace(loaded, shock_a=3.0, shock_b=7.0) == params
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from qmcecon import econ
 from qmcecon.circuits import count_resources, decompose
 from qmcecon.distributions import (
     VariationalAnsatz,
+    ansatz_circuit,
     discretize_normal,
     exact_state_prep,
 )
@@ -94,14 +95,14 @@ def basis_state(num_qubits, index):
 class TestRotationEncodings:
     def test_exact_zero_function(self):
         rv = RandomVariableSpec(np.zeros(8), 0.0, 1.0)
-        circ = build_R_exact(rv, [0, 1, 2], 3)
+        circ = build_R_exact(rv)
         for i in range(8):
             out = apply_circuit(basis_state(4, i << 1), circ)
             assert probabilities(out, [3])[1] < 1e-15
 
     def test_exact_one_function(self):
         rv = RandomVariableSpec(np.ones(8), 0.0, 1.0)
-        circ = build_R_exact(rv, [0, 1, 2], 3)
+        circ = build_R_exact(rv)
         for i in range(8):
             out = apply_circuit(basis_state(4, i << 1), circ)
             assert probabilities(out, [3])[1] > 1 - 1e-12
@@ -110,7 +111,7 @@ class TestRotationEncodings:
         grid = np.linspace(-math.pi, math.pi, 8)
         values = np.sin(grid) ** 2
         rv = RandomVariableSpec(values, 0.0, 1.0)
-        circ = build_R_exact(rv, [0, 1, 2], 3)
+        circ = build_R_exact(rv)
         for i in range(8):
             out = apply_circuit(basis_state(4, i << 1), circ)
             assert probabilities(out, [3])[1] == pytest.approx(values[i], abs=1e-10)
@@ -118,7 +119,7 @@ class TestRotationEncodings:
     def test_linear_branch_values(self):
         m = 4
         params = LinearRParams.for_grid(m, 0.3)
-        circ = build_R_linear(m, params, list(range(m)), m)
+        circ = build_R_linear(m, params)
         for i in range(1 << m):
             out = apply_circuit(basis_state(m + 1, i << 1), circ)
             expect = math.sin(params.a * i + params.b + math.pi / 4) ** 2
@@ -128,7 +129,7 @@ class TestRotationEncodings:
         m = 3
         for c_s in (0.1, 0.01, 0.001):
             params = LinearRParams.for_grid(m, c_s)
-            circ = build_R_linear(m, params, list(range(m)), m)
+            circ = build_R_linear(m, params)
             for i in (0, 3, 7):
                 out = apply_circuit(basis_state(m + 1, i << 1), circ)
                 p1 = probabilities(out, [m])[1]
@@ -145,7 +146,7 @@ class TestRotationEncodings:
         circ = Circuit(m + 1)
         for q in range(m):
             circ.ry(q, math.pi / 2)
-        circ.extend(build_R_exact(rv, list(range(m)), m))
+        circ.extend(build_R_exact(rv))
         assert [g.kind for g in circ.gates[m:]] == ["ucry"]
         native = apply_circuit(init_state(m + 1), circ).amplitudes
         lowered = apply_circuit(init_state(m + 1), decompose(circ)).amplitudes
@@ -153,17 +154,29 @@ class TestRotationEncodings:
         np.testing.assert_allclose(np.abs(native[1::2]) ** 2 * (1 << m),
                                    rv.values, rtol=0, atol=1e-14)
 
-    def test_size_mismatch(self):
-        rv = RandomVariableSpec(np.zeros(8), 0.0, 1.0)
-        with pytest.raises(ValueError):
-            build_R_exact(rv, [0, 1], 2)
+    @pytest.mark.parametrize("size", [1, 3, 6])
+    def test_exact_needs_power_of_two_values(self, size):
+        # the register size comes from the values, so they must be 2**k, k >= 1
+        rv = RandomVariableSpec(np.zeros(size), 0.0, 1.0)
+        with pytest.raises(ValueError, match="need 2\\*\\*k values"):
+            build_R_exact(rv)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_register_follows_from_values(self, k):
+        rv = RandomVariableSpec(np.zeros(1 << k), 0.0, 1.0)
+        [gate] = build_R_exact(rv).gates
+        assert gate.controls == tuple(range(k)) and gate.targets == (k,)
+        circ = build_R_linear(k, LinearRParams.for_grid(k, 0.1))
+        assert circ.num_qubits == k + 1
+        assert [g.controls for g in circ.gates if g.kind == "cry"] == [
+            (q,) for q in range(k)]
 
 
 class TestProblemUnitary:
     def test_constant_one_gives_unit_probability(self):
         dist = random_distribution(3, np.random.default_rng(1))
         rv = RandomVariableSpec(np.ones(8), 0.0, 1.0)
-        f = build_F(exact_state_prep(dist), build_R_exact(rv, [0, 1, 2], 3))
+        f = build_F(exact_state_prep(dist), build_R_exact(rv))
         chi = apply_circuit(init_state(4), f)
         assert probabilities(chi, [3])[1] == pytest.approx(1.0, abs=1e-12)
 
@@ -172,7 +185,7 @@ class TestProblemUnitary:
         values = np.sin(dist.grid) ** 2
         rv = RandomVariableSpec(values, 0.0, 1.0)
         f = build_F(exact_state_prep(dist),
-                    build_R_exact(rv, list(range(5)), 5))
+                    build_R_exact(rv))
         chi = apply_circuit(init_state(6), f)
         p1 = probabilities(chi, [5])[1]
         assert p1 == pytest.approx(math.sinh(1) / math.e, abs=5e-4)
@@ -186,11 +199,71 @@ class TestProblemUnitary:
         a_all = Circuit(4)
         a_all.extend(exact_state_prep(d1, [0, 1]))
         a_all.extend(exact_state_prep(d2, [2, 3]))
-        f = build_F(a_all, build_R_exact(rv, [0, 1, 2, 3], 4))
+        f = build_F(a_all, build_R_exact(rv))
         chi = apply_circuit(init_state(5), f)
         joint = np.outer(d1.masses, d2.masses).reshape(-1)
         assert probabilities(chi, [4])[1] == pytest.approx(
             float(joint @ values), abs=1e-10)
+
+
+class TestAssembleF:
+    """F's registers, preparation and rotation follow from its inputs."""
+
+    def test_registers_follow_from_dists(self):
+        rng = np.random.default_rng(3)
+        d1, d2 = random_distribution(2, rng), random_distribution(2, rng)
+        rv = normalize_rv(rng.uniform(0, 1, 16))
+        f = assemble_f([d1, d2], rv)
+        a_all = Circuit(4)
+        a_all.extend(exact_state_prep(d1, [0, 1]))
+        a_all.extend(exact_state_prep(d2, [2, 3]))
+        assert f.num_qubits == 5
+        assert f.gates == build_F(a_all, build_R_exact(rv)).gates
+        for size in (8, 32):
+            with pytest.raises(ValueError, match="does not fit a 4-qubit register"):
+                assemble_f([d1, d2], normalize_rv(rng.uniform(0, 1, size)))
+
+    def test_mixed_m_rejected(self):
+        rng = np.random.default_rng(4)
+        dists = [random_distribution(2, rng), random_distribution(3, rng)]
+        with pytest.raises(ValueError, match="same m"):
+            assemble_f(dists, normalize_rv(rng.uniform(0, 1, 32)))
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_ansatz_prepares_every_register(self, dims):
+        # the gates of the trained-ansatz mode: the ansatz on each register
+        rng = np.random.default_rng(5)
+        m = 2
+        ansatz = VariationalAnsatz(m, 2, rng.uniform(-math.pi, math.pi, 12))
+        dists = [random_distribution(m, rng) for _ in range(dims)]
+        rv = normalize_rv(rng.uniform(0, 1, 1 << (dims * m)))
+        a_all = Circuit(dims * m)
+        for j in range(dims):
+            a_all.extend(ansatz_circuit(ansatz, range(j * m, (j + 1) * m)))
+        assert (assemble_f(dists, rv, ansatz).gates
+                == build_F(a_all, build_R_exact(rv)).gates)
+
+    def test_linear_params_select_the_cascade(self):
+        dist = random_distribution(3, np.random.default_rng(6))
+        rv = normalize_rv(np.linspace(2.0, -1.0, 8))
+        linear = LinearRParams.for_grid(3, 0.2, increasing=False)
+        f = assemble_f([dist], rv, linear=linear)
+        assert f.gates == build_F(exact_state_prep(dist),
+                                  build_R_linear(3, linear)).gates
+
+    def test_run_qmc_passes_ansatz_in_trained_mode_only(self):
+        rng = np.random.default_rng(7)
+        dist, rv = random_distribution(3, rng), normalize_rv(rng.uniform(0, 1, 8))
+        ansatz = VariationalAnsatz(3, 1, rng.uniform(-math.pi, math.pi, 9))
+        exact = run_qmc(QMCConfig(m=3, n=4), [dist], rv)
+        ignored = run_qmc(QMCConfig(m=3, n=4), [dist], rv, ansatz=ansatz)
+        trained = run_qmc(QMCConfig(m=3, n=4, a_mode="trained_ansatz"),
+                          [dist], rv, ansatz=ansatz)
+        assert ignored.p1 == exact.p1 != trained.p1
+        with pytest.raises(ValueError, match="needs ansatz parameters"):
+            run_qmc(QMCConfig(m=3, n=4, a_mode="trained_ansatz"), [dist], rv)
+        with pytest.raises(ValueError, match="expected 2 distributions of m=3"):
+            run_qmc(QMCConfig(dims=2, m=3, n=4), [dist], rv)
 
 
 class TestGroverOperator:
@@ -200,7 +273,7 @@ class TestGroverOperator:
         dist = random_distribution(m, rng)
         rv = normalize_rv(rng.uniform(0, 3, 1 << m))
         f = build_F(exact_state_prep(dist),
-                    build_R_exact(rv, list(range(m)), m))
+                    build_R_exact(rv))
         q = dense_unitary(grover_operator(f))
         mu = float(dist.masses @ rv.values)
         theta = math.acos(1 - 2 * mu) / math.pi
@@ -212,7 +285,7 @@ class TestGroverOperator:
         rng = np.random.default_rng(7)
         dist = random_distribution(2, rng)
         rv = normalize_rv(rng.uniform(0, 1, 4))
-        f = build_F(exact_state_prep(dist), build_R_exact(rv, [0, 1], 2))
+        f = build_F(exact_state_prep(dist), build_R_exact(rv))
         q = dense_unitary(grover_operator(f))
         cq = dense_unitary(build_controlled_Q(f, control=3))
         dim = 8
@@ -224,7 +297,7 @@ class TestGroverOperator:
     def test_control_overlap_rejected(self):
         dist = random_distribution(2, np.random.default_rng(0))
         rv = normalize_rv(np.arange(4.0))
-        f = build_F(exact_state_prep(dist), build_R_exact(rv, [0, 1], 2))
+        f = build_F(exact_state_prep(dist), build_R_exact(rv))
         with pytest.raises(ValueError):
             build_controlled_Q(f, control=1)
 
@@ -239,7 +312,7 @@ def small_problem(m, seed=0):
 class TestPhaseEstimationCircuit:
     def test_oracle_call_counts(self):
         dist, rv = small_problem(2)
-        f = assemble_f(QMCConfig(dims=1, m=2, n=1), [dist], rv)
+        f = assemble_f([dist], rv)
         block = build_controlled_Q(f, control=3)
         circ6 = flatten(phase_estimation(f, 6))
         # gate-count identity: F + n Hadamards + 63 blocks + inverse QFT
@@ -249,7 +322,7 @@ class TestPhaseEstimationCircuit:
 
     def test_segments_span_every_wire(self):
         dist, rv = small_problem(2)
-        f = assemble_f(QMCConfig(dims=1, m=2, n=1), [dist], rv)
+        f = assemble_f([dist], rv)
         segments = phase_estimation(f, 4)
         assert [r for _, r in segments] == [1, 8, 4, 2, 1, 1]
         assert {block.num_qubits for block, _ in segments} == {3 + 4}
@@ -271,7 +344,7 @@ class TestPhaseEstimationCircuit:
         # an exact F's multiplexors carry 2**s angles; n blocks must not
         # each negate a copy of them
         dist, rv = small_problem(3)
-        f = assemble_f(QMCConfig(dims=1, m=3, n=1), [dist], rv)
+        f = assemble_f([dist], rv)
         blocks = [block for block, _ in phase_estimation(f, 3)[1:-1]]
         own = {id(g) for g in f.gates}
         inverses = [{id(g) for g in block.gates if g.kind == "ucry"} - own
@@ -280,7 +353,7 @@ class TestPhaseEstimationCircuit:
 
     def test_work_register_size(self):
         dist, rv = small_problem(3)
-        f = assemble_f(QMCConfig(dims=1, m=3, n=2), [dist], rv)
+        f = assemble_f([dist], rv)
         circ = flatten(phase_estimation(f, 2))
         assert circ.num_qubits == 4 + 2
         # system of m+1 wires: controls = est + m register wires -> m-1 work
@@ -292,7 +365,7 @@ class TestPhaseEstimationCircuit:
 
     def test_decomposable_and_countable(self):
         dist, rv = small_problem(2)
-        f = assemble_f(QMCConfig(dims=1, m=2, n=2), [dist], rv)
+        f = assemble_f([dist], rv)
         circ = flatten(phase_estimation(f, 2))
         # m+1 = 3 system wires: the controlled MCX has 3 controls, 1 work wire
         rep = count_resources(decompose(circ, work=[circ.num_qubits]))
@@ -383,7 +456,7 @@ class TestFullPipeline:
         dist, rv = small_problem(m, seed=10 * m + n)
         config = QMCConfig(dims=1, m=m, n=n, method="circuit")
         res = run_qmc(config, [dist], rv)
-        f = assemble_f(config, [dist], rv)
+        f = assemble_f([dist], rv)
         q = dense_unitary(grover_operator(f))
         chi = dense_unitary(f)[:, 0]
         oracle = brute_force_phase_estimation(q, chi, n)

@@ -6,6 +6,14 @@ Each command runs through ``qmcecon.cli.main`` in OUT_DIR with ``--out
 <name>.csv``.  Its exit code and stdout (not bench's, which has the host's
 seconds per sample) go to ``<name>.txt``; ``cli.NONDETERMINISTIC_COLUMNS``
 leave every CSV.  ``diff -r`` two trees' directories to check byte identity.
+
+The committed tree ``tests/golden/cli_outputs`` is this script's output, and
+``tests/test_golden.py`` regenerates and compares it.  A change that moves an
+output on purpose regenerates it in the same commit:
+
+    rm -r tests/golden/cli_outputs
+    PYTHONPATH=src python tools/cli_outputs.py tests/golden/cli_outputs
+    python -c "import numpy; print(numpy.__version__)" > tests/golden/NUMPY_VERSION
 """
 
 import contextlib
@@ -65,9 +73,13 @@ def commands():
     # 31 wires and no statevector: counted
     yield "resources_m5_n21", ["resources", "--m", "5", "--n-min", "21",
                                "--n-max", "21"]
-    # the readout bound of the config: 2 GiB for 26 estimation qubits
-    yield "resources_n26_over_memory", ["resources", "--m", "5", "--n-min", "26",
-                                        "--n-max", "26"]
+    # 36 wires: counting allocates no readout of 2**26 outcomes
+    yield "resources_m5_n26", ["resources", "--m", "5", "--n-min", "26",
+                               "--n-max", "26"]
+    # up to 2.5e18 lowered gates, past the 2**61 that int64 depths hold:
+    # refused before anything is lowered
+    yield "resources_past_int64", ["resources", "--m", "5", "--n-min", "49",
+                                   "--n-max", "49"]
     # 9e9 ansatz angles and 7 TB of gates: refused before they are drawn
     yield "resources_huge_layers", ["resources", "--m", "3", "--layers",
                                     "1000000000", "--n-min", "3", "--n-max", "3"]
