@@ -184,11 +184,31 @@ def _bench_ansatz(m: int, layers: int) -> VariationalAnsatz:
                                          VariationalAnsatz.num_params(m, layers)))
 
 
-def _lowered_bound(block) -> int:
-    # At most 2k - 3 Toffolis of 17 gates for an MCX with k >= 2 controls,
-    # and 5 for any other gate of an F without multiplexors and its blocks
-    return sum(17 * (2 * len(g.controls) - 3) if g.kind == "mcx" else 5
-               for g in block.gates)
+def _segment_costs(m: int, n: int, layers: int, width: int) -> list:
+    """``(gate counts, transfer matrix, repeats)`` of each segment of the
+    counted estimation circuit, in order, with block 0 lowered once."""
+    workload = econ.neoclassical_workload()
+    dist = workload.shock(m)
+    rv = normalize_rv(workload.values(dist))
+    f_circuit = assemble_f([dist], rv, _bench_ansatz(m, layers),
+                           LinearRParams.for_oracle_budget(rv, n))
+    (prep, _), *controlled, (iqft, _) = phase_estimation(f_circuit, n)
+    s = m + 1
+    work = range(s + n, width)
+
+    def lowered_cost(block):
+        lowered = list(lower_gates(block.gates, work))
+        return count_stream(lowered, width).counts, transfer_matrix(lowered, width)
+
+    q_counts, q_transfer = lowered_cost(controlled[0][0])
+    costs = [(*lowered_cost(prep), 1)]
+    for k, (_, repeats) in enumerate(controlled):
+        # block k is block 0 with estimation wires s and s + k exchanged
+        perm = np.arange(width)
+        perm[[s, s + k]] = s + k, s
+        costs.append((q_counts, q_transfer[np.ix_(perm, perm)], repeats))
+    costs.append((*lowered_cost(iqft), 1))
+    return costs
 
 
 def qmc_resource_report(m: int, n: int, layers: int = 10) -> ResourceReport:
@@ -208,9 +228,11 @@ def qmc_resource_report(m: int, n: int, layers: int = 10) -> ResourceReport:
     of ``count_stream`` over the flat lowering, which the tests check.
 
     Nothing of size 2**n is allocated, so n is bounded by the integer range
-    instead: a request whose lowered gate total, and so its depth, could
-    reach 2**61 (the headroom ``circuits.NO_PATH`` leaves in int64) raises
-    ``ResourceLimitError`` before anything is lowered.
+    instead: a request whose lowered gate total, and so its depth, reaches
+    2**61 (the headroom ``circuits.NO_PATH`` leaves in int64) raises
+    ``ResourceLimitError``.  From n = 62 on, the 2**n - 1 blocks of one gate
+    or more each pass it, and nothing is built; below, the total is counted
+    before any frontier is advanced.
     """
     # The 2**m shock grid with its variable and linearity check: 49-103 B
     # per point traced at m = 14-16.  F's layers * (4m - 1) gates, its
@@ -226,39 +248,20 @@ def qmc_resource_report(m: int, n: int, layers: int = 10) -> ResourceReport:
     # wires of the circuit.  No other gate needs work wires.
     s = m + 1
     width = s + n + max(0, s - 2)
-    workload = econ.neoclassical_workload(symmetric=True)
-    dist = workload.shock(m)
-    rv = normalize_rv(workload.values(dist))
-    linear = LinearRParams.for_oracle_budget(m, n, increasing=False)
-    f_circuit = assemble_f([dist], rv, _bench_ansatz(m, layers), linear)
-    (prep, _), *controlled, (iqft, _) = phase_estimation(f_circuit, n)
-    total = (_lowered_bound(prep) + _lowered_bound(iqft)
-             + (2**n - 1) * _lowered_bound(controlled[0][0]))
-    if total >= 1 << 61:
-        raise sim.ResourceLimitError(
-            f"counting n={n} at m={m} may reach {total} gates, past the "
-            f"2**61 that int64 depths hold")
-    work = range(s + n, width)
-
-    def lowered_cost(block):
-        lowered = list(lower_gates(block.gates, work))
-        return count_stream(lowered, width).counts, transfer_matrix(lowered, width)
-
-    q_counts, q_transfer = lowered_cost(controlled[0][0])
-    costs = [(*lowered_cost(prep), 1)]
-    for k, (_, repeats) in enumerate(controlled):
-        # block k is block 0 with estimation wires s and s + k exchanged
-        perm = np.arange(width)
-        perm[[s, s + k]] = s + k, s
-        costs.append((q_counts, q_transfer[np.ix_(perm, perm)], repeats))
-    costs.append((*lowered_cost(iqft), 1))
+    costs = _segment_costs(m, n, layers, width) if n < 62 else []
     counts = Counter()
-    frontier = np.zeros(width, dtype=np.int64)
-    for block_counts, transfer, repeats in costs:
+    for block_counts, _, repeats in costs:
         counts.update({kind: c * repeats for kind, c in block_counts.items()})
+    total = sum(counts.values())
+    if n >= 62 or total >= 1 << 61:
+        gates = f"at least 2**{n} - 1" if n >= 62 else total
+        raise sim.ResourceLimitError(
+            f"counting n={n} at m={m} makes {gates} gates, past the 2**61 "
+            f"that int64 depths hold")
+    frontier = np.zeros(width, dtype=np.int64)
+    for _, transfer, repeats in costs:
         frontier = advance_frontier(frontier, transfer, repeats)
-    return ResourceReport(dict(counts), sum(counts.values()), int(frontier.max()),
-                          width)
+    return ResourceReport(dict(counts), total, int(frontier.max()), width)
 
 
 def resource_rows(m: int, n_values, layers: int = 10) -> list[dict]:

@@ -1,7 +1,7 @@
 """Command-line front door for runs, sweeps, resources, and benchmarks.
 
 Exit codes: 0 success, 1 argument/usage errors, 2 a request over the memory
-budget.
+budget or a resource count past the int64 range of its depths.
 CSV is the primary output format; ``--format json`` serializes the same rows
 losslessly.  Wall-time columns are tagged non-deterministic in the header
 comment; everything else is byte-identical across runs at a fixed seed.
@@ -22,7 +22,6 @@ from . import bench, econ
 from .distributions import (
     APPENDIX_SCHEDULE,
     TrainingSchedule,
-    discretize_normal,
     load_ansatz,
     save_ansatz,
     train_ansatz,
@@ -112,7 +111,7 @@ def _stress_params(args) -> econ.StressTestParams:
 
 def _cmd_train_a(args) -> int:
     _check_shock_grid(args.m)
-    target = discretize_normal(args.m, args.mean, args.sigma, args.x_min, args.x_max)
+    target = econ.neoclassical_shock_grid(args.m, symmetric=True)
     schedule = TrainingSchedule(_parse_stages(args.stages), seed=args.seed)
     ansatz, trace = train_ansatz(target, args.layers, schedule)
     final_cost = float(trace[-1])
@@ -126,13 +125,7 @@ def _cmd_train_a(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    ansatz = None
-    if args.a_mode == "trained_ansatz":
-        if not args.params:
-            raise ValueError("trained_ansatz mode needs --params FILE")
-        ansatz, _ = load_ansatz(args.params)
-    elif args.params:
-        raise ValueError("--params needs --a-mode trained_ansatz")
+    ansatz = load_ansatz(args.params)[0] if args.params else None
     workload = econ.workload(args.app, _stress_params(args))
     m = workload.m if args.m is None else args.m
     if ansatz is not None and ansatz.m != m:
@@ -142,7 +135,7 @@ def _cmd_run(args) -> int:
         check_memory(f"--distribution-out of {args.n} estimation qubits",
                      1024 * (1 << args.n))
     result = econ.estimate(workload, m, args.n, r_mode=args.r_mode,
-                           a_mode=args.a_mode, ansatz=ansatz, method=args.method)
+                           ansatz=ansatz, method=args.method)
     est, abs_error = result.estimate, result.abs_error_grid
     print(f"app={args.app} m={m} n={args.n} N_oracle={est.oracle_calls}")
     print(f"theta_hat={est.theta_hat:.6f} mu_normalized={est.mu_normalized:.6f}")
@@ -329,13 +322,10 @@ def build_parser() -> _Parser:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train-a", help="train the state-preparation ansatz")
+    p = sub.add_parser("train-a", help="train the state-preparation ansatz "
+                                       "on the Fig. 11 shock grid")
     p.add_argument("--m", type=int, default=5)
     p.add_argument("--layers", type=_positive_int, default=10)
-    p.add_argument("--mean", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=econ.BENCH_SIGMA)
-    p.add_argument("--x-min", type=float, default=1.0 - 3.0 * econ.BENCH_SIGMA)
-    p.add_argument("--x-max", type=float, default=1.0 + 3.0 * econ.BENCH_SIGMA)
     p.add_argument("--stages", default=",".join(
         f"{epochs}:{lr}" for epochs, lr in APPENDIX_SCHEDULE.stages))
     p.add_argument("--params-out", default="trained_params.txt")
@@ -346,9 +336,8 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--r-mode", choices=("exact", "linear"), default="exact")
-    p.add_argument("--a-mode", choices=("exact_prep", "trained_ansatz"),
-                   default="exact_prep")
-    p.add_argument("--params", help="trained parameter file")
+    p.add_argument("--params",
+                   help="trained parameter file: prepare every register with it")
     p.add_argument("--method", default="auto", choices=("auto", "circuit"),
                    help="auto: spectral readout of F's encoded probability; "
                         "circuit: gate-by-gate phase-estimation reference")

@@ -288,9 +288,15 @@ def neoclassical_qmc(c1: float, c2: float, sigma: float, m: int, n: int,
                      r_mode: str = "exact", a_mode: str = "exact_prep",
                      ansatz=None) -> WorkloadEstimate:
     """Estimate E[C1 + C2 z'] over the discretized shock.  ``r_mode`` selects
-    the exact rotation encoding or the rescaled linear cascade."""
-    return estimate(neoclassical_workload(c1, c2, sigma), m, n, r_mode, a_mode,
-                    ansatz)
+    the exact rotation encoding or the rescaled linear cascade.  ``ansatz``,
+    when given, prepares the shock; ``a_mode`` restates that choice
+    (``"trained_ansatz"`` or ``"exact_prep"``, as ``perfbench`` passes it)
+    and must agree with it."""
+    if (a_mode, ansatz is None) not in (("exact_prep", True),
+                                        ("trained_ansatz", False)):
+        raise ValueError(f"a_mode={a_mode!r} given with "
+                         f"{'no' if ansatz is None else 'an'} ansatz")
+    return estimate(neoclassical_workload(c1, c2, sigma), m, n, r_mode, ansatz)
 
 
 # ---------------------------------------------------------------------------
@@ -421,12 +427,11 @@ def stress_workload(params: StressTestParams) -> Workload:
 
 
 def neoclassical_workload(c1: float = BENCH_C1, c2: float = BENCH_C2,
-                          sigma: float = BENCH_SIGMA,
-                          symmetric: bool = False) -> Workload:
+                          sigma: float = BENCH_SIGMA) -> Workload:
     """Expected linearized Bellman residual C1 + C2 z' over z' ~ N(1, sigma)."""
     return Workload(
         dims=1, m=BENCH_M,
-        shock=lambda m: neoclassical_shock_grid(m, sigma, symmetric=symmetric),
+        shock=lambda m: neoclassical_shock_grid(m, sigma),
         values=lambda dist: c1 + c2 * dist.grid,
         grid_mean=lambda dist: c1 + c2 * dist.mean(),
         mean=c1 + c2 * 1.0,
@@ -469,14 +474,13 @@ class WorkloadEstimate:
 
 
 def estimate(workload: Workload, m: int, n: int, r_mode: str = "exact",
-             a_mode: str = "exact_prep", ansatz=None,
-             method: str = "auto") -> WorkloadEstimate:
+             ansatz=None, method: str = "auto") -> WorkloadEstimate:
     """Amplitude-estimate the workload's mean: m qubits per register, n
-    estimation qubits.  ``a_mode="trained_ansatz"`` prepares every register
-    with ``ansatz``."""
+    estimation qubits.  ``ansatz``, when given, prepares every register;
+    otherwise each is prepared exactly."""
     # the config checks its memory before the 2**(dims m) grid is built
     config = QMCConfig(dims=workload.dims, m=m, n=n, r_mode=r_mode,
-                       a_mode=a_mode, method=method)
+                       method=method)
     dist = workload.shock(m)
     rv = normalize_rv(workload.values(dist))
     est = run_qmc(config, [dist] * workload.dims, rv, ansatz=ansatz)

@@ -95,6 +95,8 @@ class LinearRParams:
     -c_s and the top index to +c_s, while a variable that decreases along the
     grid gets the mirrored ramp so its encoded mean stays below one half (the
     phase then sits in the left half of [0, 1], where readout expects it).
+    ``for_oracle_budget`` reads m and the direction from the variable;
+    ``for_grid`` takes them, with any c_s, as given.
     """
 
     c_s: float
@@ -111,12 +113,13 @@ class LinearRParams:
         return cls(c_s, sign * 2.0 * c_s / (2**m - 1), -sign * c_s)
 
     @classmethod
-    def for_oracle_budget(cls, m: int, n: int, increasing: bool = True) -> "LinearRParams":
-        """c_s = (3 pi / N)**(1/3) with N = 2**n oracle applications, the
-        scaling that balances rotation-linearization bias against phase
-        resolution."""
+    def for_oracle_budget(cls, rv: RandomVariableSpec, n: int) -> "LinearRParams":
+        """The ramp for ``rv`` on its 2**m grid points, with c_s = (3 pi /
+        N)**(1/3) for N = 2**n oracle applications, the scaling that balances
+        rotation-linearization bias against phase resolution."""
         c_s = (3.0 * math.pi / 2**n) ** (1.0 / 3.0)
-        return cls.for_grid(m, c_s, increasing)
+        m = rv.values.size.bit_length() - 1
+        return cls.for_grid(m, c_s, bool(rv.values[-1] >= rv.values[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -339,14 +342,11 @@ class QMCConfig:
     m: int = 5
     n: int = 6
     r_mode: str = "exact"          # "exact" | "linear"
-    a_mode: str = "exact_prep"     # "exact_prep" | "trained_ansatz"
     method: str = "auto"           # "auto" (spectral readout) | "circuit" (reference)
 
     def __post_init__(self):
         if self.r_mode not in ("exact", "linear"):
             raise ValueError(f"unknown r_mode {self.r_mode!r}")
-        if self.a_mode not in ("exact_prep", "trained_ansatz"):
-            raise ValueError(f"unknown a_mode {self.a_mode!r}")
         if self.method not in ("auto", "circuit"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.r_mode == "linear" and self.dims != 1:
@@ -500,23 +500,18 @@ def run_qmc(config: QMCConfig, dists, rv: RandomVariableSpec,
     Returns the exact outcome distribution over estimation bitstrings, the
     extracted phase, and the recovered expectation in normalized and original
     units.  ``config`` must describe ``dists``, whose sizes its memory checks
-    counted; ``ansatz`` prepares the registers only in the trained-ansatz
-    mode.  The linear rotation encoding recomputes its c_s rescaling for the
-    configured number of estimation qubits.  The phase is always read from
-    the left half of the distribution, so an encoded p1 above 1/2 returns the
-    mirrored mean 1 - mu (normalized) without a warning.
+    counted.  ``ansatz``, when given, prepares every register; otherwise
+    each is prepared exactly.  The linear rotation encoding takes its ramp
+    direction from ``rv`` and its c_s rescaling from the configured number
+    of estimation qubits.  The phase is always read from the left half of
+    the distribution, so an encoded p1 above 1/2 returns the mirrored mean
+    1 - mu (normalized) without a warning.
     """
     dists = list(dists)
     if len(dists) != config.dims or any(d.m != config.m for d in dists):
         raise ValueError(f"expected {config.dims} distributions of m={config.m}")
-    if config.a_mode == "exact_prep":
-        ansatz = None
-    elif ansatz is None:
-        raise ValueError("trained_ansatz mode needs ansatz parameters")
-    linear = None
-    if config.r_mode == "linear":
-        increasing = bool(rv.values[-1] >= rv.values[0])
-        linear = LinearRParams.for_oracle_budget(config.m, config.n, increasing)
+    linear = (LinearRParams.for_oracle_budget(rv, config.n)
+              if config.r_mode == "linear" else None)
     distribution, p1 = _simulate_distribution(
         config, assemble_f(dists, rv, ansatz, linear), config.n)
     theta_hat = extract_theta(distribution)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -54,6 +55,18 @@ class TestExitCodes:
             main(["--jobs", "2", "sweep", "--app", "simple", "--estimator",
                   "qmc_exact", "--n-min", "3", "--n-max", "4"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("args", [
+        ["run", "simple", "--a-mode", "trained_ansatz"],
+        ["train-a", "--x-min", "0.9"]], ids=["run", "train-a"])
+    def test_removed_options_exit_1(self, capsys, args):
+        # --params alone selects trained preparation, and train-a always
+        # trains on the Fig. 11 grid
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {' '.join(args[-2:])}" in (
+            capsys.readouterr().err)
 
     def test_classical_sweep_needs_repeats(self, capsys):
         code, _, err = run_cli(
@@ -125,18 +138,30 @@ class TestExitCodes:
 
     def test_resource_count_over_cap_exit_2_before_building(self, capsys,
                                                              monkeypatch):
-        def refuse(*a, **k):
-            raise AssertionError("circuit lowered before the integer bound")
-
-        # 4396 lowered gates at most per controlled-Q block of m = 5, so
-        # 2**49 - 1 blocks could pass the 2**61 that int64 depths hold
-        with monkeypatch.context() as patch:
-            patch.setattr(bench, "lower_gates", refuse)
-            code, _, err = run_cli(["resources", "--m", "5", "--n-min", "49",
-                                    "--n-max", "49"], capsys)
+        # 1196 lowered gates per controlled-Q block of m = 5, so 2**51 - 1
+        # blocks pass the 2**61 that int64 depths hold
+        code, _, err = run_cli(["resources", "--m", "5", "--n-min", "51",
+                                "--n-max", "51"], capsys)
         assert code == 2
-        assert ("counting n=49 at m=5 may reach 2474727995240090511 gates, "
+        assert ("counting n=51 at m=5 makes 2693152577167562203 gates, "
                 "past the 2**61 that int64 depths hold") in err
+
+        # from n = 62 on, 2**n - 1 blocks of one gate or more pass it, and
+        # nothing is built
+        def refuse(*a, **k):
+            raise AssertionError("circuit built past the integer bound")
+
+        for n in (1000, 2000):
+            with monkeypatch.context() as patch:
+                patch.setattr(bench, "phase_estimation", refuse)
+                start = time.perf_counter()
+                code, out, err = run_cli(["resources", "--m", "5", "--n-min",
+                                          str(n), "--n-max", str(n)], capsys)
+                assert time.perf_counter() - start < 1.0
+            assert code == 2 and out == ""
+            assert err == (f"resource error: counting n={n} at m=5 makes at "
+                           f"least 2**{n} - 1 gates, past the 2**61 that int64 "
+                           f"depths hold\n")
         # 6 F wires + 26 estimation wires + 4 work wires = 36 qubits: counting
         # allocates no readout of 2**26 outcomes, so nothing refuses it
         code, out, _ = run_cli(["resources", "--m", "5", "--n-min", "26",
@@ -201,8 +226,7 @@ class TestExitCodes:
                     seed=0, final_cost=0.0)
         with pytest.raises(Reached):
             main(["run", "neoclassical", "--m", "3", "--n", str(n), "--r-mode",
-                  "linear", "--a-mode", "trained_ansatz", "--method", "circuit",
-                  "--params", str(params)])
+                  "linear", "--method", "circuit", "--params", str(params)])
 
     def test_distribution_out_over_cap_exit_2_before_estimating(
             self, tmp_path, capsys, monkeypatch):
@@ -294,9 +318,8 @@ class TestExitCodes:
         def refuse(*a, **k):
             raise Reached("shock grid built")
 
-        for module, name in ((econ, "discretize_normal"), (econ, "discretize_beta"),
-                             (cli, "discretize_normal")):
-            monkeypatch.setattr(module, name, refuse)
+        for name in ("discretize_normal", "discretize_beta"):
+            monkeypatch.setattr(econ, name, refuse)
         monkeypatch.chdir(tmp_path)
         # 48 B per grid point: 2**24 points fit, 2**25 do not
         code, out, err = run_cli([*command, "--m", "25"], capsys)
@@ -306,15 +329,6 @@ class TestExitCodes:
         with pytest.raises(Reached):
             main([*command, "--m", "24"])
 
-    def test_params_without_trained_mode_exit_1(self, tmp_path, capsys):
-        params = tmp_path / "zero.txt"
-        save_ansatz(params, VariationalAnsatz(3, 1, np.zeros(9)), 0, 0.0)
-        code, out, err = run_cli(["run", "simple", "--m", "3", "--n", "5",
-                                  "--params", str(params)], capsys)
-        assert code == 1
-        assert "--params needs --a-mode trained_ansatz" in err
-        assert out == ""
-
     @pytest.mark.parametrize("m_args,m", [(["--m", "3"], 3),
                                           ([], neoclassical_workload().m)],
                              ids=["given", "default"])
@@ -322,8 +336,8 @@ class TestExitCodes:
         params = tmp_path / "five.txt"
         save_ansatz(params, VariationalAnsatz(5, 1, np.zeros(15)), 0, 0.0)
         code, out, err = run_cli(["run", "neoclassical", "--r-mode", "linear",
-                                  *m_args, "--n", "4", "--a-mode", "trained_ansatz",
-                                  "--params", str(params)], capsys)
+                                  *m_args, "--n", "4", "--params", str(params)],
+                                 capsys)
         assert code == 1
         assert f"{params} has m=5, but --m is {m}" in err
         assert out == ""
@@ -336,7 +350,6 @@ class TestExitCodes:
         params.write_text("# " + " ".join(f"{k}={v}" for k, v in header.items())
                           + "\n" + "0.0\n" * 9)
         code, out, err = run_cli(["run", "simple", "--m", "3", "--n", "5",
-                                  "--a-mode", "trained_ansatz",
                                   "--params", str(params)], capsys)
         assert code == 1
         assert f"header has no {missing}= entry" in err
@@ -473,8 +486,7 @@ class TestRun:
         params = tmp_path / "zero.txt"
         save_ansatz(params, VariationalAnsatz(3, 1, np.zeros(9)), 0, 0.0)
         base = ["run", app, "--m", "3", "--n", "5"]
-        code, out, _ = run_cli([*base, "--a-mode", "trained_ansatz",
-                                "--params", str(params)], capsys)
+        code, out, _ = run_cli([*base, "--params", str(params)], capsys)
         assert code == 0
         assert "mu_normalized=0.000000" in out
         code, out, _ = run_cli(base, capsys)

@@ -6,7 +6,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from qmcecon.distributions import DiscretizedDistribution
+from qmcecon.distributions import DiscretizedDistribution, VariationalAnsatz
 from qmcecon.econ import (
     APPS,
     BENCH_C1,
@@ -209,12 +209,27 @@ class TestNeoclassical:
         # grid symmetric about the mean: the phase sits exactly on the
         # half-turn and readout returns the oracle at any register size
         for n in (3, 6, 9):
-            res = estimate(neoclassical_workload(symmetric=True), 4, n)
+            res = estimate(replace(neoclassical_workload(), shock=lambda m:
+                                   neoclassical_shock_grid(m, symmetric=True)),
+                           4, n)
             assert res.abs_error_grid < 1e-9
 
     def test_benchmark_grid_estimate_converges(self):
         res = neoclassical_qmc(BENCH_C1, BENCH_C2, BENCH_SIGMA, 5, 12)
         assert res.abs_error_grid < 5e-3
+
+    def test_qmc_a_mode_agrees_with_ansatz(self):
+        ansatz = VariationalAnsatz(3, 1, np.linspace(-1.0, 1.0, 9))
+        args = (BENCH_C1, BENCH_C2, BENCH_SIGMA, 3, 5)
+        trained = neoclassical_qmc(*args, r_mode="linear", a_mode="trained_ansatz",
+                                   ansatz=ansatz)
+        assert trained.estimate.p1 == estimate(neoclassical_workload(), 3, 5, "linear",
+                                               ansatz).estimate.p1
+        assert trained.estimate.p1 != neoclassical_qmc(*args, "linear").estimate.p1
+        with pytest.raises(ValueError, match="'trained_ansatz' given with no ansatz"):
+            neoclassical_qmc(*args, a_mode="trained_ansatz")
+        with pytest.raises(ValueError, match="'exact_prep' given with an ansatz"):
+            neoclassical_qmc(*args, ansatz=ansatz)
 
 
 class TestClassicalMc:

@@ -8,6 +8,7 @@ from qmcecon.circuits import count_resources, decompose
 from qmcecon.distributions import (
     VariationalAnsatz,
     ansatz_circuit,
+    ansatz_probs,
     discretize_normal,
     exact_state_prep,
 )
@@ -79,10 +80,19 @@ class TestLinearRParams:
         assert c_s == pytest.approx(1.0)
 
     def test_budget_shrinks_with_n(self):
-        c4 = LinearRParams.for_oracle_budget(5, 4).c_s
-        c8 = LinearRParams.for_oracle_budget(5, 8).c_s
+        rv = normalize_rv(np.arange(32.0))
+        c4 = LinearRParams.for_oracle_budget(rv, 4).c_s
+        c8 = LinearRParams.for_oracle_budget(rv, 8).c_s
         assert c8 < c4
         assert c8 == pytest.approx((3 * math.pi / 256) ** (1 / 3))
+
+    @pytest.mark.parametrize("increasing", [True, False])
+    def test_budget_reads_size_and_direction_from_variable(self, increasing):
+        ramp = np.linspace(-1.0, 2.0, 32)
+        rv = normalize_rv(ramp if increasing else ramp[::-1])
+        c_s = (3.0 * math.pi / 2**6) ** (1.0 / 3.0)
+        assert (LinearRParams.for_oracle_budget(rv, 6)
+                == LinearRParams.for_grid(5, c_s, increasing))
 
 
 def basis_state(num_qubits, index):
@@ -251,17 +261,15 @@ class TestAssembleF:
         assert f.gates == build_F(exact_state_prep(dist),
                                   build_R_linear(3, linear)).gates
 
-    def test_run_qmc_passes_ansatz_in_trained_mode_only(self):
+    def test_run_qmc_prepares_with_any_given_ansatz(self):
         rng = np.random.default_rng(7)
         dist, rv = random_distribution(3, rng), normalize_rv(rng.uniform(0, 1, 8))
         ansatz = VariationalAnsatz(3, 1, rng.uniform(-math.pi, math.pi, 9))
         exact = run_qmc(QMCConfig(m=3, n=4), [dist], rv)
-        ignored = run_qmc(QMCConfig(m=3, n=4), [dist], rv, ansatz=ansatz)
-        trained = run_qmc(QMCConfig(m=3, n=4, a_mode="trained_ansatz"),
-                          [dist], rv, ansatz=ansatz)
-        assert ignored.p1 == exact.p1 != trained.p1
-        with pytest.raises(ValueError, match="needs ansatz parameters"):
-            run_qmc(QMCConfig(m=3, n=4, a_mode="trained_ansatz"), [dist], rv)
+        trained = run_qmc(QMCConfig(m=3, n=4), [dist], rv, ansatz=ansatz)
+        assert exact.p1 != trained.p1
+        assert trained.p1 == pytest.approx(
+            float(np.dot(ansatz_probs(ansatz), rv.values)), abs=1e-12)
         with pytest.raises(ValueError, match="expected 2 distributions of m=3"):
             run_qmc(QMCConfig(dims=2, m=3, n=4), [dist], rv)
 
@@ -477,7 +485,6 @@ class TestFullPipeline:
             options["r_mode"] = "linear"
         elif case == "trained_ansatz":
             ansatz = VariationalAnsatz(3, 2, rng.uniform(-math.pi, math.pi, 18))
-            options["a_mode"] = "trained_ansatz"
         results = {method: run_qmc(QMCConfig(n=4, method=method, **options),
                                    dists, rv, ansatz=ansatz)
                    for method in ("circuit", "auto")}

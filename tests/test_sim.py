@@ -327,12 +327,11 @@ class TestFormulasCoverPeaks:
         # a trained-ansatz F of 11 gates per layer makes each stored
         # controlled-Q block long, and it runs 2**(n-1-k) times in place
         m, n = 3, 2
-        config = engine.QMCConfig(m=m, n=n, r_mode="linear",
-                                  a_mode="trained_ansatz", method="circuit")
+        config = engine.QMCConfig(m=m, n=n, r_mode="linear", method="circuit")
         dist = econ.neoclassical_shock_grid(m)
-        f = engine.assemble_f([dist], engine.normalize_rv(dist.grid),
-                              bench._bench_ansatz(m, 30),
-                              engine.LinearRParams.for_oracle_budget(m, n))
+        rv = engine.normalize_rv(dist.grid)
+        f = engine.assemble_f([dist], rv, bench._bench_ansatz(m, 30),
+                              engine.LinearRParams.for_oracle_budget(rv, n))
         peak = traced_peak(lambda: engine._simulate_distribution(config, f, n))
         assert peak <= checked_bytes(checked, "phase estimation")
 

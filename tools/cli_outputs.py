@@ -50,21 +50,18 @@ def commands():
         "--n-samples", "1000000000000"]
     linear = ["run", "neoclassical", "--r-mode", "linear", "--m", "5", "--n", "8"]
     yield "run_linear", linear
-    yield "run_linear_trained", [*linear, "--a-mode", "trained_ansatz",
-                                 "--params", "trained.txt"]
-    yield "run_params_without_trained_mode", [*linear, "--params", "trained.txt"]
+    yield "run_linear_trained", [*linear, "--params", "trained.txt"]
     # a parameter file for m=5 on a register of 3 qubits
     yield "run_params_m_mismatch", ["run", "neoclassical", "--r-mode", "linear",
-                                    "--m", "3", "--n", "8", "--a-mode",
-                                    "trained_ansatz", "--params", "trained.txt"]
+                                    "--m", "3", "--n", "8", "--params",
+                                    "trained.txt"]
     # the reference path: every gate of phase estimation simulated
     yield "run_stress_circuit", ["run", "stress", "--m", "3", "--n", "6",
                                  "--method", "circuit"]
     # the reference path with long controlled-Q blocks, each repeated in place
     yield "run_linear_trained_circuit", [
         "run", "neoclassical", "--r-mode", "linear", "--m", "5", "--n", "6",
-        "--a-mode", "trained_ansatz", "--params", "trained.txt", "--method",
-        "circuit"]
+        "--params", "trained.txt", "--method", "circuit"]
     # 30 qubits, five 16 GiB statevectors: refused before any block is built
     yield "run_stress_circuit_over_memory", ["run", "stress", "--m", "5", "--n",
                                              "19", "--method", "circuit"]
@@ -76,10 +73,13 @@ def commands():
     # 36 wires: counting allocates no readout of 2**26 outcomes
     yield "resources_m5_n26", ["resources", "--m", "5", "--n-min", "26",
                                "--n-max", "26"]
-    # up to 2.5e18 lowered gates, past the 2**61 that int64 depths hold:
-    # refused before anything is lowered
-    yield "resources_past_int64", ["resources", "--m", "5", "--n-min", "49",
-                                   "--n-max", "49"]
+    # 2.7e18 lowered gates, past the 2**61 that int64 depths hold: refused
+    # once block 0 is lowered, before any depth is carried
+    yield "resources_past_int64", ["resources", "--m", "5", "--n-min", "51",
+                                   "--n-max", "51"]
+    # 2**1000 - 1 controlled-Q blocks: refused before any is built
+    yield "resources_m5_n1000", ["resources", "--m", "5", "--n-min", "1000",
+                                 "--n-max", "1000"]
     # 9e9 ansatz angles and 7 TB of gates: refused before they are drawn
     yield "resources_huge_layers", ["resources", "--m", "3", "--layers",
                                     "1000000000", "--n-min", "3", "--n-max", "3"]
