@@ -19,7 +19,8 @@ import numpy as np
 from .circuits import (ResourceReport, advance_frontier, count_stream,
                        lower_gates, transfer_matrix)
 from .distributions import VariationalAnsatz
-from .engine import LinearRParams, assemble_f, normalize_rv, phase_estimation
+from .engine import (LinearRParams, QMCConfig, assemble_f, normalize_rv,
+                     phase_estimation)
 from . import econ, sim
 
 GATE_TIMES = (1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
@@ -121,8 +122,9 @@ def error_sweep(spec: SweepSpec) -> list[dict]:
     allocated.  Classical rows average the absolute error over ``repeats``
     seeded runs; their points also run in order, each spreading its repeats
     over the usable CPUs, and ``wall_time_s`` is the mean per-run wall time
-    under that concurrency; a largest N whose 8 bytes of values per sample
-    exceed the memory budget raises ``ResourceLimitError`` before any run.
+    under that concurrency.  The largest point is checked against the memory
+    budget before any point runs: its N's 8 bytes of values per sample, or
+    the registers of its n.
     """
     workload = spec.workload
     rows = []
@@ -136,6 +138,8 @@ def error_sweep(spec: SweepSpec) -> list[dict]:
                          "N": point, "error": err, "wall_time_s": run_time})
         return rows
     r_mode = "linear" if spec.estimator == "qmc_linear" else "exact"
+    # the largest n's memory checks, before any point runs
+    QMCConfig(dims=workload.dims, m=spec.m, n=spec.range[-1], r_mode=r_mode)
     for point in spec.range:
         start = time.perf_counter()
         err = _quantum_point(workload, spec.m, point, r_mode)
@@ -265,10 +269,13 @@ def qmc_resource_report(m: int, n: int, layers: int = 10) -> ResourceReport:
 
 
 def resource_rows(m: int, n_values, layers: int = 10) -> list[dict]:
+    """One ``qmc_resource_report`` row per n, in increasing n.  The counts and
+    bytes grow with n, so the rows are counted from the largest n down: a
+    request that some n makes too large is refused before any other runs."""
     n_values = list(n_values)
     _check_increasing(n_values)
     rows = []
-    for n in n_values:
+    for n in reversed(n_values):
         rep = qmc_resource_report(m, n, layers)
         rows.append({
             "n": n,
@@ -280,7 +287,7 @@ def resource_rows(m: int, n_values, layers: int = 10) -> list[dict]:
             "depth": rep.depth,
             "num_qubits": rep.num_qubits,
         })
-    return rows
+    return rows[::-1]
 
 
 def depth_fit(rows) -> ScalingFit:
@@ -300,7 +307,8 @@ def depth_fit(rows) -> ScalingFit:
 def time_per_sample(seed: int = 0) -> float:
     """Median seconds per Monte Carlo sample of a single-threaded loop.
 
-    The loop draws the macro benchmark residual one sample at a time: the
+    The loop draws the macro benchmark residual one scalar sample at a time
+    through the ``neoclassical`` workload's sampler and ``f``: the
     extrapolated classical competitor is one CPU core running plain MC code,
     with HPC parallelism applied as an external speedup factor.  The median
     of five 20,000-sample timings on a monotonic clock is returned, since
@@ -310,14 +318,15 @@ def time_per_sample(seed: int = 0) -> float:
     the crossovers written by ``qmcecon bench fig9``/``fig10`` use
     ``REFERENCE_SECONDS_PER_SAMPLE`` so that they do not depend on the host.
     """
-    single_draw = econ.neoclassical_single_draw
+    entry = econ.neoclassical_workload()
+    f, sampler = entry.f, entry.sampler
     times = []
     for rep in range(5):
         rng = np.random.default_rng(seed + rep)
         start = time.perf_counter()
         acc = 0.0
         for _ in range(20_000):
-            acc += single_draw(rng)
+            acc += f(sampler(rng, None))
         elapsed = time.perf_counter() - start
         times.append(elapsed / 20_000)
     return float(np.median(times))

@@ -46,18 +46,6 @@ ELEMENTARY_KINDS = ("rx", "ry", "rz", "cnot")
 # Inverse QFT (no SWAPs)
 # ---------------------------------------------------------------------------
 
-def _qft_core(qubits: list[int]) -> list[Gate]:
-    """Textbook QFT cascade without the final SWAP network."""
-    n = len(qubits)
-    gates = []
-    for j in range(n):
-        gates.append(Gate("h", (qubits[j],)))
-        for k in range(j + 1, n):
-            angle = math.pi / 2 ** (k - j)
-            gates.append(Gate("cphase", (qubits[j],), (qubits[k],), angle))
-    return gates
-
-
 def inverse_qft(qubits) -> Circuit:
     """Inverse QFT on the listed qubits (first qubit = most significant bit).
 
@@ -71,9 +59,13 @@ def inverse_qft(qubits) -> Circuit:
     if len(set(qs)) != len(qs):
         raise ValueError(f"duplicate qubit in {qs}")
     circ = Circuit(max(qs) + 1)
-    # Mirrored forward cascade, inverted: yields bitrev . DFT^{-1} without SWAPs.
-    for gate in reversed(_qft_core(qs[::-1])):
-        circ.add(gate.inverse())
+    # The textbook QFT cascade on the reversed wires, inverted gate by gate:
+    # each wire takes the inverse phases controlled by the wires before it,
+    # then its H.  That is bitrev . DFT^{-1} without SWAPs.
+    for a, t in enumerate(qs):
+        for b in range(a):
+            circ.cphase(qs[b], t, -math.pi / 2 ** (a - b))
+        circ.h(t)
     return circ
 
 

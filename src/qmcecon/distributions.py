@@ -150,6 +150,8 @@ class VariationalAnsatz:
     params: np.ndarray
 
     def __post_init__(self):
+        if self.layers < 1:
+            raise ValueError(f"an ansatz needs layers >= 1, got {self.layers}")
         self.params = np.asarray(self.params, dtype=float).reshape(-1)
         if self.params.shape != (self.num_params(self.m, self.layers),):
             raise ValueError(

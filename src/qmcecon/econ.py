@@ -167,14 +167,6 @@ def stress_theoretical_mean(coeffs: StressCoefficients, beta_lev: float,
     return k * (1.0 + mean_d) * (2.0 + mean_d)
 
 
-def stress_rv_grid(params: StressTestParams, dist: DiscretizedDistribution) -> np.ndarray:
-    """Loss values on the 2D product grid, register-1 index most significant."""
-    coeffs = stress_coefficients(params)
-    d1 = dist.grid[:, None]
-    d2 = dist.grid[None, :]
-    return stress_loss_rv(d1, d2, coeffs, params.beta_lev).reshape(-1)
-
-
 def stress_qmc(params: StressTestParams, m: int, n: int,
                method: str = "auto") -> WorkloadEstimate:
     """Run the two-register estimation of the expected stress loss."""
@@ -362,11 +354,6 @@ def simple_problem_f(x):
 SIMPLE_ANALYTIC_MEAN = math.sinh(1.0) / math.e
 
 
-def neoclassical_single_draw(rng) -> float:
-    """One scalar draw of the benchmark residual, for loop-timing."""
-    return BENCH_C1 + BENCH_C2 * (1.0 + BENCH_SIGMA * rng.standard_normal())
-
-
 # ---------------------------------------------------------------------------
 # Workload registry
 # ---------------------------------------------------------------------------
@@ -377,19 +364,19 @@ class Workload:
     """One expectation problem with its oracles and classical baseline.
 
     ``shock(m)`` discretizes the shock of each of the ``dims`` registers on
-    2**m points; ``values(dist)`` is the variable on the ``dims``-fold
-    product grid (register 1 index most significant) and ``grid_mean(dist)``
-    its exact mean there.  ``mean`` is the expectation under the continuous
+    2**m points, and ``grid_mean(dist)`` is the variable's exact mean on
+    their product grid.  ``mean`` is the expectation under the continuous
     shock, which the classical estimate of ``f(sampler(rng, size))`` targets.
-    ``classical_mc`` draws in chunks, so ``f`` must be elementwise and the
-    sampler's stream must not depend on how the size is split: two calls of
-    sizes a and b give the draws of one call of size a + b.
+    ``f`` maps draws to values: a draw is a scalar when ``dims`` is 1 and a
+    row of ``dims`` scalars otherwise.  ``classical_mc`` draws in chunks, so
+    ``f`` must be elementwise over draws and the sampler's stream must not
+    depend on how the size is split: two calls of sizes a and b give the
+    draws of one call of size a + b.
     """
 
     dims: int
     m: int                                    # default register size
     shock: Callable[[int], DiscretizedDistribution]
-    values: Callable[[DiscretizedDistribution], np.ndarray]
     grid_mean: Callable[[DiscretizedDistribution], float]
     mean: float
     sampler: Callable                         # (rng, size) -> draws
@@ -400,13 +387,20 @@ class Workload:
     # sweeps show the estimator's own scaling against the grid mean.
     sweep_against_continuous: bool = False
 
+    def values(self, dist: DiscretizedDistribution) -> np.ndarray:
+        """``f`` on the ``dims``-fold product grid of ``dist``, register 1
+        index most significant."""
+        if self.dims == 1:
+            return self.f(dist.grid)
+        axes = np.meshgrid(*[dist.grid] * self.dims, indexing="ij")
+        return self.f(np.stack(axes, axis=-1).reshape(-1, self.dims))
+
 
 def simple_workload() -> Workload:
     """E[sin^2 x] for a standard normal x, gridded over [-pi, pi]."""
     return Workload(
         dims=1, m=5,
         shock=lambda m: discretize_normal(m, 0.0, 1.0, -math.pi, math.pi),
-        values=lambda dist: simple_problem_f(dist.grid),
         grid_mean=lambda dist: float(np.dot(dist.masses, simple_problem_f(dist.grid))),
         mean=SIMPLE_ANALYTIC_MEAN,
         sampler=simple_problem_sampler, f=simple_problem_f)
@@ -418,7 +412,6 @@ def stress_workload(params: StressTestParams) -> Workload:
     beta, a, b = params.beta_lev, params.shock_a, params.shock_b
     return Workload(
         dims=2, m=5, shock=params.shock_distribution,
-        values=lambda dist: stress_rv_grid(params, dist),
         grid_mean=lambda dist: stress_theoretical_mean(coeffs, beta, dist.mean()),
         mean=stress_theoretical_mean(coeffs, beta, a / (a + b)),
         sampler=lambda rng, size: rng.beta(a, b, size=(size, 2)),
@@ -432,7 +425,6 @@ def neoclassical_workload(c1: float = BENCH_C1, c2: float = BENCH_C2,
     return Workload(
         dims=1, m=BENCH_M,
         shock=lambda m: neoclassical_shock_grid(m, sigma),
-        values=lambda dist: c1 + c2 * dist.grid,
         grid_mean=lambda dist: c1 + c2 * dist.mean(),
         mean=c1 + c2 * 1.0,
         sampler=lambda rng, size: 1.0 + sigma * rng.standard_normal(size),
@@ -491,35 +483,38 @@ def estimate(workload: Workload, m: int, n: int, r_mode: str = "exact",
 # Scenario configuration files
 # ---------------------------------------------------------------------------
 
+# The [system] keys: (StressTestParams field, key, required).  A shock shape
+# the file leaves out keeps StressTestParams' default.
+_SYSTEM_KEYS = (("alpha_price", "price_sensitivity", True),
+                ("beta_lev", "leverage_ratio", True),
+                ("d0_m", "benchmark_mortgage_loss", True),
+                ("d0_b", "benchmark_business_loss", True),
+                ("shock_a", "shock_beta_a", False),
+                ("shock_b", "shock_beta_b", False))
+
+
 def load_stress_config(path) -> StressTestParams:
     """Read a stress scenario from an INI file with [bank1]/[bank2]/[system]."""
     parser = configparser.ConfigParser()
-    if not parser.read(path):
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ValueError(f"cannot parse scenario file {path}: {exc}") from exc
+    if not read:
         raise ValueError(f"cannot read scenario file {path}")
-    banks = []
-    for section in ("bank1", "bank2"):
-        if section not in parser:
-            raise ValueError(f"scenario file misses [{section}]")
-        sec = parser[section]
-        values = {}
-        for key in (f.name for f in fields(BankBalanceSheet)):
-            if key not in sec:
-                raise ValueError(f"[{section}] misses key {key!r}")
-            values[key] = sec.getfloat(key)
-        banks.append(BankBalanceSheet(**values))
-    if "system" not in parser:
-        raise ValueError("scenario file misses [system]")
-    sys_sec = parser["system"]
-    # a shock shape the file leaves out keeps StressTestParams' default
-    shock = {name: sys_sec.getfloat(key)
-             for name, key in (("shock_a", "shock_beta_a"),
-                               ("shock_b", "shock_beta_b"))
-             if key in sys_sec}
-    return StressTestParams(
-        banks=(banks[0], banks[1]),
-        alpha_price=sys_sec.getfloat("price_sensitivity"),
-        beta_lev=sys_sec.getfloat("leverage_ratio"),
-        d0_m=sys_sec.getfloat("benchmark_mortgage_loss"),
-        d0_b=sys_sec.getfloat("benchmark_business_loss"),
-        **shock,
-    )
+
+    def section(name, keys) -> dict:
+        if name not in parser:
+            raise ValueError(f"scenario file misses [{name}]")
+        sec, out = parser[name], {}
+        for attr, key, required in keys:
+            if key in sec:
+                out[attr] = sec.getfloat(key)
+            elif required:
+                raise ValueError(f"[{name}] misses key {key!r}")
+        return out
+
+    bank_keys = [(f.name, f.name, True) for f in fields(BankBalanceSheet)]
+    banks = tuple(BankBalanceSheet(**section(name, bank_keys))
+                  for name in ("bank1", "bank2"))
+    return StressTestParams(banks=banks, **section("system", _SYSTEM_KEYS))

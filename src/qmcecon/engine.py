@@ -54,24 +54,21 @@ class RandomVariableSpec:
 
     ``values`` hold the normalized grid values; ``f_min``/``f_max`` record the
     original-unit extremes so expectations can be mapped back.  A constant
-    input degenerates to all-0.5 values with the flag set.
+    input has ``f_min == f_max`` and all-0.5 values, and maps back to f_min.
     """
 
     values: np.ndarray
     f_min: float
     f_max: float
-    degenerate: bool = False
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if np.any(self.values < -1e-12) or np.any(self.values > 1 + 1e-12):
             raise ValueError("normalized values must lie in [0, 1]")
-        if not self.degenerate and not self.f_min < self.f_max:
-            raise ValueError("need f_min < f_max for a non-degenerate variable")
+        if not self.f_min <= self.f_max:
+            raise ValueError("need f_min <= f_max")
 
     def original_values(self) -> np.ndarray:
-        if self.degenerate:
-            return np.full_like(self.values, self.f_min)
         return self.f_min + self.values * (self.f_max - self.f_min)
 
 
@@ -82,7 +79,7 @@ def normalize_rv(raw_values) -> RandomVariableSpec:
         raise ValueError("random-variable values must be finite")
     f_min, f_max = float(raw.min()), float(raw.max())
     if f_max == f_min:
-        return RandomVariableSpec(np.full(raw.shape, 0.5), f_min, f_max, True)
+        return RandomVariableSpec(np.full(raw.shape, 0.5), f_min, f_max)
     return RandomVariableSpec((raw - f_min) / (f_max - f_min), f_min, f_max)
 
 
@@ -312,8 +309,6 @@ def denormalize_mu(mu_norm: float, rv: RandomVariableSpec,
     """
     if not 0.0 <= mu_norm <= 1.0:
         raise ValueError(f"mu_norm must be in [0, 1], got {mu_norm}")
-    if rv.degenerate:
-        return rv.f_min
     if linear is None:
         return rv.f_min + mu_norm * (rv.f_max - rv.f_min)
     mean_f = mu_norm - 0.5

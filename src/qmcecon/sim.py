@@ -231,29 +231,19 @@ def _single_qubit_matrix(gate: Gate) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# In-place application on a tensor whose first ``nq`` axes are qubit axes.
+# In-place application on a tensor whose leading axes are the qubit axes.
 # Trailing axes (used by dense_unitary) broadcast through untouched.
 # ---------------------------------------------------------------------------
 
-def _control_view(tensor: np.ndarray, controls: tuple[int, ...], nq: int):
-    """View of the subspace where every control qubit is |1>.
-
-    Returns the view and a map from original qubit index to axis position
-    inside the view (control axes are collapsed away).
+def _control_view(tensor: np.ndarray, controls: tuple[int, ...], target: int):
+    """View of the subspace where every control qubit is |1>, and the
+    target's axis in it: the control axes are collapsed away, so the target
+    moves down by one axis per control below it.
     """
     index = [slice(None)] * tensor.ndim
     for c in controls:
         index[c] = 1
-    view = tensor[tuple(index)]
-    ctrl = set(controls)
-    axis_of = {}
-    pos = 0
-    for q in range(nq):
-        if q in ctrl:
-            continue
-        axis_of[q] = pos
-        pos += 1
-    return view, axis_of
+    return tensor[tuple(index)], target - sum(c < target for c in controls)
 
 
 def _apply_matrix_axis(view: np.ndarray, mat: np.ndarray, axis: int) -> None:
@@ -287,7 +277,7 @@ def _apply_ucry(tensor: np.ndarray, gate: Gate) -> None:
         moved[...] = rows.reshape(moved.shape)
 
 
-def _apply_gate_tensor(tensor: np.ndarray, gate: Gate, nq: int) -> None:
+def _apply_gate_tensor(tensor: np.ndarray, gate: Gate) -> None:
     kind = gate.kind
     if kind in ("rx", "ry", "rz", "h", "x"):
         _apply_matrix_axis(tensor, _single_qubit_matrix(gate), gate.targets[0])
@@ -295,8 +285,7 @@ def _apply_gate_tensor(tensor: np.ndarray, gate: Gate, nq: int) -> None:
     if kind == "ucry":
         _apply_ucry(tensor, gate)
         return
-    view, axis_of = _control_view(tensor, gate.controls, nq)
-    t_axis = axis_of[gate.targets[0]]
+    view, t_axis = _control_view(tensor, gate.controls, gate.targets[0])
     if kind in ("cnot", "mcx"):
         moved = np.moveaxis(view, t_axis, 0)
         tmp = moved[0].copy()
@@ -329,7 +318,7 @@ def apply_segments(state: StateVector,
     for block, repeats in segments:
         for _ in range(repeats):
             for gate in block.gates:
-                _apply_gate_tensor(tensor, gate, state.num_qubits)
+                _apply_gate_tensor(tensor, gate)
     return StateVector(state.num_qubits, amp)
 
 
@@ -374,5 +363,5 @@ def dense_unitary(circuit: Circuit) -> np.ndarray:
     mat = np.eye(dim, dtype=np.complex128)
     tensor = mat.reshape((2,) * q + (dim,))
     for gate in circuit.gates:
-        _apply_gate_tensor(tensor, gate, q)
+        _apply_gate_tensor(tensor, gate)
     return tensor.reshape(dim, dim)

@@ -108,31 +108,33 @@ class TestExitCodes:
         assert "resource" in err.lower()
 
     @pytest.mark.parametrize("args,allocator", [
-        (["stress", "--m", "15"], "stress_rv_grid"),   # 2**30 grid values
-        (["simple", "--n", "31"], "run_qmc"),          # 2**31 outcomes
-        (["stress", "--m", "12"], "stress_rv_grid"),   # 25-qubit F
-        (["simple", "--n", "26"], "run_qmc")])         # 26 estimation qubits
+        (["stress", "--m", "15"], "values"),    # 2**30 grid values
+        (["simple", "--n", "31"], "run_qmc"),   # 2**31 outcomes
+        (["stress", "--m", "12"], "values"),    # 25-qubit F
+        (["simple", "--n", "26"], "run_qmc")])  # 26 estimation qubits
     def test_oversized_register_exit_2_before_allocating(self, capsys,
                                                          monkeypatch, args,
                                                          allocator):
         def refuse(*a, **k):
             raise AssertionError(f"{allocator} reached before the cap check")
 
-        monkeypatch.setattr(cli.econ, "stress_rv_grid", refuse)
+        monkeypatch.setattr(econ.Workload, "values", refuse)
         monkeypatch.setattr(cli.econ, "run_qmc", refuse)
         code, _, err = run_cli(["run", *args], capsys)
         assert code == 2
         assert "exceeding the cap" in err
 
     @pytest.mark.parametrize("args,allocator", [
-        (["stress", "--m", "11"], "stress_rv_grid"),   # 23-qubit F: 1 GiB
-        (["simple", "--n", "25"], "run_qmc")])         # 2**25 outcomes: 1 GiB
+        (["stress", "--m", "11"], "values"),    # 23-qubit F: 1 GiB
+        (["simple", "--n", "25"], "run_qmc")])  # 2**25 outcomes: 1 GiB
     def test_largest_registers_reach_allocator(self, monkeypatch, args,
                                                allocator):
         def refuse(*a, **k):
             raise Reached(allocator)
 
-        monkeypatch.setattr(cli.econ, allocator, refuse)
+        # the grid values are the workload entry's; run_qmc is econ's import
+        owner = econ.Workload if allocator == "values" else cli.econ
+        monkeypatch.setattr(owner, allocator, refuse)
         with pytest.raises(Reached):
             main(["run", *args])
 
@@ -374,6 +376,54 @@ class TestExitCodes:
             assert code == 2
             assert f"needs {need} bytes, exceeding the cap of 1073741824" in err
             assert not out.exists()
+
+    @pytest.mark.parametrize("args,per_point,message", [
+        (["sweep", "--app", "simple", "--estimator", "qmc_exact", "--n-min",
+          "18", "--n-max", "26"], "_quantum_point",
+         "a readout of 26 estimation qubits needs 2147483648 bytes"),
+        (["resources", "--m", "5", "--n-min", "40", "--n-max", "62"],
+         "_segment_costs", "counting n=62 at m=5 makes at least 2**62 - 1"),
+        (["resources", "--m", "5", "--n-min", "3", "--n-max", "1000"],
+         "_segment_costs", "counting n=1000 at m=5 makes at least 2**1000 - 1")],
+        ids=["sweep-qmc", "resources-n62", "resources-n1000"])
+    def test_range_refused_at_largest_point_before_any_runs(
+            self, tmp_path, capsys, monkeypatch, args, per_point, message):
+        def refuse(*a, **k):
+            raise Reached(f"{per_point} ran before the largest point's check")
+
+        monkeypatch.setattr(bench, per_point, refuse)
+        out = tmp_path / "rows.csv"
+        code, _, err = run_cli(["--out", str(out), *args], capsys)
+        assert code == 2
+        assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("broken,message", [
+        ("benchmark_business_loss", "[system] misses key 'benchmark_business_loss'"),
+        ("[bank1]", "section 'bank1' already exists")],
+        ids=["system-key-missing", "bank-repeated"])
+    def test_broken_scenario_file_exit_1(self, tmp_path, capsys, broken, message):
+        path = tmp_path / "scenario.ini"
+        write_stress_config(path, DEFAULT_STRESS)
+        lines = path.read_text().splitlines()
+        if broken.startswith("["):      # the section again, at the end
+            lines += [broken, "mortgages = 1.0"]
+        else:                           # the key left out
+            lines = [line for line in lines if not line.startswith(broken)]
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(["--config", str(path), "oracle", "stress"],
+                                 capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err
+
+    def test_params_without_layers_exit_1(self, tmp_path, capsys):
+        params = tmp_path / "params.txt"
+        params.write_text("# m=5 layers=0 seed=0 final_cost=0\n")
+        code, out, err = run_cli(["run", "neoclassical", "--r-mode", "linear",
+                                  "--m", "5", "--n", "8", "--params",
+                                  str(params)], capsys)
+        assert code == 1 and out == ""
+        assert "an ansatz needs layers >= 1, got 0" in err
 
     def test_resources_empty_range_exit_1(self, tmp_path, capsys):
         out = tmp_path / "res.csv"

@@ -33,8 +33,8 @@ from qmcecon.econ import (
     stress_combined_constant,
     stress_loss_rv,
     stress_qmc,
-    stress_rv_grid,
     stress_theoretical_mean,
+    stress_workload,
     workload,
 )
 from qmcecon.engine import denormalize_mu, normalize_rv
@@ -109,6 +109,17 @@ class TestStressLoss:
         factored = k * (1 + d1.ravel()) * (2 + d2.ravel())
         np.testing.assert_allclose(via_gamma, factored, rtol=1e-9)
 
+    def test_entry_grid_is_the_broadcast_loss(self):
+        # the entry evaluates its f on the product grid, register 1 index
+        # most significant, bit for bit as the broadcast loss over the grid
+        dist = DEFAULT_STRESS.shock_distribution(3)
+        g = dist.grid
+        co = stress_coefficients(DEFAULT_STRESS)
+        broadcast = stress_loss_rv(g[:, None], g[None, :], co,
+                                   DEFAULT_STRESS.beta_lev).reshape(-1)
+        assert np.array_equal(stress_workload(DEFAULT_STRESS).values(dist),
+                              broadcast)
+
 
 # mean loss rate a / (a + b) of the default Beta(2, 10) shock
 BETA_MEAN = DEFAULT_STRESS.shock_a / (DEFAULT_STRESS.shock_a + DEFAULT_STRESS.shock_b)
@@ -141,7 +152,7 @@ class TestStressMeans:
         # the encoded ancilla probability de-normalizes to the grid oracle
         m = 3
         dist = DEFAULT_STRESS.shock_distribution(m)
-        rv = normalize_rv(stress_rv_grid(DEFAULT_STRESS, dist))
+        rv = normalize_rv(stress_workload(DEFAULT_STRESS).values(dist))
         result = stress_qmc(DEFAULT_STRESS, m, 2)
         mu_from_p1 = denormalize_mu(result.estimate.p1, rv)
         assert mu_from_p1 == pytest.approx(result.mu_grid_oracle, abs=1e-9)
@@ -151,7 +162,7 @@ class TestStressMeans:
         # operator would take 1 GiB
         m = 6
         dist = DEFAULT_STRESS.shock_distribution(m)
-        rv = normalize_rv(stress_rv_grid(DEFAULT_STRESS, dist))
+        rv = normalize_rv(stress_workload(DEFAULT_STRESS).values(dist))
         tracemalloc.start()
         try:
             result = stress_qmc(DEFAULT_STRESS, m, 10)
@@ -199,6 +210,16 @@ class TestNeoclassical:
     def test_domain_guard(self):
         with pytest.raises(ValueError, match="s1"):
             NeoclassicalParams(0.36, 0.96, 0.9, 0.02, s0=0.0, s1=0.3, s2=1.0)
+
+    def test_scalar_draw_through_entry(self):
+        # one scalar draw of the entry's sampler and f, as the classical
+        # timing loop takes it, is the residual of one standard normal draw
+        entry = neoclassical_workload()
+        draws, zs = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(100):
+            z = zs.standard_normal()
+            assert (entry.f(entry.sampler(draws, None))
+                    == BENCH_C1 + BENCH_C2 * (1.0 + BENCH_SIGMA * z))
 
     def test_symmetric_grid_mean_exact(self):
         grid = neoclassical_shock_grid(5, symmetric=True)

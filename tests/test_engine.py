@@ -59,8 +59,9 @@ class TestNormalizeRv:
 
     def test_constant_input_degenerates(self):
         rv = normalize_rv([3.0, 3.0, 3.0])
-        assert rv.degenerate
-        np.testing.assert_allclose(rv.values, 0.5)
+        assert rv.f_min == rv.f_max == 3.0
+        assert np.all(rv.values == 0.5)
+        assert np.array_equal(rv.original_values(), [3.0, 3.0, 3.0])
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):

@@ -70,7 +70,7 @@ def lowering_error(reference: np.ndarray, lowered: Circuit) -> float:
     mat[cols, np.arange(cols.size)] = 1.0
     tensor = mat.reshape((2,) * q + (cols.size,))
     for gate in lowered.gates:
-        _apply_gate_tensor(tensor, gate, q)
+        _apply_gate_tensor(tensor, gate)
     leak = np.delete(mat, cols, axis=0)
     return max(phase_aligned_distance(reference, mat[cols]),
                float(np.max(np.abs(leak), initial=0.0)))

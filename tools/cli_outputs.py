@@ -48,6 +48,10 @@ def commands():
     yield "sweep_classical_over_memory", [
         "sweep", "--app", "neoclassical", "--estimator", "classical",
         "--n-samples", "1000000000000"]
+    # a readout of 2**26 outcomes at the largest n: refused before n = 18 runs
+    yield "sweep_qmc_over_memory", [
+        "sweep", "--app", "simple", "--estimator", "qmc_exact", "--n-min", "18",
+        "--n-max", "26"]
     linear = ["run", "neoclassical", "--r-mode", "linear", "--m", "5", "--n", "8"]
     yield "run_linear", linear
     yield "run_linear_trained", [*linear, "--params", "trained.txt"]
@@ -80,6 +84,9 @@ def commands():
     # 2**1000 - 1 controlled-Q blocks: refused before any is built
     yield "resources_m5_n1000", ["resources", "--m", "5", "--n-min", "1000",
                                  "--n-max", "1000"]
+    # n = 62 past the int64 depths: refused before n = 40..61 are counted
+    yield "resources_range_past_int64", ["resources", "--m", "5", "--n-min",
+                                         "40", "--n-max", "62"]
     # 9e9 ansatz angles and 7 TB of gates: refused before they are drawn
     yield "resources_huge_layers", ["resources", "--m", "3", "--layers",
                                     "1000000000", "--n-min", "3", "--n-max", "3"]
