@@ -90,28 +90,30 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _classical_point(workload, n_samples, repeats, seed):
+def _classical_point(workload, n_samples, errors, times, seed):
     # numpy's Generator fills release the GIL, so the seeded repeats run on
-    # the usable CPUs.  Each worker reuses one values buffer for its repeats
+    # the usable CPUs, and repeat r keeps its error and wall time in errors[r]
+    # and times[r].  Each worker reuses one values buffer for its repeats
     # range(w, repeats, workers); the buffers are allocated here, on the
     # calling thread, because glibc's per-thread arenas would keep arrays
-    # that the workers allocate and free.  All buffers together stay within
-    # the memory budget, which error_sweep has checked one fits.
-    workers = min(repeats, _usable_cpus(), sim.MEMORY_BUDGET // (8 * n_samples))
+    # that the workers allocate and free.  The buffers and the two arrays
+    # stay within the memory budget, which error_sweep has checked one fits.
+    repeats = errors.size
+    workers = min(repeats, _usable_cpus(),
+                  (sim.MEMORY_BUDGET - 16 * repeats) // (8 * n_samples))
     buffers = [np.empty(n_samples) for _ in range(workers)]
-    runs = [None] * repeats
 
     def work(w):
         for rep in range(w, repeats, workers):
-            runs[rep] = econ.classical_mc(workload.sampler, workload.f, n_samples,
-                                          seed=seed + 7919 * rep,
-                                          oracle=workload.mean, out=buffers[w])
+            run = econ.classical_mc(workload.sampler, workload.f, n_samples,
+                                    seed=seed + 7919 * rep,
+                                    oracle=workload.mean, out=buffers[w])
+            errors[rep], times[rep] = run.abs_error, run.wall_time
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(work, range(workers)))
     # the means add in repeat order, however the repeats were scheduled
-    return (float(np.mean([run.abs_error for run in runs])),
-            float(np.mean([run.wall_time for run in runs])))
+    return float(errors.mean()), float(times.mean())
 
 
 def error_sweep(spec: SweepSpec) -> list[dict]:
@@ -123,16 +125,19 @@ def error_sweep(spec: SweepSpec) -> list[dict]:
     seeded runs; their points also run in order, each spreading its repeats
     over the usable CPUs, and ``wall_time_s`` is the mean per-run wall time
     under that concurrency.  The largest point is checked against the memory
-    budget before any point runs: its N's 8 bytes of values per sample, or
-    the registers of its n.
+    budget before any point runs: its N's 8 bytes of values per sample and
+    16 bytes per repeat for the repeats' errors and wall times, or the
+    registers of its n.
     """
     workload = spec.workload
     rows = []
     if spec.estimator == "classical":
         largest = spec.range[-1]
-        sim.check_memory(f"a classical run of {largest} samples", 8 * largest)
+        sim.check_memory(f"{spec.repeats} classical runs of {largest} samples",
+                         8 * largest + 16 * spec.repeats)
+        errors, times = np.empty(spec.repeats), np.empty(spec.repeats)
         for point in spec.range:
-            err, run_time = _classical_point(workload, point, spec.repeats,
+            err, run_time = _classical_point(workload, point, errors, times,
                                              spec.seed)
             rows.append({"app": spec.app, "estimator": spec.estimator, "n": "",
                          "N": point, "error": err, "wall_time_s": run_time})
@@ -196,21 +201,21 @@ def _segment_costs(m: int, n: int, layers: int, width: int) -> list:
     rv = normalize_rv(workload.values(dist))
     f_circuit = assemble_f([dist], rv, _bench_ansatz(m, layers),
                            LinearRParams.for_oracle_budget(rv, n))
-    (prep, _), *controlled, (iqft, _) = phase_estimation(f_circuit, n)
+    prep, block, iqft = phase_estimation(f_circuit, n)
     s = m + 1
     work = range(s + n, width)
 
-    def lowered_cost(block):
-        lowered = list(lower_gates(block.gates, work))
+    def lowered_cost(circuit):
+        lowered = list(lower_gates(circuit.gates, work))
         return count_stream(lowered, width).counts, transfer_matrix(lowered, width)
 
-    q_counts, q_transfer = lowered_cost(controlled[0][0])
+    q_counts, q_transfer = lowered_cost(block)
     costs = [(*lowered_cost(prep), 1)]
-    for k, (_, repeats) in enumerate(controlled):
-        # block k is block 0 with estimation wires s and s + k exchanged
+    for k in range(n):
+        # block k: block 0 with est[0] = s and s + k exchanged, 2**(n-1-k) times
         perm = np.arange(width)
         perm[[s, s + k]] = s + k, s
-        costs.append((q_counts, q_transfer[np.ix_(perm, perm)], repeats))
+        costs.append((q_counts, q_transfer[np.ix_(perm, perm)], 2 ** (n - 1 - k)))
     costs.append((*lowered_cost(iqft), 1))
     return costs
 
@@ -219,17 +224,16 @@ def qmc_resource_report(m: int, n: int, layers: int = 10) -> ResourceReport:
     """Counts and depth of the decomposed estimation circuit.
 
     Builds the macro benchmark F (layered preparation ansatz, linear rotation
-    encoding) and the same ``phase_estimation`` segments that the ``circuit``
-    method simulates.  Three segments are lowered, each into a short list:
-    F with the H layer, the first controlled-Q block and the inverse QFT.
-    The lowering reads only the positions of a gate's wires, so every later
-    controlled-Q block has the first's counts and, with its estimation wire
-    exchanged for the first's, the first's transfer matrix.  Each segment's
-    gate counts are multiplied by its repeats, and its transfer matrix
-    carries the per-wire frontier through those repeats by max-plus
-    squaring.  The 2**n - 1 controlled-Q blocks are never written
-    out, so the cost grows with n, not 2**n; the counts and depth equal those
-    of ``count_stream`` over the flat lowering, which the tests check.
+    encoding) and the three circuits of ``phase_estimation``, each lowered
+    into a short list: F with the H layer, controlled-Q block 0 and the
+    inverse QFT.  The lowering reads only the positions of a gate's wires, so
+    block k has block 0's counts and, with est[k] exchanged for est[0],
+    block 0's transfer matrix.  Each segment's gate counts are multiplied by
+    its repeats, and its transfer matrix carries the per-wire frontier
+    through those repeats by max-plus squaring.  The 2**n - 1 controlled-Q
+    blocks are never written out, so the cost grows with n, not 2**n; the
+    counts and depth equal those of ``count_stream`` over the flat lowering,
+    which the tests check.
 
     Nothing of size 2**n is allocated, so n is bounded by the integer range
     instead: a request whose lowered gate total, and so its depth, reaches
@@ -240,9 +244,9 @@ def qmc_resource_report(m: int, n: int, layers: int = 10) -> ResourceReport:
     """
     # The 2**m shock grid with its variable and linearity check: 49-103 B
     # per point traced at m = 14-16.  F's layers * (4m - 1) gates, its
-    # inverse, the n blocks' references to both and one block's lowering:
-    # 46-111 B per gate per n + 2 traced, and below 1 MiB for the rest (the
-    # reflections, the transfer matrices).
+    # inverse, block 0's references to both and its lowering: checked as
+    # 128 B per gate per n + 2, which the traced peaks stay below, and below
+    # 1 MiB for the rest (the reflections, the transfer matrices).
     sim.check_memory(f"counting {layers} ansatz layers at n={n}",
                      128 * 2**m + 8 * VariationalAnsatz.num_params(m, layers)
                      + 128 * (n + 2) * layers * (4 * m - 1) + (1 << 20))

@@ -51,7 +51,8 @@ def inverse_qft(qubits) -> Circuit:
 
     The returned circuit equals bit_reversal . DFT_inverse as a matrix: a
     state holding Fourier phases of x comes out as the basis state with the
-    bits of x reversed.  Callers undo the reversal by re-indexing outcomes.
+    bits of x reversed.  Callers undo the reversal by reading the wires in
+    reverse order.
     """
     qs = list(qubits)
     if not qs:
@@ -67,15 +68,6 @@ def inverse_qft(qubits) -> Circuit:
             circ.cphase(qs[b], t, -math.pi / 2 ** (a - b))
         circ.h(t)
     return circ
-
-
-def bit_reversal_permutation(n_bits: int):
-    """Index array r with r[i] = bit-reversed i over n_bits."""
-    idx = np.arange(1 << n_bits)
-    rev = np.zeros_like(idx)
-    for b in range(n_bits):
-        rev |= ((idx >> b) & 1) << (n_bits - 1 - b)
-    return rev
 
 
 # ---------------------------------------------------------------------------

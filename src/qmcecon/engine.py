@@ -14,10 +14,11 @@ circuit.  The production path ("auto") feeds it to the closed-form spectral
 readout, which is exact: F|0> splits evenly over the two Grover eigenstates
 with phases +-theta, sin^2(pi theta / 2) = p1, so the outcome distribution
 of phase estimation depends on p1 alone.  The reference path ("circuit")
-simulates the ``(block, repeats)`` segments of ``phase_estimation`` gate by
-gate; the test suite pins the two against each other and against a
-brute-force oracle.  The resource counts in ``bench`` lower the same
-segments, so what is counted is what is simulated.
+builds each Q^y F|0> of the state (1/sqrt(M)) sum_y |y> Q^y F|0> before the
+inverse QFT from controlled-Q block 0, gate by gate, and then runs the
+inverse QFT gate by gate; blocks 1..n-1 and the H layer are not simulated
+(see ``phase_estimation``).  The tests pin both paths against a brute-force
+oracle.  ``bench`` counts the same three circuits.
 """
 
 from __future__ import annotations
@@ -30,13 +31,13 @@ import numpy as np
 from .sim import (
     Circuit,
     Gate,
+    StateVector,
     apply_circuit,
-    apply_segments,
     check_memory,
     init_state,
     probabilities,
 )
-from .circuits import bit_reversal_permutation, inverse_qft
+from .circuits import inverse_qft
 from .distributions import (
     VariationalAnsatz,
     ansatz_circuit,
@@ -214,49 +215,45 @@ def grover_operator(f_circuit: Circuit) -> Circuit:
     system = list(range(f_circuit.num_qubits))
     ancilla = system[-1]
     circ = Circuit(len(system))
-    f_inv = f_circuit.inverse()
+    f_dagger = f_circuit.inverse()
     for _ in range(2):
         circ.extend(_ancilla_z_gates(ancilla))
-        circ.extend(f_inv)
+        circ.extend(f_dagger)
         circ.extend(_zero_reflection_gates(system))
         circ.extend(f_circuit)
     return circ
 
 
-def build_controlled_Q(f_circuit: Circuit, control: int,
-                       f_inv: Circuit | None = None) -> Circuit:
+def build_controlled_Q(f_circuit: Circuit, control: int) -> Circuit:
     """Controlled Grover operator without a controlled version of F.
 
     Only the two reflections need the control: controlled-V collapses to a CZ
     between the control and the ancilla, and the zero reflection gains the
     control as one more MCX control.  With the control off, the F / F^dag
-    pairs cancel to the identity.  ``f_inv``, F's inverse if given, lets
-    several blocks share its gates.
+    pairs cancel to the identity.
     """
     system = list(range(f_circuit.num_qubits))
     ancilla = system[-1]
     if control in system:
         raise ValueError(f"control qubit {control} overlaps the encoding register")
-    f_inv = f_circuit.inverse() if f_inv is None else f_inv
     # every gate lies on F's wires or the control, so none is checked again
-    half = [Gate("cz", (ancilla,), (control,)), *f_inv.gates,
+    half = [Gate("cz", (ancilla,), (control,)), *f_circuit.inverse().gates,
             *_zero_reflection_gates(system, control=control), *f_circuit.gates]
     return Circuit(max(system + [control]) + 1, half * 2)
 
 
-def phase_estimation(f_circuit: Circuit, n: int) -> list[tuple[Circuit, int]]:
-    """The estimation circuit as ``[(block, repeats), ...]``, in order.
+def phase_estimation(f_circuit: Circuit, n: int) -> tuple[Circuit, Circuit, Circuit]:
+    """F with the H layer on F's s wires and est = s..s+n-1; controlled-Q
+    block 0, ``build_controlled_Q(f, est[0])``, on F's wires and est[0]; and
+    the inverse QFT on est.
 
-    F followed by the H layer once; for each estimation qubit k, the block
-    ``build_controlled_Q(f, est[k])`` repeated 2**(n-1-k) times, for 2**n - 1
-    oracle applications in total; then the inverse QFT once.  Every block
-    spans the s wires of F followed by the n estimation wires; each
-    controlled zero reflection is one MCX with s controls, so lowering it
-    needs s - 2 clean work wires besides these.  The blocks share one inverse
-    of F.  Controlled-Q block k touches no estimation wire but est[k], so it
-    is block 0 with wires est[0] and est[k] exchanged, gate for gate.  The
-    ``circuit`` method simulates these segments; ``bench`` counts them and
-    relies on that exchange.
+    The estimation circuit runs them in order, with block k, which is block
+    0 with est[0] and est[k] exchanged, run 2**(n-1-k) times: 2**n - 1
+    oracle applications.  Only block 0 is built; ``bench`` counts the others
+    by that rule.  The ``circuit`` method uses that est[0] is only a control
+    to apply Q^y from block 0, so blocks 1..n-1 and the H layer are not
+    simulated gate by gate.  Each controlled zero reflection is one MCX with
+    s controls, whose lowering needs s - 2 clean work wires.
     """
     if n < 1:
         raise ValueError(f"need at least one estimation qubit, got {n}")
@@ -265,11 +262,7 @@ def phase_estimation(f_circuit: Circuit, n: int) -> list[tuple[Circuit, int]]:
     prep = Circuit(s + n).extend(f_circuit)
     for q in est:
         prep.h(q)
-    f_inv = f_circuit.inverse()
-    return ([(prep, 1)]
-            + [(Circuit(s + n, build_controlled_Q(f_circuit, est[k], f_inv).gates),
-                2 ** (n - 1 - k)) for k in range(n)]
-            + [(inverse_qft(est), 1)])
+    return prep, build_controlled_Q(f_circuit, s), inverse_qft(est)
 
 
 # ---------------------------------------------------------------------------
@@ -460,32 +453,50 @@ def spectral_distribution(p1: float, n: int) -> np.ndarray:
 def _simulate_distribution(config, f_circuit, n):
     """theta-ordered outcome distribution and the encoded probability p1.
 
-    The ``circuit`` method checks its memory from F and n before any block or
-    state is built: five statevectors of 16 * 2**(s + n) bytes (the initial
-    state, its working copy, up to three states of multiplexor temporaries),
-    32 per gate stored in the segments (F and the H layer; n blocks of twice
-    a CZ, F's inverse, a zero reflection of 2s + 3 gates and F; the inverse
-    QFT), 64 per multiplexor angle (Python floats, in F and its one inverse)
-    and 1 MiB for numpy's buffers and small objects.
+    Both methods take p1 from F's statevector.  The ``circuit`` method keeps
+    it as column 0 of a (2**s, 2**n) array, whose column y is block 0 applied
+    on s + 1 wires, est[0] set to |1>, to column y - 1: Q^y F|0>.  Over
+    sqrt(2**n), the array is the state before the inverse QFT, system wires
+    first; the estimation wires read in reverse order undo the QFT's bit
+    reversal.  Its memory is checked before block 0 or a state is built: five
+    statevectors of 16 * 2**(s + n) bytes (the array, the inverse QFT's
+    working copy and two states of a gate's temporaries; at n = 1 the s + 1
+    wire state and its copy are as large as the array), 32 per gate stored
+    (F and the H layer; block 0 of twice a CZ, F's inverse, a zero reflection
+    of 2s + 3 gates and F; the inverse QFT), 64 per multiplexor angle (in F
+    and its inverse) and 1 MiB for numpy's buffers and small objects.
     """
     s, f_len = f_circuit.num_qubits, len(f_circuit)
-    segments = None
-    if config.method == "circuit":
-        stored = f_len + n + n * (n + 1) // 2 + n * (4 * f_len + 4 * s + 8)
+    circuit = config.method == "circuit"
+    if circuit:
+        stored = f_len + n + n * (n + 1) // 2 + 4 * f_len + 4 * s + 8
         angles = sum(len(g.angle) for g in f_circuit.gates if g.kind == "ucry")
         check_memory(f"phase estimation on {s + n} qubits",
                      80 * (1 << (s + n)) + 32 * stored + 64 * angles + (1 << 20))
-        segments = phase_estimation(f_circuit, n)
-    p1 = float(probabilities(apply_circuit(init_state(s), f_circuit), [s - 1])[1])
+        _, block, iqft = phase_estimation(f_circuit, n)
+    state = apply_circuit(init_state(s), f_circuit)
+    p1 = float(probabilities(state, [s - 1])[1])
     # F's state and gates go before the spectral readout allocates (the
     # caller keeps no reference), so the two memory checks of QMCConfig never
-    # overlap; the circuit method's segments keep F's gates, counted above
+    # overlap; the circuit method's block 0 keeps F's gates, counted above
     del f_circuit
-    if segments is None:
+    if not circuit:
+        del state
         return spectral_distribution(p1, n), p1
-    state = apply_segments(init_state(s + n), segments)
-    measured = probabilities(state, range(s, s + n))
-    return measured[bit_reversal_permutation(n)], p1
+    columns = np.empty((1 << s, 1 << n), dtype=np.complex128)
+    columns[:, 0] = state.amplitudes
+    del state
+    for y in range(1, 1 << n):
+        # F's wires, then est[0] in |1>, where block 0 keeps it
+        pair = np.zeros((1 << s, 2), dtype=np.complex128)
+        pair[:, 1] = columns[:, y - 1]
+        pair = apply_circuit(StateVector(s + 1, pair.reshape(-1)), block).amplitudes
+        columns[:, y] = pair[1::2]
+    del pair
+    columns /= math.sqrt(1 << n)
+    state = apply_circuit(StateVector(s + n, columns.reshape(-1)), iqft)
+    del columns
+    return probabilities(state, range(s + n - 1, s - 1, -1)), p1
 
 
 def run_qmc(config: QMCConfig, dists, rv: RandomVariableSpec,

@@ -303,28 +303,16 @@ def _apply_gate_tensor(tensor: np.ndarray, gate: Gate) -> None:
         raise ValueError(f"cannot simulate gate kind {kind!r}")
 
 
-def apply_segments(state: StateVector,
-                   segments: list[tuple[Circuit, int]]) -> StateVector:
-    """Apply each ``(block, repeats)`` pair in order, returning a new state.
-
-    The state is copied once and each block runs ``repeats`` times in place.
-    """
-    for block, _ in segments:
-        if block.num_qubits != state.num_qubits:
-            raise ValueError(f"circuit has {block.num_qubits} qubits, "
-                             f"state has {state.num_qubits}")
-    amp = state.amplitudes.copy()
-    tensor = amp.reshape((2,) * state.num_qubits)
-    for block, repeats in segments:
-        for _ in range(repeats):
-            for gate in block.gates:
-                _apply_gate_tensor(tensor, gate)
-    return StateVector(state.num_qubits, amp)
-
-
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     """Apply all gates of ``circuit`` in order, returning a new state."""
-    return apply_segments(state, [(circuit, 1)])
+    if circuit.num_qubits != state.num_qubits:
+        raise ValueError(f"circuit has {circuit.num_qubits} qubits, "
+                         f"state has {state.num_qubits}")
+    amp = state.amplitudes.copy()
+    tensor = amp.reshape((2,) * state.num_qubits)
+    for gate in circuit.gates:
+        _apply_gate_tensor(tensor, gate)
+    return StateVector(state.num_qubits, amp)
 
 
 def probabilities(state: StateVector, qubits=None) -> np.ndarray:

@@ -20,9 +20,10 @@ from qmcecon.bench import (
 )
 from qmcecon.circuits import count_resources, decompose, lower_gates
 from qmcecon.distributions import discretize_normal
-from qmcecon.engine import LinearRParams, assemble_f, normalize_rv, phase_estimation
+from qmcecon.engine import (LinearRParams, assemble_f, build_controlled_Q,
+                            normalize_rv, phase_estimation)
 
-from util import fit_r_squared, flatten
+from util import fit_r_squared, flat_phase_estimation
 
 
 def _benchmark_f(m, n, layers):
@@ -127,7 +128,8 @@ def test_classical_workers_fit_values_cap(monkeypatch, cpus, cap_buffers,
         return classical_mc(*args, out=out, **kwargs)
 
     monkeypatch.setattr(bench, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(sim, "MEMORY_BUDGET", cap_buffers * 8 * n_samples)
+    # besides the buffers, 16 B per repeat for its error and wall time
+    monkeypatch.setattr(sim, "MEMORY_BUDGET", cap_buffers * 8 * n_samples + 16 * 7)
     monkeypatch.setattr(econ, "classical_mc", recording_mc)
     rows = error_sweep(spec)
     assert len(seen) == buffers
@@ -157,32 +159,35 @@ class TestResources:
         assert rows[1]["depth"] > rows[0]["depth"]
 
     def test_counts_match_direct_decomposition(self):
-        # the composed count against the lowering of the flattened segments;
+        # the composed count against the lowering of the flat circuit;
         # n = 1 exchanges no wires and n = 2 one pair, m = 1 lowers the
         # controlled reflection as one Toffoli and m = 2 as a one-wire ladder
         cases = ([(m, 2, n) for m in (1, 2) for n in range(1, 5)]
                  + [(3, 2, n) for n in range(1, 8)]
                  + [(7, 10, n) for n in range(1, 7)])
         for m, layers, n in cases:
-            circuit = flatten(phase_estimation(_benchmark_f(m, n, layers), n))
+            circuit = flat_phase_estimation(_benchmark_f(m, n, layers), n)
             # m+1 system wires: the controlled MCX has m+1 controls, m-1 work wires
             work = range(circuit.num_qubits, circuit.num_qubits + m - 1)
             direct = count_resources(decompose(circuit, work))
             assert qmc_resource_report(m, n, layers) == direct, (m, layers, n)
 
     def test_controlled_q_blocks_lower_alike_up_to_a_wire_exchange(self):
-        # the report counts block 0 only and exchanges est[0] and est[k]
+        # the report counts block 0 only and exchanges est[0] and est[k];
+        # each block k here is built on its own
         m, n = 3, 4
         s = m + 1
         work = range(s + n, s + n + m - 1)
-        _, *controlled, _ = phase_estimation(_benchmark_f(m, n, 2), n)
-        first = list(lower_gates(controlled[0][0].gates, work))
-        for k, (block, _) in enumerate(controlled):
+        f = _benchmark_f(m, n, 2)
+        _, block, _ = phase_estimation(f, n)
+        first = list(lower_gates(block.gates, work))
+        for k in range(n):
             swap = {s: s + k, s + k: s}
             exchanged = [replace(g, targets=tuple(swap.get(q, q) for q in g.targets),
                                  controls=tuple(swap.get(q, q) for q in g.controls))
                          for g in first]
-            assert list(lower_gates(block.gates, work)) == exchanged, k
+            own = build_controlled_Q(f, s + k)
+            assert list(lower_gates(own.gates, work)) == exchanged, k
 
     def test_count_past_int64_headroom_rejected(self):
         # n = 50 makes 0.58 * 2**61 gates at m = 5 and is counted, so every

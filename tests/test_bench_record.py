@@ -1,0 +1,71 @@
+"""tools/bench_record.py on canned benchmark output."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+HOST = {"nproc": 2, "cpus_usable": 2, "cpu_model": "cpu", "python": "3.11.7",
+        "numpy": "2.4.6", "scipy": "1.17.1", "blas": "openblas 0.3",
+        "blas_threads": {"libopenblas.so": 2}}
+
+
+def _bench_record():
+    spec = importlib.util.spec_from_file_location(
+        "bench_record", ROOT / "tools" / "bench_record.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _stdout(workload, seed, wall, failed=0, source="d1"):
+    meta = {**HOST, "git_commit": "abc123", "source_sha256": source, "seed": seed}
+    values = {"wall_s": wall, "setup_s": 0.1 * seed, "peak_rss_mb": 40.0,
+              "pass_rate": 1.0 - failed / 4}
+    result = {"correct": failed == 0, "attempted": 4, "failed": failed,
+              "metrics": {k: {"value": v, "unit": "s"} for k, v in values.items()}}
+    return "\n".join([f"== {workload}  seed {seed}",
+                      f"  {'wall_s':40s} {wall:>16.6g} s",
+                      "  [ok] check: detail",
+                      "  meta " + json.dumps(meta),
+                      json.dumps(result)]) + "\n"
+
+
+def test_summary_of_canned_runs():
+    record = _bench_record()
+    runs = [("estimates", *record.parse_run(_stdout("estimates", seed, wall)))
+            for seed, wall in zip(range(1, 6), (0.5, 0.9, 0.7, 0.6, 0.8))]
+    runs.append(("circuits-training",
+                 *record.parse_run(_stdout("circuits-training", 1, 0.2, failed=1))))
+    out = record.summary("parent", runs)
+    assert out["label"] == "parent" and out["commit"] == "abc123"
+    assert out["source_sha256"] == "d1" and out["host"] == HOST
+    estimates = out["workloads"]["estimates"]
+    assert [run["seed"] for run in estimates["runs"]] == [1, 2, 3, 4, 5]
+    assert estimates["runs"][1] == {
+        "seed": 2, "failed": 0,
+        "metrics": {"wall_s": 0.9, "setup_s": 0.2, "peak_rss_mb": 40.0,
+                    "pass_rate": 1.0}}
+    assert estimates["summary"]["wall_s"] == {"median": 0.7, "q1": 0.6, "q3": 0.8}
+    training = out["workloads"]["circuits-training"]
+    assert training["runs"][0]["failed"] == 1
+    assert training["summary"]["pass_rate"] == {"median": 0.75, "q1": 0.75,
+                                                "q3": 0.75}
+    json.dumps(out)
+
+
+def test_runs_of_different_sources_refused():
+    record = _bench_record()
+    runs = [("estimates", *record.parse_run(_stdout("estimates", 1, 0.5))),
+            ("estimates", *record.parse_run(_stdout("estimates", 2, 0.5,
+                                                     source="d2")))]
+    with pytest.raises(ValueError, match="different sources"):
+        record.summary("change", runs)
+
+
+def test_seed_range():
+    record = _bench_record()
+    assert record.seed_range("1-10") == list(range(1, 11))
+    assert record.seed_range("3") == [3]

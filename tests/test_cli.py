@@ -29,7 +29,7 @@ def refuse_simulation(monkeypatch):
         raise Reached("state simulated")
 
     monkeypatch.setattr(engine, "init_state", refuse)
-    monkeypatch.setattr(engine, "apply_segments", refuse)
+    monkeypatch.setattr(engine, "apply_circuit", refuse)
 
 
 def run_cli(args, capsys):
@@ -187,18 +187,18 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("args,message", [
         (["run", "stress", "--m", "5", "--n", "19", "--method", "circuit"],
-         "phase estimation on 30 qubits needs 85900529408 bytes, "
+         "phase estimation on 30 qubits needs 85900474112 bytes, "
          "exceeding the cap of 1073741824"),
         (["run", "neoclassical", "--m", "16", "--n", "9", "--method", "circuit"],
-         "phase estimation on 26 qubits needs 5378189984 bytes, "
+         "phase estimation on 26 qubits needs 5378153120 bytes, "
          "exceeding the cap of 1073741824")],
         ids=["run-30-qubits", "run-large-F"])
     def test_circuit_method_over_cap_exit_2_before_building(
             self, capsys, monkeypatch, args, message):
-        # refused from F's length and angles alone: no block (and no inverse
-        # of F's 2**s angles) is built first
+        # refused from F's length and angles alone: block 0 (and the inverse
+        # of F's 2**s angles in it) is not built first
         def refuse(*a, **k):
-            raise Reached("segments built before the memory check")
+            raise Reached("block 0 built before the memory check")
 
         refuse_simulation(monkeypatch)
         monkeypatch.setattr(engine, "phase_estimation", refuse)
@@ -212,15 +212,15 @@ class TestExitCodes:
         base = ["run", "stress", "--m", "5", "--method", "circuit"]
         code, _, err = run_cli([*base, "--n", "13"], capsys)
         assert code == 2
-        assert ("phase estimation on 24 qubits needs 1343338976 bytes, "
+        assert ("phase estimation on 24 qubits needs 1343302112 bytes, "
                 "exceeding the cap of 1073741824") in err
         with pytest.raises(Reached):
             main([*base, "--n", "12"])
 
     @pytest.mark.parametrize("n", [16, 17])
     def test_long_blocks_reach_simulation(self, tmp_path, monkeypatch, n):
-        # A trained-ansatz F of 11 gates per layer makes each controlled-Q
-        # block long; each is stored once and repeated in place, so only the
+        # A trained-ansatz F of 11 gates per layer makes controlled-Q block 0
+        # long; it is stored once and applied 2**n - 1 times, so only the
         # state term, 80 * 2**(4 + n) bytes, bounds the request
         refuse_simulation(monkeypatch)
         params = tmp_path / "layers42.txt"
@@ -366,16 +366,34 @@ class TestExitCodes:
         monkeypatch.setattr(econ, "workload", lambda app, scenario=None: replace(
             registry(app, scenario), sampler=refuse))
         out = tmp_path / "rows.csv"
-        # 8 B of values per sample: 2**27 samples are exactly 1 GiB
-        for n_samples, need in (("1000000000000", 8 * 10**12),
-                                ("3000000000", 24 * 10**9),
-                                ("100,134217729", 2**30 + 8)):
+        # 8 B of values per sample and 16 B for the one repeat's error and
+        # wall time: 2**27 - 2 samples fill 1 GiB
+        for n_samples, need in (("1000000000000", 8 * 10**12 + 16),
+                                ("3000000000", 24 * 10**9 + 16),
+                                ("100,134217729", 2**30 + 24)):
             code, _, err = run_cli(["--out", str(out), "sweep", "--app",
                                     "neoclassical", "--estimator", "classical",
                                     "--n-samples", n_samples], capsys)
             assert code == 2
             assert f"needs {need} bytes, exceeding the cap of 1073741824" in err
             assert not out.exists()
+
+    def test_classical_repeats_over_memory_exit_2_before_running(
+            self, tmp_path, capsys, monkeypatch):
+        # 16 B per repeat for its error and wall time: 10**12 repeats are
+        # refused before the first run, not with a MemoryError
+        def refuse(*a, **k):
+            raise Reached("classical run started before the repeats' check")
+
+        monkeypatch.setattr(econ, "classical_mc", refuse)
+        out = tmp_path / "rows.csv"
+        code, _, err = run_cli(["--out", str(out), "sweep", "--app", "simple",
+                                "--estimator", "classical", "--n-samples", "1",
+                                "--repeats", "1000000000000"], capsys)
+        assert code == 2
+        assert ("1000000000000 classical runs of 1 samples needs 16000000000008 "
+                "bytes, exceeding the cap of 1073741824") in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("args,per_point,message", [
         (["sweep", "--app", "simple", "--estimator", "qmc_exact", "--n-min",

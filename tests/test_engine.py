@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qmcecon import econ
-from qmcecon.circuits import count_resources, decompose
+from qmcecon.circuits import count_resources, decompose, inverse_qft
 from qmcecon.distributions import (
     VariationalAnsatz,
     ansatz_circuit,
@@ -33,15 +33,15 @@ from qmcecon.engine import (
 )
 from qmcecon.sim import (
     Circuit,
+    Gate,
     ResourceLimitError,
     apply_circuit,
-    apply_segments,
     dense_unitary,
     init_state,
     probabilities,
 )
 
-from util import (brute_force_phase_estimation, flatten, random_circuit,
+from util import (brute_force_phase_estimation, flat_phase_estimation,
                   random_distribution)
 
 
@@ -291,17 +291,22 @@ class TestGroverOperator:
         assert nearest < 1e-8
 
     def test_controlled_form(self):
+        # an exact F, and a trained-ansatz F with the linear cascade
         rng = np.random.default_rng(7)
         dist = random_distribution(2, rng)
         rv = normalize_rv(rng.uniform(0, 1, 4))
-        f = build_F(exact_state_prep(dist), build_R_exact(rv))
-        q = dense_unitary(grover_operator(f))
-        cq = dense_unitary(build_controlled_Q(f, control=3))
-        dim = 8
-        # control is the least significant wire here
-        np.testing.assert_allclose(cq[0::2, 0::2], np.eye(dim), atol=1e-9)
-        np.testing.assert_allclose(cq[1::2, 1::2], q, atol=1e-9)
-        np.testing.assert_allclose(cq[0::2, 1::2], 0, atol=1e-12)
+        ansatz = VariationalAnsatz(3, 2, rng.uniform(-math.pi, math.pi, 18))
+        for f in (build_F(exact_state_prep(dist), build_R_exact(rv)),
+                  build_F(ansatz_circuit(ansatz),
+                          build_R_linear(3, LinearRParams.for_grid(3, 0.3)))):
+            s = f.num_qubits
+            q = dense_unitary(grover_operator(f))
+            cq = dense_unitary(build_controlled_Q(f, control=s))
+            # control is the least significant wire here
+            np.testing.assert_allclose(cq[0::2, 0::2], np.eye(1 << s), atol=1e-9)
+            np.testing.assert_allclose(cq[1::2, 1::2], q, atol=1e-9)
+            np.testing.assert_allclose(cq[0::2, 1::2], 0, atol=1e-12)
+            np.testing.assert_allclose(cq[1::2, 0::2], 0, atol=1e-12)
 
     def test_control_overlap_rejected(self):
         dist = random_distribution(2, np.random.default_rng(0))
@@ -323,47 +328,46 @@ class TestPhaseEstimationCircuit:
         dist, rv = small_problem(2)
         f = assemble_f([dist], rv)
         block = build_controlled_Q(f, control=3)
-        circ6 = flatten(phase_estimation(f, 6))
+        circ6 = flat_phase_estimation(f, 6)
         # gate-count identity: F + n Hadamards + 63 blocks + inverse QFT
         iqft_gates = 6 + 15
         expected = len(f.gates) + 6 + 63 * len(block.gates) + iqft_gates
         assert len(circ6.gates) == expected
 
-    def test_segments_span_every_wire(self):
+    def test_prep_block_0_and_inverse_qft(self):
+        # F with the H layer and the inverse QFT span F's wires and est;
+        # block 0 spans F's wires and est[0] only
         dist, rv = small_problem(2)
         f = assemble_f([dist], rv)
-        segments = phase_estimation(f, 4)
-        assert [r for _, r in segments] == [1, 8, 4, 2, 1, 1]
-        assert {block.num_qubits for block, _ in segments} == {3 + 4}
+        prep, block, iqft = phase_estimation(f, 4)
+        assert [c.num_qubits for c in (prep, block, iqft)] == [3 + 4, 3 + 1, 3 + 4]
+        assert prep.gates == f.gates + [Gate("h", (q,)) for q in range(3, 7)]
+        assert block == build_controlled_Q(f, 3)
+        assert iqft.gates == inverse_qft(range(3, 7)).gates
 
-    def test_segments_flatten_to_the_circuit(self):
-        # applying each block repeats times in place equals applying the
-        # flat circuit, bit for bit
-        rng = np.random.default_rng(5)
-        for nq in (3, 5, 6):
-            segments = [(random_circuit(nq, int(rng.integers(1, 12)), rng),
-                         int(rng.integers(1, 5))) for _ in range(4)]
-            start = apply_circuit(init_state(nq), random_circuit(nq, 8, rng))
-            assert np.array_equal(apply_segments(start, segments).amplitudes,
-                                  apply_circuit(start, flatten(segments)).amplitudes)
-        with pytest.raises(ValueError, match="circuit has 2 qubits"):
-            apply_segments(init_state(3), [(Circuit(3), 1), (Circuit(2), 2)])
-
-    def test_blocks_share_one_inverse_of_f(self):
-        # an exact F's multiplexors carry 2**s angles; n blocks must not
-        # each negate a copy of them
-        dist, rv = small_problem(3)
-        f = assemble_f([dist], rv)
-        blocks = [block for block, _ in phase_estimation(f, 3)[1:-1]]
-        own = {id(g) for g in f.gates}
-        inverses = [{id(g) for g in block.gates if g.kind == "ucry"} - own
-                    for block in blocks]
-        assert len(inverses[0]) == len(f) and inverses == inverses[:1] * 3
+    @pytest.mark.parametrize("case", ["exact", "trained_linear"])
+    def test_block_0_touches_est_0_only_as_a_control(self, case):
+        # what lets the circuit method build Q^y F|0> on F's wires and est[0]
+        rng = np.random.default_rng(3)
+        dist = random_distribution(3, rng)
+        if case == "exact":
+            f = assemble_f([dist], normalize_rv(rng.uniform(0, 1, 8)))
+        else:
+            rv = normalize_rv(np.linspace(2.0, -1.0, 8))
+            ansatz = VariationalAnsatz(3, 2, rng.uniform(-math.pi, math.pi, 18))
+            f = assemble_f([dist], rv, ansatz, LinearRParams.for_oracle_budget(rv, 5))
+        s = f.num_qubits
+        _, block, _ = phase_estimation(f, 5)
+        touching = [g for g in block.gates if s in g.qubits]
+        # the CZ and the zero reflection's MCX, in each of the two halves
+        assert [g.kind for g in touching] == ["cz", "mcx"] * 2
+        assert all(s in g.controls for g in touching)
+        assert max(q for g in block.gates for q in g.qubits) == s
 
     def test_work_register_size(self):
         dist, rv = small_problem(3)
         f = assemble_f([dist], rv)
-        circ = flatten(phase_estimation(f, 2))
+        circ = flat_phase_estimation(f, 2)
         assert circ.num_qubits == 4 + 2
         # system of m+1 wires: controls = est + m register wires -> m-1 work
         widest = max(len(g.controls) for g in circ.gates if g.kind == "mcx")
@@ -375,7 +379,7 @@ class TestPhaseEstimationCircuit:
     def test_decomposable_and_countable(self):
         dist, rv = small_problem(2)
         f = assemble_f([dist], rv)
-        circ = flatten(phase_estimation(f, 2))
+        circ = flat_phase_estimation(f, 2)
         # m+1 = 3 system wires: the controlled MCX has 3 controls, 1 work wire
         rep = count_resources(decompose(circ, work=[circ.num_qubits]))
         assert rep.total_gates > 0
@@ -493,10 +497,17 @@ class TestFullPipeline:
                                    results["auto"].distribution, atol=1e-12)
         assert results["circuit"].p1 == pytest.approx(results["auto"].p1, abs=1e-12)
 
-    def test_stress_methods_agree(self):
-        # two 3-qubit Beta registers and the 64-row loss multiplexor
-        results = {method: econ.stress_qmc(econ.DEFAULT_STRESS, 3, 6,
-                                           method=method)
+    @pytest.mark.parametrize("app,m,n,r_mode", [
+        ("stress", 3, 6, "exact"), ("stress", 5, 7, "exact"),
+        ("neoclassical", 7, 8, "exact"), ("neoclassical", 7, 8, "linear")],
+        ids=["stress-3-6", "stress-5-7", "neoclassical-7-8",
+             "neoclassical-7-8-linear"])
+    def test_stress_methods_agree(self, app, m, n, r_mode):
+        # stress: two Beta registers and the loss multiplexor over both; m = 5
+        # is Fig. 7's register and m = 7 Fig. 6's, each at the reference's
+        # paper-size estimation register
+        results = {method: econ.estimate(econ.workload(app), m, n,
+                                         r_mode=r_mode, method=method)
                    for method in ("circuit", "auto")}
         circuit, auto = (results[k].estimate for k in ("circuit", "auto"))
         np.testing.assert_allclose(circuit.distribution, auto.distribution,

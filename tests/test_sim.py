@@ -91,8 +91,10 @@ class TestApplyCircuit:
         np.testing.assert_allclose(out.amplitudes, [1, 0], atol=1e-12)
 
     def test_qubit_count_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="circuit has 3 qubits, state has 2"):
             apply_circuit(init_state(2), Circuit(3).h(0))
+        with pytest.raises(ValueError, match="circuit has 2 qubits, state has 3"):
+            apply_circuit(init_state(3), Circuit(2))
 
     def test_norm_preserved_on_random_circuits(self):
         rng = np.random.default_rng(11)
@@ -275,19 +277,28 @@ class TestFormulasCoverPeaks:
     def test_readout_after_f_is_freed(self, monkeypatch):
         # the F path's and the readout's bytes are checked apart, so F's
         # gates and state must be gone before the readout allocates
-        built = []
+        built, states = [], []
         assemble_f, spectral = engine.assemble_f, engine.spectral_distribution
+        apply_circuit = engine.apply_circuit
 
         def assemble(*args, **kwargs):
             f = assemble_f(*args, **kwargs)
             built.append(weakref.ref(f))
             return f
 
+        def simulate(*args):
+            state = apply_circuit(*args)
+            states.append(weakref.ref(state.amplitudes))
+            return state
+
         def readout(p1, n):
             assert built[0]() is None, "F still alive at the readout"
+            assert len(states) == 1 and states[0]() is None, \
+                "F's statevector still alive at the readout"
             return spectral(p1, n)
 
         monkeypatch.setattr(engine, "assemble_f", assemble)
+        monkeypatch.setattr(engine, "apply_circuit", simulate)
         monkeypatch.setattr(engine, "spectral_distribution", readout)
         econ.estimate(econ.workload("stress"), 3, 4)
 
@@ -303,29 +314,29 @@ class TestFormulasCoverPeaks:
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_circuit_method_counts_before_building(self, checked, monkeypatch, n):
-        # the stored gates are reckoned from F's length, before any block is
-        # built, and equal those of the segments
+        # the stored gates are reckoned from F's length, before block 0 is
+        # built, and equal those of the three circuits
         rng = np.random.default_rng(n)
         f = random_circuit(5, 40, rng)
         f.ucry([0, 1, 2], 4, rng.uniform(-3, 3, 8))
         config = engine.QMCConfig(m=4, n=n, method="circuit")
         build, checks_before = engine.phase_estimation, []
 
-        def segments(*args):
+        def circuits(*args):
             checks_before.append(len(checked))
             return build(*args)
 
         checked.clear()
-        monkeypatch.setattr(engine, "phase_estimation", segments)
+        monkeypatch.setattr(engine, "phase_estimation", circuits)
         engine._simulate_distribution(config, f, n)
-        stored = sum(len(block) for block, _ in build(f, n))
+        stored = sum(map(len, build(f, n)))
         assert checks_before == [1]
         assert checked[0] == (f"phase estimation on {5 + n} qubits",
                               80 * (1 << 5 + n) + 32 * stored + 64 * 8 + (1 << 20))
 
     def test_circuit_method_gate_list(self, checked):
-        # a trained-ansatz F of 11 gates per layer makes each stored
-        # controlled-Q block long, and it runs 2**(n-1-k) times in place
+        # a trained-ansatz F of 11 gates per layer makes the stored
+        # controlled-Q block 0 long, and it runs 2**n - 1 times
         m, n = 3, 2
         config = engine.QMCConfig(m=m, n=n, r_mode="linear", method="circuit")
         dist = econ.neoclassical_shock_grid(m)

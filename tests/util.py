@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 
+from qmcecon.circuits import inverse_qft
+from qmcecon.engine import build_controlled_Q
 from qmcecon.sim import Circuit, Gate, _apply_gate_tensor
 
 
@@ -76,11 +78,19 @@ def lowering_error(reference: np.ndarray, lowered: Circuit) -> float:
                float(np.max(np.abs(leak), initial=0.0)))
 
 
-def flatten(segments) -> Circuit:
-    """The ``(block, repeats)`` segments as one circuit, each block written
-    out repeats times: the flat form that ``count_stream`` reads."""
-    return Circuit(segments[0][0].num_qubits,
-                   [g for block, repeats in segments for g in block.gates * repeats])
+def flat_phase_estimation(f_circuit: Circuit, n: int) -> Circuit:
+    """The whole estimation circuit written out gate by gate: F, the H layer,
+    ``build_controlled_Q(f, s + k)`` 2**(n-1-k) times for each k, and the
+    inverse QFT.  Every block is built here, independently of
+    ``engine.phase_estimation``, which builds block 0 only."""
+    s = f_circuit.num_qubits
+    est = range(s, s + n)
+    circ = Circuit(s + n).extend(f_circuit)
+    for q in est:
+        circ.h(q)
+    for k in range(n):
+        circ.extend(build_controlled_Q(f_circuit, s + k).gates * 2 ** (n - 1 - k))
+    return circ.extend(inverse_qft(est))
 
 
 def brute_force_phase_estimation(q_matrix: np.ndarray, chi: np.ndarray,

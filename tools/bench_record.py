@@ -1,0 +1,106 @@
+"""Run the benchmark in one or more checkouts and record each as BENCH_<label>.json.
+
+Usage: python tools/bench_record.py [--seeds 1-10] [--workload W ...]
+                                    [--out-dir DIR] LABEL=CHECKOUT ...
+
+For each workload and seed, ``python3 perfbench/run.py --workload W --seed k``
+runs in every checkout, one after another.  The checkout that goes first
+rotates with the seed, so with two checkouts the pairs alternate which runs
+first.  Each run's stdout ends with its ``meta`` line and its JSON result.
+Every checkout gets one file, ``BENCH_<label>.json`` in DIR (the repository
+root by default), rewritten after each of its runs.  It holds the checkout's
+git commit and source digest, the host fields of the ``meta`` line, each
+run's four end-to-end metrics and failed count, and each metric's median
+and quartiles per workload.  Nothing under ``perfbench/`` changes.
+"""
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("estimates", "circuits-training")
+METRICS = ("wall_s", "setup_s", "peak_rss_mb", "pass_rate")
+HOST_FIELDS = ("nproc", "cpus_usable", "cpu_model", "python", "numpy", "scipy",
+               "blas", "blas_threads")
+
+
+def parse_run(stdout: str) -> tuple[dict, dict]:
+    """The ``meta`` object and the JSON result of one single-workload run."""
+    lines = stdout.strip().splitlines()
+    [meta] = [json.loads(line.strip()[5:]) for line in lines
+              if line.strip().startswith("meta ")]
+    return meta, json.loads(lines[-1])
+
+
+def summary(label: str, runs: list[tuple[str, dict, dict]]) -> dict:
+    """The BENCH record of one checkout from its (workload, meta, result)
+    runs: commit, host, each run's metrics, and per-metric quartiles."""
+    metas = [meta for _, meta, _ in runs]
+    if len({meta["source_sha256"] for meta in metas}) != 1:
+        raise ValueError(f"{label}: the runs measured different sources")
+    workloads = {}
+    for workload, meta, result in runs:
+        entry = workloads.setdefault(workload, {"runs": []})
+        entry["runs"].append({
+            "seed": meta["seed"], "failed": result["failed"],
+            "metrics": {m: result["metrics"][m]["value"] for m in METRICS}})
+    for entry in workloads.values():
+        entry["summary"] = {}
+        for m in METRICS:
+            q1, median, q3 = np.percentile(
+                [run["metrics"][m] for run in entry["runs"]], [25, 50, 75])
+            entry["summary"][m] = {"median": float(median), "q1": float(q1),
+                                   "q3": float(q3)}
+    return {"label": label, "commit": metas[0]["git_commit"],
+            "source_sha256": metas[0]["source_sha256"],
+            "host": {field: metas[0][field] for field in HOST_FIELDS},
+            "workloads": workloads}
+
+
+def run_once(checkout: Path, workload: str, seed: int) -> tuple[dict, dict]:
+    proc = subprocess.run(["python3", "perfbench/run.py", "--workload", workload,
+                           "--seed", str(seed)],
+                          cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{checkout}: {workload} seed {seed} exited "
+                         f"{proc.returncode}\n{proc.stderr[-3000:]}")
+    return parse_run(proc.stdout)
+
+
+def seed_range(text: str) -> list[int]:
+    first, _, last = text.partition("-")
+    return list(range(int(first), int(last or first) + 1))
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkouts", nargs="+", metavar="LABEL=CHECKOUT")
+    parser.add_argument("--seeds", type=seed_range, default=seed_range("1-10"))
+    parser.add_argument("--workload", action="append", choices=WORKLOADS)
+    parser.add_argument("--out-dir", type=Path, default=ROOT)
+    args = parser.parse_args(argv)
+    checkouts = [(label, Path(path).resolve()) for label, _, path in
+                 (item.partition("=") for item in args.checkouts)]
+    runs = {label: [] for label, _ in checkouts}
+    for workload in args.workload or WORKLOADS:
+        for i, seed in enumerate(args.seeds):
+            shift = i % len(checkouts)
+            for label, checkout in checkouts[shift:] + checkouts[:shift]:
+                meta, result = run_once(checkout, workload, seed)
+                print(f"{label} {workload} seed {seed}: "
+                      + " ".join(f"{m}={result['metrics'][m]['value']:.4g}"
+                                 for m in METRICS)
+                      + f" failed={result['failed']}", flush=True)
+                runs[label].append((workload, meta, result))
+                path = args.out_dir / f"BENCH_{label}.json"
+                path.write_text(json.dumps(summary(label, runs[label]),
+                                           indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

@@ -48,6 +48,10 @@ def commands():
     yield "sweep_classical_over_memory", [
         "sweep", "--app", "neoclassical", "--estimator", "classical",
         "--n-samples", "1000000000000"]
+    # 16 TB of per-repeat errors and wall times: refused before the first run
+    yield "sweep_classical_repeats_over_memory", [
+        "sweep", "--app", "simple", "--estimator", "classical", "--n-samples",
+        "1", "--repeats", "1000000000000"]
     # a readout of 2**26 outcomes at the largest n: refused before n = 18 runs
     yield "sweep_qmc_over_memory", [
         "sweep", "--app", "simple", "--estimator", "qmc_exact", "--n-min", "18",
@@ -59,14 +63,16 @@ def commands():
     yield "run_params_m_mismatch", ["run", "neoclassical", "--r-mode", "linear",
                                     "--m", "3", "--n", "8", "--params",
                                     "trained.txt"]
-    # the reference path: every gate of phase estimation simulated
+    # the reference path: controlled-Q block 0 and the inverse QFT simulated
+    # gate by gate
     yield "run_stress_circuit", ["run", "stress", "--m", "3", "--n", "6",
                                  "--method", "circuit"]
-    # the reference path with long controlled-Q blocks, each repeated in place
+    # the reference path with a long controlled-Q block 0, applied 2**n - 1
+    # times on F's wires and est[0]
     yield "run_linear_trained_circuit", [
         "run", "neoclassical", "--r-mode", "linear", "--m", "5", "--n", "6",
         "--params", "trained.txt", "--method", "circuit"]
-    # 30 qubits, five 16 GiB statevectors: refused before any block is built
+    # 30 qubits, five 16 GiB statevectors: refused before block 0 is built
     yield "run_stress_circuit_over_memory", ["run", "stress", "--m", "5", "--n",
                                              "19", "--method", "circuit"]
     yield "resources_m3_layers2", ["resources", "--m", "3", "--layers", "2",
