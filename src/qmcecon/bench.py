@@ -17,10 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import (ResourceReport, advance_frontier, count_stream,
-                       lower_gates, transfer_matrix)
+                       inverse_qft, lower_gates, maxplus_squarings,
+                       transfer_matrix)
 from .distributions import VariationalAnsatz
 from .engine import (LinearRParams, QMCConfig, assemble_f, normalize_rv,
                      phase_estimation)
+from .sim import Circuit
 from . import econ, sim
 
 GATE_TIMES = (1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
@@ -193,94 +195,128 @@ def _bench_ansatz(m: int, layers: int) -> VariationalAnsatz:
                                          VariationalAnsatz.num_params(m, layers)))
 
 
-def _segment_costs(m: int, n: int, layers: int, width: int) -> list:
-    """``(gate counts, transfer matrix, repeats)`` of each segment of the
-    counted estimation circuit, in order, with block 0 lowered once."""
+def _lowered_cost(circuit, width: int, work=()):
+    lowered = list(lower_gates(circuit.gates, work))
+    return count_stream(lowered, width), transfer_matrix(lowered, width)
+
+
+def _segment_costs(m: int, n: int, layers: int) -> list:
+    """``(ResourceReport, transfer matrix)`` of F, of one H and of controlled-Q
+    block 0, each lowered once on the compact layout: F's s = m + 1 wires,
+    est[0] at wire s, then s - 2 work wires.  The controlled zero reflection
+    is one MCX with s controls (est[0] and every F wire but its target), and
+    its Toffoli ladder takes the work wires; no other gate needs them.
+
+    F's linear ramp takes the oracle budget of n, but the lowering reads no
+    angle, so every n of a table has these costs.
+    """
     workload = econ.neoclassical_workload()
     dist = workload.shock(m)
     rv = normalize_rv(workload.values(dist))
     f_circuit = assemble_f([dist], rv, _bench_ansatz(m, layers),
                            LinearRParams.for_oracle_budget(rv, n))
-    prep, block, iqft = phase_estimation(f_circuit, n)
+    _, block, _ = phase_estimation(f_circuit, 1)
     s = m + 1
-    work = range(s + n, width)
+    width = 2 * s - 1
+    return [_lowered_cost(circuit, width, range(s + 1, width))
+            for circuit in (f_circuit, Circuit(1).h(0), block)]
 
-    def lowered_cost(circuit):
-        lowered = list(lower_gates(circuit.gates, work))
-        return count_stream(lowered, width).counts, transfer_matrix(lowered, width)
 
-    q_counts, q_transfer = lowered_cost(block)
-    costs = [(*lowered_cost(prep), 1)]
-    for k in range(n):
-        # block k: block 0 with est[0] = s and s + k exchanged, 2**(n-1-k) times
-        perm = np.arange(width)
-        perm[[s, s + k]] = s + k, s
-        costs.append((q_counts, q_transfer[np.ix_(perm, perm)], 2 ** (n - 1 - k)))
-    costs.append((*lowered_cost(iqft), 1))
-    return costs
+def _reports(m: int, n_values, layers: int):
+    """``(n, ResourceReport)`` of each n of ``n_values``, a decreasing list.
+    F, the H and block 0 are lowered once, for the first (largest) n, and
+    block 0's max-plus squarings B**(2**j), j < that n, serve every row."""
+    if n_values[-1] < 1:
+        raise ValueError(f"need at least one estimation qubit, got {n_values[-1]}")
+    s = m + 1
+    costs = powers = None
+    for n in n_values:
+        if n < 62:
+            # The 2**m shock grid with its variable and linearity check:
+            # 49-103 B per point traced at m = 14-16.  F's layers * (4m - 1)
+            # gates, its inverse, block 0's references to both and their
+            # lowering, built once per table: 384 B per gate, against
+            # 313-317 B traced at 300-2000 layers.  This row's inverse QFT,
+            # n(n - 1)/2 phase gates and their lowering: 1536 B per phase
+            # gate, against 940-1110 B traced at n = 20-53.  1 MiB for the
+            # rest (the reflections, the transfer matrices and block 0's
+            # squarings).
+            sim.check_memory(
+                f"counting {layers} ansatz layers at n={n}",
+                128 * 2**m + 8 * VariationalAnsatz.num_params(m, layers)
+                + 384 * layers * (4 * m - 1) + 768 * n * (n - 1) + (1 << 20))
+            if costs is None:
+                costs = _segment_costs(m, n, layers)
+                (f_cost, f_transfer), (h_cost, _), (q_cost, q_transfer) = costs
+            iqft_cost, iqft_transfer = _lowered_cost(inverse_qft(range(n)), n)
+            counts = Counter(f_cost.counts)
+            for cost, repeats in ((h_cost, n), (q_cost, 2**n - 1),
+                                  (iqft_cost, 1)):
+                counts.update({kind: c * repeats for kind, c in cost.counts.items()})
+            total = sum(counts.values())
+        if n >= 62 or total >= 1 << 61:
+            gates = f"at least 2**{n} - 1" if n >= 62 else total
+            raise sim.ResourceLimitError(
+                f"counting n={n} at m={m} makes {gates} gates, past the 2**61 "
+                f"that int64 depths hold")
+        if powers is None:
+            powers = maxplus_squarings(q_transfer, n)
+            after_f = advance_frontier(np.zeros(len(f_transfer), dtype=np.int64),
+                                       f_transfer, 1)
+        # F, then each estimation wire's H; block k is block 0 on est[k] in
+        # place of est[0], 2**(n-1-k) times, and the inverse QFT acts on the
+        # estimation wires alone
+        frontier = after_f.copy()
+        est = np.full(n, h_cost.depth, dtype=np.int64)
+        for k in range(n):
+            frontier[s] = est[k]
+            frontier = advance_frontier(frontier, powers[n - 1 - k], 1)
+            est[k] = frontier[s]
+        est = advance_frontier(est, iqft_transfer, 1)
+        depth = int(max(frontier.max(), est.max()))
+        # the compact layout with n estimation wires in place of one
+        yield n, ResourceReport(dict(counts), total, depth, len(after_f) + n - 1)
 
 
 def qmc_resource_report(m: int, n: int, layers: int = 10) -> ResourceReport:
     """Counts and depth of the decomposed estimation circuit.
 
     Builds the macro benchmark F (layered preparation ansatz, linear rotation
-    encoding) and the three circuits of ``phase_estimation``, each lowered
-    into a short list: F with the H layer, controlled-Q block 0 and the
-    inverse QFT.  The lowering reads only the positions of a gate's wires, so
-    block k has block 0's counts and, with est[k] exchanged for est[0],
-    block 0's transfer matrix.  Each segment's gate counts are multiplied by
-    its repeats, and its transfer matrix carries the per-wire frontier
-    through those repeats by max-plus squaring.  The 2**n - 1 controlled-Q
-    blocks are never written out, so the cost grows with n, not 2**n; the
-    counts and depth equal those of ``count_stream`` over the flat lowering,
-    which the tests check.
+    encoding) and controlled-Q block 0 of ``phase_estimation``, and lowers
+    each once on F's wires, one estimation wire and the work wires.  The
+    lowering reads only the positions of a gate's wires, so block k has
+    block 0's counts and, on est[k] in place of est[0], block 0's transfer
+    matrix.  Block 0's counts are multiplied by its 2**n - 1 copies, and the
+    per-wire frontier goes through the 2**(n-1-k) copies of block k by one
+    max-plus product with block 0's matrix squared n - 1 - k times.  The H
+    layer and the inverse QFT act on the estimation wires alone.  The
+    controlled-Q blocks are never written out, so the cost grows with n, not
+    2**n; the counts and depth equal those of ``count_stream`` over the flat
+    lowering, which the tests check.
 
     Nothing of size 2**n is allocated, so n is bounded by the integer range
     instead: a request whose lowered gate total, and so its depth, reaches
     2**61 (the headroom ``circuits.NO_PATH`` leaves in int64) raises
     ``ResourceLimitError``.  From n = 62 on, the 2**n - 1 blocks of one gate
-    or more each pass it, and nothing is built; below, the total is counted
-    before any frontier is advanced.
+    or more each pass it, and nothing is checked or built; below, the memory
+    check comes first, and the total is counted before any frontier is
+    advanced.
     """
-    # The 2**m shock grid with its variable and linearity check: 49-103 B
-    # per point traced at m = 14-16.  F's layers * (4m - 1) gates, its
-    # inverse, block 0's references to both and its lowering: checked as
-    # 128 B per gate per n + 2, which the traced peaks stay below, and below
-    # 1 MiB for the rest (the reflections, the transfer matrices).
-    sim.check_memory(f"counting {layers} ansatz layers at n={n}",
-                     128 * 2**m + 8 * VariationalAnsatz.num_params(m, layers)
-                     + 128 * (n + 2) * layers * (4 * m - 1) + (1 << 20))
-    # Each controlled zero reflection is one MCX with s = m + 1 controls (the
-    # estimation wire and every F wire but its target), and its linear
-    # Toffoli ladder needs s - 2 clean work wires; they follow the s + n
-    # wires of the circuit.  No other gate needs work wires.
-    s = m + 1
-    width = s + n + max(0, s - 2)
-    costs = _segment_costs(m, n, layers, width) if n < 62 else []
-    counts = Counter()
-    for block_counts, _, repeats in costs:
-        counts.update({kind: c * repeats for kind, c in block_counts.items()})
-    total = sum(counts.values())
-    if n >= 62 or total >= 1 << 61:
-        gates = f"at least 2**{n} - 1" if n >= 62 else total
-        raise sim.ResourceLimitError(
-            f"counting n={n} at m={m} makes {gates} gates, past the 2**61 "
-            f"that int64 depths hold")
-    frontier = np.zeros(width, dtype=np.int64)
-    for _, transfer, repeats in costs:
-        frontier = advance_frontier(frontier, transfer, repeats)
-    return ResourceReport(dict(counts), total, int(frontier.max()), width)
+    [(_, report)] = _reports(m, [n], layers)
+    return report
 
 
 def resource_rows(m: int, n_values, layers: int = 10) -> list[dict]:
-    """One ``qmc_resource_report`` row per n, in increasing n.  The counts and
-    bytes grow with n, so the rows are counted from the largest n down: a
-    request that some n makes too large is refused before any other runs."""
+    """One ``qmc_resource_report`` row per n, in increasing n.  F and
+    controlled-Q block 0 are built and lowered once per table, and the
+    squarings of block 0's transfer matrix serve every block of every row.
+    The counts and bytes grow with n, so the rows are counted from the
+    largest n down: a request that some n makes too large is refused before
+    anything is built, and each row makes one memory check."""
     n_values = list(n_values)
     _check_increasing(n_values)
     rows = []
-    for n in reversed(n_values):
-        rep = qmc_resource_report(m, n, layers)
+    for n, rep in _reports(m, n_values[::-1], layers):
         rows.append({
             "n": n,
             "total_gates": rep.total_gates,

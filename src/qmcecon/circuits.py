@@ -9,8 +9,11 @@ sets each of them to 1 + the largest frontier among Q.  A gate stream is
 therefore one longest-path transfer matrix, and r repeats of a block are its
 r-th max-plus power (Baccelli, Cohen, Olsder and Quadrat, *Synchronization
 and Linearity*, 1992).  A repeated block is counted once: its gate counts
-times r, and its matrix raised to r by squaring.  ``count_stream`` scans a
-flat stream gate by gate and is the reference for both.
+times r, and its matrix raised to r by squaring.  Where every repeat count
+is a power of two, as for the controlled-Q blocks of phase estimation, the
+squarings ``maxplus_squarings`` lists are each that many repeats, and one
+list serves every block.  ``count_stream`` scans a flat stream gate by gate
+and is the reference for both.
 
 Circuits are built with native multi-controlled X gates and native
 uniformly controlled RY gates (multiplexors), which the simulator applies
@@ -308,19 +311,24 @@ def _maxplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def maxplus_squarings(transfer: np.ndarray, count: int) -> list[np.ndarray]:
+    """The max-plus powers ``transfer ** (2 ** j)`` for j < ``count``, each
+    the square of the one before."""
+    powers = [transfer][:count]
+    while len(powers) < count:
+        powers.append(_maxplus(powers[-1], powers[-1]))
+    return powers
+
+
 def advance_frontier(frontier, transfer: np.ndarray, repeats: int) -> np.ndarray:
     """Per-wire frontier after ``repeats`` copies of a block.
 
     Applies the ``repeats``-th max-plus power of the block's transfer matrix
-    by repeated squaring: about 2 log2(repeats) max-plus products instead of
-    one pass per copy.
+    as the product of its squarings at the set bits of ``repeats``: about
+    2 log2(repeats) max-plus products instead of one pass per copy.
     """
     out = np.asarray(frontier, dtype=np.int64)
-    power = transfer
-    while repeats:
-        if repeats & 1:
+    for bit, power in enumerate(maxplus_squarings(transfer, repeats.bit_length())):
+        if repeats >> bit & 1:
             out = _maxplus(out, power)
-        repeats >>= 1
-        if repeats:
-            power = _maxplus(power, power)
     return out

@@ -22,6 +22,7 @@ from qmcecon.circuits import count_resources, decompose, lower_gates
 from qmcecon.distributions import discretize_normal
 from qmcecon.engine import (LinearRParams, assemble_f, build_controlled_Q,
                             normalize_rv, phase_estimation)
+from qmcecon.sim import Circuit
 
 from util import fit_r_squared, flat_phase_estimation
 
@@ -171,6 +172,42 @@ class TestResources:
             work = range(circuit.num_qubits, circuit.num_qubits + m - 1)
             direct = count_resources(decompose(circuit, work))
             assert qmc_resource_report(m, n, layers) == direct, (m, layers, n)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_table_rows_match_rows_counted_alone(self, m):
+        # the table builds F and block 0 once, for its largest n; m = 1 and 2
+        # have no work wire and one, and n = 1 exchanges no wires
+        rows = resource_rows(m, range(1, 9), layers=2)
+        for n, row in zip(range(1, 9), rows):
+            rep = qmc_resource_report(m, n, 2)
+            assert row == {"n": n, "total_gates": rep.total_gates,
+                           **{kind: rep.count(kind)
+                              for kind in ("rx", "ry", "rz", "cnot")},
+                           "depth": rep.depth, "num_qubits": rep.num_qubits}
+
+    def test_table_builds_one_block(self, monkeypatch):
+        calls = []
+
+        def recording(*args):
+            calls.append(args[1])
+            return phase_estimation(*args)
+
+        monkeypatch.setattr(bench, "phase_estimation", recording)
+        resource_rows(5, range(3, 11), layers=10)
+        assert calls == [1]
+
+    def test_depth_closed_form_at_large_n(self, monkeypatch):
+        # m = 7: the controlled-Q blocks end at 604 * 2**n - 528, and from
+        # n = 20 on the inverse QFT's tail on the estimation wires ends
+        # 4n - 79 gates later; counted without the inverse QFT, the closed
+        # form holds at every n
+        n_values = range(3, 40)
+        depths = [row["depth"] for row in resource_rows(7, n_values)]
+        assert depths == [604 * 2**n - 528 + max(0, 4 * n - 79)
+                          for n in n_values]
+        monkeypatch.setattr(bench, "inverse_qft", lambda qs: Circuit(len(qs)))
+        depths = [row["depth"] for row in resource_rows(7, n_values)]
+        assert depths == [604 * 2**n - 528 for n in n_values]
 
     def test_controlled_q_blocks_lower_alike_up_to_a_wire_exchange(self):
         # the report counts block 0 only and exchanges est[0] and est[k];

@@ -11,6 +11,7 @@ from qmcecon.circuits import (
     count_stream,
     decompose,
     inverse_qft,
+    maxplus_squarings,
     transfer_matrix,
 )
 from qmcecon.sim import Circuit, Gate, dense_unitary
@@ -236,6 +237,16 @@ class TestComposedCount:
         np.testing.assert_array_equal(
             advance_frontier(start, transfer_matrix(block.gates, width), repeats),
             advance_frontier(start, transfer_matrix(block.gates * repeats, width), 1))
+
+    def test_squarings_are_doubled_repetitions(self):
+        rng = np.random.default_rng(7)
+        block = random_circuit(4, 25, rng, list(ELEMENTARY_KINDS))
+        powers = maxplus_squarings(transfer_matrix(block.gates, 5), 5)
+        assert len(powers) == 5
+        for j, power in enumerate(powers):
+            np.testing.assert_array_equal(
+                power, transfer_matrix(block.gates * 2**j, 5))
+        assert maxplus_squarings(powers[0], 0) == []
 
     def test_untouched_wire_passes_through(self):
         t = transfer_matrix(Circuit(3).rx(0, 0.1).cnot(0, 1).gates, 3)

@@ -182,7 +182,7 @@ class TestExitCodes:
                                 "1000000000", "--n-min", "3", "--n-max", "3"],
                                capsys)
         assert code == 2
-        assert ("counting 1000000000 ansatz layers at n=3 needs 7112001049600 "
+        assert ("counting 1000000000 ansatz layers at n=3 needs 4296001054208 "
                 "bytes, exceeding the cap of 1073741824") in err
 
     @pytest.mark.parametrize("args,message", [

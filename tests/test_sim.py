@@ -208,7 +208,7 @@ def test_one_memory_budget():
                        else [node.target] if isinstance(node, ast.AnnAssign) else [])
             caps += [f"{path.stem}.{target.id}" for target in targets
                      if isinstance(target, ast.Name) and target.id.endswith("_CAP")]
-    assert sites == [("bench", "qmc_resource_report"), ("sim", "check_memory")], sites
+    assert sites == [("bench", "_reports"), ("sim", "check_memory")], sites
     assert caps == []
 
 
@@ -376,8 +376,8 @@ class TestFormulasCoverPeaks:
         assert peak <= checked_bytes(checked, "a dense unitary")
 
     # the last two: the 2**m shock grid dominates
-    @pytest.mark.parametrize("m,n,layers", [(3, 3, 100), (5, 6, 20), (14, 3, 1),
-                                            (16, 3, 1)])
+    @pytest.mark.parametrize("m,n,layers", [(3, 3, 100), (5, 6, 20), (3, 30, 200),
+                                            (14, 3, 1), (16, 3, 1)])
     def test_resource_count(self, checked, m, n, layers):
         peak = traced_peak(lambda: bench.qmc_resource_report(m, n, layers))
         assert peak <= checked_bytes(checked, "counting")

@@ -93,7 +93,7 @@ def commands():
     # n = 62 past the int64 depths: refused before n = 40..61 are counted
     yield "resources_range_past_int64", ["resources", "--m", "5", "--n-min",
                                          "40", "--n-max", "62"]
-    # 9e9 ansatz angles and 7 TB of gates: refused before they are drawn
+    # 9e9 ansatz angles and 4 TB of gates: refused before they are drawn
     yield "resources_huge_layers", ["resources", "--m", "3", "--layers",
                                     "1000000000", "--n-min", "3", "--n-max", "3"]
     yield "resources_layers_zero", ["resources", "--m", "3", "--layers", "0",
