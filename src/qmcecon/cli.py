@@ -243,7 +243,7 @@ def _bench_fig8(args, out_dir):
     _write_rows(rows, str(out_dir / "fig8_resources.csv"), args.format)
 
 
-def _bench_crossover(args, out_dir, measured_tau, fig6_rows=None,
+def _bench_crossover(args, out_dir, measured_tau, dfit, fig6_rows=None,
                      hypothetical=False):
     if fig6_rows is None:
         fig6_rows = _bench_fig6(args, out_dir)
@@ -255,7 +255,6 @@ def _bench_crossover(args, out_dir, measured_tau, fig6_rows=None,
     cfit = bench.loglog_fit(classical)
     if hypothetical:
         qfit = replace(qfit, slope=-1.0)
-    dfit = bench.depth_fit(bench.resource_rows(econ.BENCH_M, range(3, 11)))
     rows = bench.runtime_extrapolate(qfit, dfit, cfit,
                                      bench.REFERENCE_SECONDS_PER_SAMPLE)
     name = "fig10_crossover_ideal_slope.csv" if hypothetical else "fig9_crossover.csv"
@@ -284,9 +283,12 @@ def _cmd_bench(args) -> int:
     targets = (["fig3", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11"]
                if args.target == "all" else [args.target])
     fig6_rows = None
-    # host information only: the crossovers use the reference tau
-    measured_tau = (bench.time_per_sample(seed=args.seed)
-                    if {"fig9", "fig10"} & set(targets) else None)
+    # fig9 and fig10 share one depth fit and one measured tau, which is host
+    # information only: the crossovers use the reference tau
+    measured_tau = dfit = None
+    if {"fig9", "fig10"} & set(targets):
+        measured_tau = bench.time_per_sample(seed=args.seed)
+        dfit = bench.depth_fit(bench.resource_rows(econ.BENCH_M, range(3, 11)))
     for target in targets:
         if target == "fig3":
             _bench_fig3(args, out_dir)
@@ -297,10 +299,11 @@ def _cmd_bench(args) -> int:
         elif target == "fig8":
             _bench_fig8(args, out_dir)
         elif target == "fig9":
-            fig6_rows = _bench_crossover(args, out_dir, measured_tau, fig6_rows)
+            fig6_rows = _bench_crossover(args, out_dir, measured_tau, dfit,
+                                         fig6_rows)
         elif target == "fig10":
-            fig6_rows = _bench_crossover(args, out_dir, measured_tau, fig6_rows,
-                                         hypothetical=True)
+            fig6_rows = _bench_crossover(args, out_dir, measured_tau, dfit,
+                                         fig6_rows, hypothetical=True)
         elif target == "fig11":
             _bench_fig11(args, out_dir)
         print(f"bench {target}: done")

@@ -14,16 +14,21 @@ amplitudes onto a register:
   an L1 cost.  Training simulates the ansatz with a fused per-layer kernel:
   the register is cut into chunks of at most ``CHUNK_QUBITS`` consecutive
   qubits, each chunk's rotations are one dense 2**k x 2**k matrix applied
-  with one matmul, and the CNOT chain is one index permutation.  The
-  gradient comes from one reverse sweep over the stored forward states,
-  which keeps one 2**k x 2**k overlap block per layer and chunk and reads
-  each qubit's 2x2 overlap from its block's partial trace.  That gradient
-  equals the parameter-shift rule exactly; hardware, which cannot store
-  states, would evaluate the shifted circuits instead.
+  with one matmul, and the CNOT chain is one index permutation, built once
+  per register size with its inverse.  The gradient comes from one reverse
+  sweep over the stored forward states, which keeps one 2**k x 2**k overlap
+  block per layer and chunk.  One gather through a table of flat block
+  positions, built once per chunk size, reads every qubit's 2x2 overlap
+  (the block's partial trace down to that qubit), and the closed-form
+  generators of RZ(c) RY(b) RZ(a) turn each overlap into its three angles'
+  derivatives.  That gradient equals the parameter-shift rule exactly;
+  hardware, which cannot store states, would evaluate the shifted circuits
+  instead.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -211,8 +216,6 @@ def ansatz_circuit(ansatz: VariationalAnsatz, qubits=None) -> Circuit:
 
 CHUNK_QUBITS = 5
 
-_MINUS_I_HALF_Z = np.diag([-0.5j, 0.5j])     # (d RZ(t)/dt) RZ(t)^+
-
 
 def _layer_unitaries(m: int, layers: int, params: np.ndarray) -> np.ndarray:
     """RZ(c) RY(b) RZ(a) of every (layer, qubit) as one 2x2: (layers, m, 2, 2)."""
@@ -252,14 +255,41 @@ def _chunk_unitaries(u: np.ndarray) -> list[np.ndarray]:
             for q0 in range(0, u.shape[1], CHUNK_QUBITS)]
 
 
-def _cnot_chain_gather(m: int) -> np.ndarray:
-    """The CNOT chain q -> q+1 as a gather: it maps ``state`` to ``state[gather]``.
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@functools.lru_cache(maxsize=1)
+def _cnot_chain(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The CNOT chain q -> q+1 as a gather and its inverse: it maps ``state``
+    to ``state[gather]``, and ``state[scatter]`` undoes it.
 
     The chain leaves bit q of the index holding the XOR of bits 0..q (qubit 0
     is the most significant bit), so output index y reads input y ^ (y >> 1).
+    Built once per m; both arrays are read-only.
     """
     index = np.arange(1 << m)
-    return index ^ (index >> 1)
+    gather = index ^ (index >> 1)
+    return _read_only(gather), _read_only(np.argsort(gather))
+
+
+@functools.lru_cache(maxsize=None)
+def _trace_table(k: int) -> np.ndarray:
+    """Flat positions in a 2**k x 2**k block of row (x a y), column (x b y)
+    for each qubit j of the chunk, with x the j bits above it and y the
+    k - 1 - j bits below: shape (2**(k-1), k, 2, 2), indexed [(x y), j, a, b].
+    Summing a block's entries at the table over the first axis is its
+    partial trace down to each qubit, so
+    ``block.reshape(layers, -1).take(table, axis=1).sum(1)`` reads every
+    qubit's 2x2 overlap in one gather.  The summed axis leads, so the sum
+    adds whole rows instead of reducing many short runs one by one."""
+    size = 1 << k
+    low = 1 << np.arange(k - 1, -1, -1)[:, None, None]     # qubit j's bit
+    rest = np.arange(size >> 1)[:, None, None, None]
+    base = (rest // low) * (2 * low) + rest % low           # index (x 0 y)
+    a, b = np.arange(2)[:, None], np.arange(2)[None, :]
+    return _read_only((base + a * low) * size + base + b * low)
 
 
 def _rotate(state: np.ndarray, mats) -> np.ndarray:
@@ -283,27 +313,17 @@ def _forward(chunks: list[np.ndarray], gather: np.ndarray):
 
 
 def _chunk_rows(state: np.ndarray, prefix: int, size: int) -> np.ndarray:
-    """The state as a (size, rest) matrix whose row is the chunk's index."""
+    """The state as a (size, rest) matrix whose row is the chunk's index.
+    The first chunk needs no transpose, so its rows are one reshape where
+    the others take three view calls, twice per layer of the reverse sweep."""
+    if prefix == 1:
+        return state.reshape(size, -1)
     return state.reshape(prefix, size, -1).swapaxes(0, 1).reshape(size, -1)
-
-
-def _generators(u: np.ndarray, u_dag: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """G_k = (dU/d theta_k) U^+ for the three angles of each (layer, qubit).
-
-    With U = RZ(c) RY(b) RZ(a): G_a = U (-iZ/2) U^+, G_b = RZ(c) (-iY/2)
-    RZ(c)^+ and G_c = -iZ/2.  Shape (layers, m, 3, 2, 2).
-    """
-    g = np.zeros(u.shape[:2] + (3, 2, 2), dtype=np.complex128)
-    g[:, :, 0] = u @ _MINUS_I_HALF_Z @ u_dag
-    g[:, :, 1, 0, 1] = -0.5 * np.exp(-1j * c)
-    g[:, :, 1, 1, 0] = 0.5 * np.exp(1j * c)
-    g[:, :, 2] = _MINUS_I_HALF_Z
-    return g
 
 
 def ansatz_probs(ansatz: VariationalAnsatz) -> np.ndarray:
     u = _layer_unitaries(ansatz.m, ansatz.layers, ansatz.params)
-    state, _ = _forward(_chunk_unitaries(u), _cnot_chain_gather(ansatz.m))
+    state, _ = _forward(_chunk_unitaries(u), _cnot_chain(ansatz.m)[0])
     return np.abs(state) ** 2
 
 
@@ -314,6 +334,21 @@ def ansatz_cost(ansatz: VariationalAnsatz, target: DiscretizedDistribution) -> f
     return float(np.abs(ansatz_probs(ansatz) - target.masses).sum())
 
 
+def _rotation_gradient(theta: np.ndarray, overlap: np.ndarray) -> np.ndarray:
+    """dC/d(a, b, c) of every RZ(c) RY(b) RZ(a) from its qubit's 2x2 overlap
+    M: (layers, m, 3) angles and (layers, m, 2, 2) overlaps to (layers, m, 3).
+    The closed forms are derived in ``_cost_and_gradient``'s docstring."""
+    phase = np.exp(1j * theta[..., 2])
+    diag = overlap[..., 0, 0] - overlap[..., 1, 1]
+    lower, upper = phase * overlap[..., 1, 0], phase.conj() * overlap[..., 0, 1]
+    grad = np.empty(theta.shape)
+    grad[..., 0] = (np.cos(theta[..., 1]) * diag
+                    + np.sin(theta[..., 1]) * (upper + lower)).imag
+    grad[..., 1] = (lower - upper).real
+    grad[..., 2] = diag.imag
+    return grad
+
+
 def _cost_and_gradient(m, layers, params, target_masses):
     """Cost plus its exact gradient from one forward and one reverse sweep.
 
@@ -322,21 +357,30 @@ def _cost_and_gradient(m, layers, params, target_masses):
     through the circuit (Jones and Gacon 2020, arXiv:2009.02823).  At layer l
     it meets r, the stored state after that layer's rotations, and the angle
     k of qubit q contributes 2 Re sum_ab G_k[a, b] M_q[a, b], where
-    M_q[a, b] sums conj(lambda)[..a..] r[..b..] over the other qubits.  The
-    sweep keeps, per layer and chunk, the block B[A, B] that sums
-    conj(lambda)[..A..] r[..B..] over the qubits outside the chunk; M_q is
-    then B's partial trace over the chunk's other qubits.  This equals the
-    parameter-shift rule (p(theta + pi/2) - p(theta - pi/2)) / 2 exactly, up
-    to rounding.  Hardware cannot store states, so there the gradient would
-    come from the shifted circuits.
+    G_k = (dU/d theta_k) U^+ and M_q[a, b] sums conj(lambda)[..a..] r[..b..]
+    over the other qubits.  The sweep keeps, per layer and chunk, the block
+    B[A, B] that sums conj(lambda)[..A..] r[..B..] over the qubits outside
+    the chunk; every M_q of the chunk is then read from B in one gather
+    through the chunk's ``_trace_table``.
+
+    With U = RZ(c) RY(b) RZ(a), G_c = -iZ/2, G_b = RZ(c) (-iY/2) RZ(c)^+ and
+    G_a = U (-iZ/2) U^+ = (-i/2) [[cos b, sin b e^-ic], [sin b e^ic, -cos b]],
+    so the three derivatives are, in closed form,
+
+        dC/dc = Im(M00 - M11),
+        dC/db = Re(e^ic M10 - e^-ic M01),
+        dC/da = Im(cos b (M00 - M11) + sin b (e^-ic M01 + e^ic M10)).
+
+    This equals the parameter-shift rule (p(theta + pi/2) - p(theta - pi/2)) / 2
+    exactly, up to rounding.  Hardware cannot store states, so there the
+    gradient would come from the shifted circuits.
     """
     u = _layer_unitaries(m, layers, params)
     chunks = _chunk_unitaries(u)
-    gather = _cnot_chain_gather(m)
+    gather, scatter = _cnot_chain(m)
     state, rotated = _forward(chunks, gather)
     residual = np.abs(state) ** 2 - target_masses
     cost = float(np.abs(residual).sum())
-    scatter = np.argsort(gather)    # the chain's inverse permutation
     # The sweep carries bra = conj(lambda), which U^+ maps to U^T bra, so the
     # chunk matrices' transposes serve and no adjoint is built.
     chunks_t = [mat.swapaxes(-1, -2) for mat in chunks]
@@ -347,22 +391,15 @@ def _cost_and_gradient(m, layers, params, target_masses):
         prefix = 1
         for block in blocks:
             size = block.shape[-1]
-            block[layer] = (_chunk_rows(bra, prefix, size)
-                            @ _chunk_rows(rotated[layer], prefix, size).T)
+            np.matmul(_chunk_rows(bra, prefix, size),
+                      _chunk_rows(rotated[layer], prefix, size).T,
+                      out=block[layer])
             prefix *= size
         bra = _rotate(bra, [mat[layer] for mat in chunks_t])
-    overlap = np.empty((layers, m, 2, 2), dtype=np.complex128)
-    q = 0
-    for block in blocks:
-        k = block.shape[-1].bit_length() - 1
-        for j in range(k):
-            split = (layers, 1 << j, 2, 1 << (k - 1 - j), 1 << j, 2, 1 << (k - 1 - j))
-            overlap[:, q] = np.einsum("lxayxby->lab", block.reshape(split))
-            q += 1
-    u_dag = u.conj().swapaxes(-1, -2)
-    g = _generators(u, u_dag, params.reshape(layers, m, 3)[..., 2])
-    grad = 2.0 * np.einsum("lqkab,lqab->lqk", g, overlap).real
-    return cost, grad.reshape(-1)
+    tables = [_trace_table(block.shape[-1].bit_length() - 1) for block in blocks]
+    overlap = np.concatenate([block.reshape(layers, -1).take(table, axis=1).sum(1)
+                              for block, table in zip(blocks, tables)], axis=1)
+    return cost, _rotation_gradient(params.reshape(layers, m, 3), overlap).reshape(-1)
 
 
 def train_ansatz(target: DiscretizedDistribution, layers: int,

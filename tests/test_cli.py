@@ -666,7 +666,8 @@ class TestCrossoverOutput:
         for tau in (1e-7, 1e-5):
             out_dir = tmp_path / f"tau{tau:g}"
             out_dir.mkdir()
-            cli._bench_crossover(args, out_dir, tau, list(self.FIG6_ROWS),
+            dfit = bench.depth_fit(bench.resource_rows(5, range(3, 11)))
+            cli._bench_crossover(args, out_dir, tau, dfit, list(self.FIG6_ROWS),
                                  hypothetical=hypothetical)
             out = capsys.readouterr().out
             assert f"measured={tau * 1e9:.0f} ns/sample" in out
@@ -690,6 +691,21 @@ class TestCrossoverOutput:
         assert out.count("measured=300 ns/sample") == 2
         assert (tmp_path / "fig9_crossover.csv").exists()
         assert (tmp_path / "fig10_crossover_ideal_slope.csv").exists()
+
+    def test_depth_fit_computed_once_for_fig9_and_fig10(self, tmp_path, capsys,
+                                                        monkeypatch):
+        calls = []
+        synthetic = bench.resource_rows
+        monkeypatch.setattr(bench, "resource_rows", lambda m, n_values, layers=10:
+                            calls.append(m) or synthetic(m, n_values, layers))
+        monkeypatch.setattr(bench, "time_per_sample", lambda seed=0: 3e-7)
+        monkeypatch.setattr(cli, "_bench_fig6",
+                            lambda args, out_dir: list(self.FIG6_ROWS))
+        for target in ("fig3", "fig7", "fig8", "fig11"):
+            monkeypatch.setattr(cli, f"_bench_{target}", lambda args, out_dir: None)
+        code, _, _ = run_cli(["bench", "all", "--out-dir", str(tmp_path)], capsys)
+        assert code == 0
+        assert calls == [7]
 
 
 class TestTrainCommand:

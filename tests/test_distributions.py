@@ -1,18 +1,22 @@
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qmcecon import distributions, sim
+from qmcecon import distributions, econ, sim
 from qmcecon.circuits import decompose
 from qmcecon.distributions import (
     APPENDIX_SCHEDULE,
     DiscretizedDistribution,
     TrainingSchedule,
     VariationalAnsatz,
-    _cnot_chain_gather,
+    _cnot_chain,
     _cost_and_gradient,
+    _rotation_gradient,
+    _trace_table,
     ansatz_circuit,
     ansatz_cost,
     ansatz_probs,
@@ -32,7 +36,11 @@ from qmcecon.sim import (
     probabilities,
 )
 
-from util import random_distribution
+from util import (
+    generator_gradient,
+    partial_trace_overlaps,
+    random_distribution,
+)
 
 
 def uniform_dist(m):
@@ -242,7 +250,28 @@ class TestFusedKernel:
         for q in range(m - 1):
             chain.cnot(q, q + 1)
         st = apply_circuit(StateVector(m, amps.copy()), chain)
-        np.testing.assert_array_equal(amps[_cnot_chain_gather(m)], st.amplitudes)
+        gather, scatter = _cnot_chain(m)
+        np.testing.assert_array_equal(amps[gather], st.amplitudes)
+        np.testing.assert_array_equal(st.amplitudes[scatter], amps)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_gathered_traces_match_einsum(self, k):
+        rng = np.random.default_rng(k)
+        blocks = (rng.normal(size=(3, 1 << k, 1 << k))
+                  + 1j * rng.normal(size=(3, 1 << k, 1 << k)))
+        gathered = blocks.reshape(3, -1).take(_trace_table(k), axis=1).sum(1)
+        np.testing.assert_allclose(gathered, partial_trace_overlaps(blocks),
+                                   rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("layers,m", [(1, 1), (10, 5), (3, 12)])
+    def test_closed_form_gradient_matches_generators(self, layers, m):
+        rng = np.random.default_rng(10 * m + layers)
+        theta = rng.uniform(-math.pi, math.pi, (layers, m, 3))
+        overlap = (rng.normal(size=(layers, m, 2, 2))
+                   + 1j * rng.normal(size=(layers, m, 2, 2)))
+        np.testing.assert_allclose(_rotation_gradient(theta, overlap),
+                                   generator_gradient(theta, overlap),
+                                   rtol=0, atol=1e-15)
 
     def test_gradient_memory_stays_near_the_stored_states(self):
         # 5 stored states of 2**12 amplitudes are 0.3 MB; a batch of the
@@ -307,6 +336,17 @@ class TestTraining:
                                  seed=0)
         _, trace = train_ansatz(target, 5, sched)
         assert trace[-1] < 1e-3
+
+    # perfbench's ansatz-train part: the Fig. 11 grid, 10 layers, 400 epochs
+    # at lr 0.01, against the final costs of the seed code it records
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_final_cost_matches_perfbench_reference(self, seed):
+        reference = json.loads((Path(__file__).resolve().parent.parent
+                                / "perfbench" / "reference.json").read_text())
+        want = reference["training_final_cost"]["400"][str(seed)]
+        _, trace = train_ansatz(econ.neoclassical_shock_grid(5, symmetric=True),
+                                10, TrainingSchedule([(400, 0.01)], seed=seed))
+        assert trace[-1] == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(21)

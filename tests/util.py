@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from qmcecon.circuits import inverse_qft
+from qmcecon.distributions import _layer_unitaries
 from qmcecon.engine import build_controlled_Q
 from qmcecon.sim import Circuit, Gate, _apply_gate_tensor
 
@@ -170,3 +171,32 @@ def write_stress_config(path, params) -> None:
     }
     with open(path, "w") as fh:
         parser.write(fh)
+
+
+def partial_trace_overlaps(blocks: np.ndarray) -> np.ndarray:
+    """Every qubit's 2x2 overlap from (layers, 2**k, 2**k) chunk blocks by one
+    einsum partial trace per qubit: (layers, k, 2, 2)."""
+    layers, size = blocks.shape[0], blocks.shape[-1]
+    k = size.bit_length() - 1
+    overlap = np.empty((layers, k, 2, 2), dtype=blocks.dtype)
+    for j in range(k):
+        split = (layers, 1 << j, 2, 1 << (k - 1 - j), 1 << j, 2, 1 << (k - 1 - j))
+        overlap[:, j] = np.einsum("lxayxby->lab", blocks.reshape(split))
+    return overlap
+
+
+def generator_gradient(theta: np.ndarray, overlap: np.ndarray) -> np.ndarray:
+    """2 Re sum_ab G_k[a, b] M[a, b] with each generator G_k = (dU/d theta_k) U^+
+    of U = RZ(c) RY(b) RZ(a) built as a matrix: G_a = U (-iZ/2) U^+,
+    G_b = RZ(c) (-iY/2) RZ(c)^+ and G_c = -iZ/2.  (layers, m, 3) angles and
+    (layers, m, 2, 2) overlaps to (layers, m, 3)."""
+    layers, m = theta.shape[:2]
+    u = _layer_unitaries(m, layers, theta)
+    c = theta[..., 2]
+    minus_i_half_z = np.diag([-0.5j, 0.5j])
+    g = np.zeros(theta.shape[:2] + (3, 2, 2), dtype=np.complex128)
+    g[:, :, 0] = u @ minus_i_half_z @ u.conj().swapaxes(-1, -2)
+    g[:, :, 1, 0, 1] = -0.5 * np.exp(-1j * c)
+    g[:, :, 1, 1, 0] = 0.5 * np.exp(1j * c)
+    g[:, :, 2] = minus_i_half_z
+    return 2.0 * np.einsum("lqkab,lqab->lqk", g, overlap).real
