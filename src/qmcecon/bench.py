@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import (ResourceReport, advance_frontier, count_stream,
-                       inverse_qft, lower_gates, maxplus_squarings,
-                       transfer_matrix)
+from .circuits import (ELEMENTARY_KINDS, count_stream, inverse_qft,
+                       lower_gates, maxplus, maxplus_squarings, transfer_matrix)
 from .distributions import VariationalAnsatz
 from .engine import (LinearRParams, QMCConfig, assemble_f, normalize_rv,
                      phase_estimation)
@@ -188,11 +187,9 @@ def loglog_fit(points) -> ScalingFit:
 
 
 def _bench_ansatz(m: int, layers: int) -> VariationalAnsatz:
-    # structural placeholder angles: resource counts ignore parameter values
-    rng = np.random.default_rng(12)
+    # placeholder angles: resource counts read no parameter value
     return VariationalAnsatz(m, layers,
-                             rng.uniform(-math.pi, math.pi,
-                                         VariationalAnsatz.num_params(m, layers)))
+                             np.zeros(VariationalAnsatz.num_params(m, layers)))
 
 
 def _lowered_cost(circuit, width: int, work=()):
@@ -222,32 +219,58 @@ def _segment_costs(m: int, n: int, layers: int) -> list:
             for circuit in (f_circuit, Circuit(1).h(0), block)]
 
 
-def _reports(m: int, n_values, layers: int):
-    """``(n, ResourceReport)`` of each n of ``n_values``, a decreasing list.
-    F, the H and block 0 are lowered once, for the first (largest) n, and
-    block 0's max-plus squarings B**(2**j), j < that n, serve every row."""
-    if n_values[-1] < 1:
-        raise ValueError(f"need at least one estimation qubit, got {n_values[-1]}")
+def resource_rows(m: int, n_values, layers: int = 10) -> list[dict]:
+    """Counts and depth of the decomposed estimation circuit, one row per n
+    of ``n_values``, in increasing n.
+
+    Builds the macro benchmark F (layered preparation ansatz, linear rotation
+    encoding) and controlled-Q block 0 of ``phase_estimation`` once per
+    table, and lowers each once on F's wires, one estimation wire and the
+    work wires.  The lowering reads only the positions of a gate's wires, so
+    block k has block 0's counts and, on est[k] in place of est[0], block
+    0's transfer matrix.  Block 0's counts are multiplied by its 2**n - 1
+    copies, and the per-wire frontier goes through the 2**(n-1-k) copies of
+    block k by one max-plus product with block 0's matrix squared n - 1 - k
+    times; the squarings serve every block of every row.  The H layer and
+    the inverse QFT act on the estimation wires alone.  The controlled-Q
+    blocks are never written out, so the cost grows with n, not 2**n; the
+    counts and depth equal those of ``count_stream`` over the flat lowering,
+    which the tests check.
+
+    Nothing of size 2**n is allocated, so n is bounded by the integer range
+    instead: a lowered gate total, and so a depth, that reaches 2**61 (the
+    headroom ``circuits.NO_PATH`` leaves in int64) raises
+    ``ResourceLimitError``.  The counts and bytes grow with n, so the rows
+    are counted from the largest n down, and only it can be refused.  At
+    n >= 62 its 2**n - 1 blocks of one gate or more each pass the limit,
+    and nothing is checked or built; below, one memory check comes first,
+    and its total is counted before any frontier is advanced.
+    """
+    n_values = list(n_values)
+    _check_increasing(n_values)
+    if n_values[0] < 1:
+        raise ValueError(f"need at least one estimation qubit, got {n_values[0]}")
+    largest = n_values[-1]
+    if largest < 62:
+        # The 2**m shock grid with its variable and linearity check: 49-103 B
+        # per point traced at m = 14-16.  F's layers * (4m - 1) gates, its
+        # inverse, block 0's references to both and their lowering: 384 B
+        # per gate, against 313-317 B traced at 300-2000 layers.  The largest
+        # n's inverse QFT, n(n - 1)/2 phase gates and their lowering: 1536 B
+        # per phase gate, against 940-1110 B traced at n = 20-53.  1 MiB for
+        # the rest (the reflections, the transfer matrices and block 0's
+        # squarings).
+        sim.check_memory(
+            f"counting {layers} ansatz layers at n={largest}",
+            128 * 2**m + 8 * VariationalAnsatz.num_params(m, layers)
+            + 384 * layers * (4 * m - 1) + 768 * largest * (largest - 1)
+            + (1 << 20))
+        costs = _segment_costs(m, largest, layers)
+        (f_cost, f_transfer), (h_cost, _), (q_cost, q_transfer) = costs
     s = m + 1
-    costs = powers = None
-    for n in n_values:
+    rows = []
+    for n in n_values[::-1]:
         if n < 62:
-            # The 2**m shock grid with its variable and linearity check:
-            # 49-103 B per point traced at m = 14-16.  F's layers * (4m - 1)
-            # gates, its inverse, block 0's references to both and their
-            # lowering, built once per table: 384 B per gate, against
-            # 313-317 B traced at 300-2000 layers.  This row's inverse QFT,
-            # n(n - 1)/2 phase gates and their lowering: 1536 B per phase
-            # gate, against 940-1110 B traced at n = 20-53.  1 MiB for the
-            # rest (the reflections, the transfer matrices and block 0's
-            # squarings).
-            sim.check_memory(
-                f"counting {layers} ansatz layers at n={n}",
-                128 * 2**m + 8 * VariationalAnsatz.num_params(m, layers)
-                + 384 * layers * (4 * m - 1) + 768 * n * (n - 1) + (1 << 20))
-            if costs is None:
-                costs = _segment_costs(m, n, layers)
-                (f_cost, f_transfer), (h_cost, _), (q_cost, q_transfer) = costs
             iqft_cost, iqft_transfer = _lowered_cost(inverse_qft(range(n)), n)
             counts = Counter(f_cost.counts)
             for cost, repeats in ((h_cost, n), (q_cost, 2**n - 1),
@@ -259,74 +282,22 @@ def _reports(m: int, n_values, layers: int):
             raise sim.ResourceLimitError(
                 f"counting n={n} at m={m} makes {gates} gates, past the 2**61 "
                 f"that int64 depths hold")
-        if powers is None:
+        if n == largest:
             powers = maxplus_squarings(q_transfer, n)
-            after_f = advance_frontier(np.zeros(len(f_transfer), dtype=np.int64),
-                                       f_transfer, 1)
-        # F, then each estimation wire's H; block k is block 0 on est[k] in
-        # place of est[0], 2**(n-1-k) times, and the inverse QFT acts on the
-        # estimation wires alone
-        frontier = after_f.copy()
+        # F from an all-zero frontier, then each estimation wire's H; block k
+        # is block 0 on est[k] in place of est[0], 2**(n-1-k) times, and the
+        # inverse QFT acts on the estimation wires alone
+        frontier = f_transfer.max(axis=0)
         est = np.full(n, h_cost.depth, dtype=np.int64)
         for k in range(n):
             frontier[s] = est[k]
-            frontier = advance_frontier(frontier, powers[n - 1 - k], 1)
+            frontier = maxplus(frontier, powers[n - 1 - k])
             est[k] = frontier[s]
-        est = advance_frontier(est, iqft_transfer, 1)
-        depth = int(max(frontier.max(), est.max()))
+        depth = int(max(frontier.max(), maxplus(est, iqft_transfer).max()))
         # the compact layout with n estimation wires in place of one
-        yield n, ResourceReport(dict(counts), total, depth, len(after_f) + n - 1)
-
-
-def qmc_resource_report(m: int, n: int, layers: int = 10) -> ResourceReport:
-    """Counts and depth of the decomposed estimation circuit.
-
-    Builds the macro benchmark F (layered preparation ansatz, linear rotation
-    encoding) and controlled-Q block 0 of ``phase_estimation``, and lowers
-    each once on F's wires, one estimation wire and the work wires.  The
-    lowering reads only the positions of a gate's wires, so block k has
-    block 0's counts and, on est[k] in place of est[0], block 0's transfer
-    matrix.  Block 0's counts are multiplied by its 2**n - 1 copies, and the
-    per-wire frontier goes through the 2**(n-1-k) copies of block k by one
-    max-plus product with block 0's matrix squared n - 1 - k times.  The H
-    layer and the inverse QFT act on the estimation wires alone.  The
-    controlled-Q blocks are never written out, so the cost grows with n, not
-    2**n; the counts and depth equal those of ``count_stream`` over the flat
-    lowering, which the tests check.
-
-    Nothing of size 2**n is allocated, so n is bounded by the integer range
-    instead: a request whose lowered gate total, and so its depth, reaches
-    2**61 (the headroom ``circuits.NO_PATH`` leaves in int64) raises
-    ``ResourceLimitError``.  From n = 62 on, the 2**n - 1 blocks of one gate
-    or more each pass it, and nothing is checked or built; below, the memory
-    check comes first, and the total is counted before any frontier is
-    advanced.
-    """
-    [(_, report)] = _reports(m, [n], layers)
-    return report
-
-
-def resource_rows(m: int, n_values, layers: int = 10) -> list[dict]:
-    """One ``qmc_resource_report`` row per n, in increasing n.  F and
-    controlled-Q block 0 are built and lowered once per table, and the
-    squarings of block 0's transfer matrix serve every block of every row.
-    The counts and bytes grow with n, so the rows are counted from the
-    largest n down: a request that some n makes too large is refused before
-    anything is built, and each row makes one memory check."""
-    n_values = list(n_values)
-    _check_increasing(n_values)
-    rows = []
-    for n, rep in _reports(m, n_values[::-1], layers):
-        rows.append({
-            "n": n,
-            "total_gates": rep.total_gates,
-            "rx": rep.count("rx"),
-            "ry": rep.count("ry"),
-            "rz": rep.count("rz"),
-            "cnot": rep.count("cnot"),
-            "depth": rep.depth,
-            "num_qubits": rep.num_qubits,
-        })
+        rows.append({"n": n, "total_gates": total,
+                     **{kind: counts[kind] for kind in ELEMENTARY_KINDS},
+                     "depth": depth, "num_qubits": len(f_transfer) + n - 1})
     return rows[::-1]
 
 

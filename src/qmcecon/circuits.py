@@ -6,14 +6,14 @@ ASAP depth) used by the runtime benchmarks.
 
 ASAP depth is max-plus linear in the per-wire frontier: a gate on wires Q
 sets each of them to 1 + the largest frontier among Q.  A gate stream is
-therefore one longest-path transfer matrix, and r repeats of a block are its
-r-th max-plus power (Baccelli, Cohen, Olsder and Quadrat, *Synchronization
-and Linearity*, 1992).  A repeated block is counted once: its gate counts
-times r, and its matrix raised to r by squaring.  Where every repeat count
-is a power of two, as for the controlled-Q blocks of phase estimation, the
-squarings ``maxplus_squarings`` lists are each that many repeats, and one
-list serves every block.  ``count_stream`` scans a flat stream gate by gate
-and is the reference for both.
+therefore one longest-path transfer matrix, and streams in sequence compose
+by the max-plus product ``maxplus`` (Baccelli, Cohen, Olsder and Quadrat,
+*Synchronization and Linearity*, 1992).  A repeated block is counted once:
+its gate counts times its repeats, and its matrix composed with itself.  The
+repeat counts here are powers of two, as for the controlled-Q blocks of
+phase estimation, so each is one of the squarings ``maxplus_squarings``
+lists, and one list serves every block.  ``count_stream`` scans a flat
+stream gate by gate and is the reference for both.
 
 Circuits are built with native multi-controlled X gates and native
 uniformly controlled RY gates (multiplexors), which the simulator applies
@@ -227,9 +227,6 @@ class ResourceReport:
     depth: int
     num_qubits: int
 
-    def count(self, kind: str) -> int:
-        return self.counts.get(kind, 0)
-
 
 def count_stream(gates, num_qubits: int) -> ResourceReport:
     """Count elementary gates and ASAP depth from a gate stream.
@@ -305,7 +302,9 @@ def transfer_matrix(gates, num_qubits: int) -> np.ndarray:
     return out
 
 
-def _maxplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def maxplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Max-plus product ``max_i a[..., i] + b[i, j]``: a frontier or transfer
+    matrix ``a`` carried through the stream whose transfer matrix is ``b``."""
     out = (a[..., :, None] + b).max(axis=-2)
     out[out < 0] = NO_PATH
     return out
@@ -316,19 +315,5 @@ def maxplus_squarings(transfer: np.ndarray, count: int) -> list[np.ndarray]:
     the square of the one before."""
     powers = [transfer][:count]
     while len(powers) < count:
-        powers.append(_maxplus(powers[-1], powers[-1]))
+        powers.append(maxplus(powers[-1], powers[-1]))
     return powers
-
-
-def advance_frontier(frontier, transfer: np.ndarray, repeats: int) -> np.ndarray:
-    """Per-wire frontier after ``repeats`` copies of a block.
-
-    Applies the ``repeats``-th max-plus power of the block's transfer matrix
-    as the product of its squarings at the set bits of ``repeats``: about
-    2 log2(repeats) max-plus products instead of one pass per copy.
-    """
-    out = np.asarray(frontier, dtype=np.int64)
-    for bit, power in enumerate(maxplus_squarings(transfer, repeats.bit_length())):
-        if repeats >> bit & 1:
-            out = _maxplus(out, power)
-    return out

@@ -58,6 +58,9 @@ class BankBalanceSheet:
     equity: float
 
     def __post_init__(self):
+        if not all(0 <= x < math.inf for x in vars(self).values()) or self.total_assets <= 0:
+            raise ValueError("balance-sheet amounts must be finite and non-negative, "
+                             f"and total assets positive: {self}")
         if self.mortgages + self.business_loans + self.securities > self.total_assets + 1e-9:
             raise ValueError("asset classes exceed total assets")
 
@@ -75,6 +78,10 @@ class StressTestParams:
     def __post_init__(self):
         if not (0 < self.alpha_price < 1 and 0 < self.beta_lev < 1):
             raise ValueError("alpha_price and beta_lev must lie in (0, 1)")
+        if not all(0 <= d < math.inf for d in (self.d0_m, self.d0_b)):
+            raise ValueError("benchmark loss rates must be finite and non-negative")
+        if not all(0 < a < math.inf for a in (self.shock_a, self.shock_b)):
+            raise ValueError("Beta shock shapes must be finite and positive")
         for bank in self.banks:
             if bank.equity + 1e-12 < self.beta_lev * bank.total_assets:
                 raise ValueError("bank starts below the leverage requirement")

@@ -13,12 +13,12 @@ from qmcecon.bench import (
     depth_fit,
     error_sweep,
     loglog_fit,
-    qmc_resource_report,
     resource_rows,
     runtime_extrapolate,
     time_per_sample,
 )
-from qmcecon.circuits import count_resources, decompose, lower_gates
+from qmcecon.circuits import (ELEMENTARY_KINDS, count_resources, decompose,
+                              lower_gates)
 from qmcecon.distributions import discretize_normal
 from qmcecon.engine import (LinearRParams, assemble_f, build_controlled_Q,
                             normalize_rv, phase_estimation)
@@ -28,7 +28,7 @@ from util import fit_r_squared, flat_phase_estimation
 
 
 def _benchmark_f(m, n, layers):
-    """The F circuit that ``qmc_resource_report`` counts, built by hand."""
+    """The F circuit that ``resource_rows`` counts, built by hand."""
     dist = discretize_normal(m, 1.0, econ.BENCH_SIGMA, 0.94, 1.06)
     rv = normalize_rv(econ.BENCH_C1 + econ.BENCH_C2 * dist.grid)
     linear = LinearRParams.for_oracle_budget(rv, n)
@@ -171,30 +171,33 @@ class TestResources:
             # m+1 system wires: the controlled MCX has m+1 controls, m-1 work wires
             work = range(circuit.num_qubits, circuit.num_qubits + m - 1)
             direct = count_resources(decompose(circuit, work))
-            assert qmc_resource_report(m, n, layers) == direct, (m, layers, n)
+            assert resource_rows(m, [n], layers) == [{
+                "n": n, "total_gates": direct.total_gates,
+                **{kind: direct.counts.get(kind, 0) for kind in ELEMENTARY_KINDS},
+                "depth": direct.depth, "num_qubits": direct.num_qubits,
+            }], (m, layers, n)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_table_rows_match_rows_counted_alone(self, m):
         # the table builds F and block 0 once, for its largest n; m = 1 and 2
         # have no work wire and one, and n = 1 exchanges no wires
         rows = resource_rows(m, range(1, 9), layers=2)
-        for n, row in zip(range(1, 9), rows):
-            rep = qmc_resource_report(m, n, 2)
-            assert row == {"n": n, "total_gates": rep.total_gates,
-                           **{kind: rep.count(kind)
-                              for kind in ("rx", "ry", "rz", "cnot")},
-                           "depth": rep.depth, "num_qubits": rep.num_qubits}
+        assert rows == [row for n in range(1, 9)
+                        for row in resource_rows(m, [n], layers=2)]
 
     def test_table_builds_one_block(self, monkeypatch):
-        calls = []
+        # and makes one memory check, for its largest n
+        calls, checks = [], []
 
         def recording(*args):
             calls.append(args[1])
             return phase_estimation(*args)
 
         monkeypatch.setattr(bench, "phase_estimation", recording)
+        monkeypatch.setattr(sim, "check_memory", lambda what, nbytes: checks.append(what))
         resource_rows(5, range(3, 11), layers=10)
         assert calls == [1]
+        assert checks == ["counting 10 ansatz layers at n=10"]
 
     def test_depth_closed_form_at_large_n(self, monkeypatch):
         # m = 7: the controlled-Q blocks end at 604 * 2**n - 528, and from
@@ -210,7 +213,7 @@ class TestResources:
         assert depths == [604 * 2**n - 528 for n in n_values]
 
     def test_controlled_q_blocks_lower_alike_up_to_a_wire_exchange(self):
-        # the report counts block 0 only and exchanges est[0] and est[k];
+        # the table counts block 0 only and exchanges est[0] and est[k];
         # each block k here is built on its own
         m, n = 3, 4
         s = m + 1
@@ -229,14 +232,14 @@ class TestResources:
     def test_count_past_int64_headroom_rejected(self):
         # n = 50 makes 0.58 * 2**61 gates at m = 5 and is counted, so every
         # depth stays below the NO_PATH headroom; n = 51 is refused
-        report = qmc_resource_report(5, 50)
-        assert report.depth < report.total_gates < 1 << 61
+        [row] = resource_rows(5, [50])
+        assert row["depth"] < row["total_gates"] < 1 << 61
         with pytest.raises(sim.ResourceLimitError, match="past the 2\\*\\*61"):
-            qmc_resource_report(5, 51)
+            resource_rows(5, [51])
         for m, n, message in ((0, 3, "need m >= 1"), (-1, 3, "need m >= 1"),
                               (3, 0, "at least one estimation qubit")):
             with pytest.raises(ValueError, match=message):
-                qmc_resource_report(m, n)
+                resource_rows(m, [n])
 
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError, match="non-empty and increasing"):

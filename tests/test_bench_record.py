@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -39,7 +40,7 @@ def test_summary_of_canned_runs():
             for seed, wall in zip(range(1, 6), (0.5, 0.9, 0.7, 0.6, 0.8))]
     runs.append(("circuits-training",
                  *record.parse_run(_stdout("circuits-training", 1, 0.2, failed=1))))
-    out = record.summary("parent", runs)
+    out = record.summary("parent", runs, committed=True)
     assert out["label"] == "parent" and out["commit"] == "abc123"
     assert out["source_sha256"] == "d1" and out["host"] == HOST
     estimates = out["workloads"]["estimates"]
@@ -62,10 +63,27 @@ def test_runs_of_different_sources_refused():
             ("estimates", *record.parse_run(_stdout("estimates", 2, 0.5,
                                                      source="d2")))]
     with pytest.raises(ValueError, match="different sources"):
-        record.summary("change", runs)
+        record.summary("change", runs, committed=True)
 
 
 def test_seed_range():
     record = _bench_record()
     assert record.seed_range("1-10") == list(range(1, 11))
     assert record.seed_range("3") == [3]
+
+
+def test_commit_null_for_uncommitted_source(tmp_path):
+    record = _bench_record()
+    runs = [("estimates", *record.parse_run(_stdout("estimates", 1, 0.5)))]
+    assert record.summary("change", runs, committed=False)["commit"] is None
+    assert not record.source_committed(tmp_path)    # no git repository
+    source = tmp_path / "src" / "qmcecon" / "engine.py"
+    source.parent.mkdir(parents=True)
+    source.write_text("x = 1\n")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "c"]):
+        subprocess.run(git + args, cwd=tmp_path, check=True)
+    (tmp_path / "notes.txt").write_text("outside the source\n")
+    assert record.source_committed(tmp_path)
+    source.write_text("x = 2\n")
+    assert not record.source_committed(tmp_path)

@@ -402,8 +402,11 @@ class TestExitCodes:
         (["resources", "--m", "5", "--n-min", "40", "--n-max", "62"],
          "_segment_costs", "counting n=62 at m=5 makes at least 2**62 - 1"),
         (["resources", "--m", "5", "--n-min", "3", "--n-max", "1000"],
-         "_segment_costs", "counting n=1000 at m=5 makes at least 2**1000 - 1")],
-        ids=["sweep-qmc", "resources-n62", "resources-n1000"])
+         "_segment_costs", "counting n=1000 at m=5 makes at least 2**1000 - 1"),
+        (["resources", "--m", "5", "--n-min", "40", "--n-max", "51"],
+         "maxplus_squarings",
+         "counting n=51 at m=5 makes 2693152577167562203 gates")],
+        ids=["sweep-qmc", "resources-n62", "resources-n1000", "resources-n51"])
     def test_range_refused_at_largest_point_before_any_runs(
             self, tmp_path, capsys, monkeypatch, args, per_point, message):
         def refuse(*a, **k):
@@ -418,14 +421,27 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("broken,message", [
         ("benchmark_business_loss", "[system] misses key 'benchmark_business_loss'"),
-        ("[bank1]", "section 'bank1' already exists")],
-        ids=["system-key-missing", "bank-repeated"])
+        ("[bank1]", "section 'bank1' already exists"),
+        ("mortgages = nan", "balance-sheet amounts must be finite and non-negative"),
+        ("equity = inf", "balance-sheet amounts must be finite and non-negative"),
+        ("mortgages = -500", "balance-sheet amounts must be finite and non-negative"),
+        ("total_assets = 0", "and total assets positive"),
+        ("benchmark_mortgage_loss = -0.01",
+         "benchmark loss rates must be finite and non-negative"),
+        ("shock_beta_a = 0", "Beta shock shapes must be finite and positive")],
+        ids=["system-key-missing", "bank-repeated", "mortgages-nan", "equity-inf",
+             "mortgages-negative", "total-assets-zero", "loss-rate-negative",
+             "shock-shape-zero"])
     def test_broken_scenario_file_exit_1(self, tmp_path, capsys, broken, message):
         path = tmp_path / "scenario.ini"
         write_stress_config(path, DEFAULT_STRESS)
         lines = path.read_text().splitlines()
+        key, _, value = broken.partition(" = ")
         if broken.startswith("["):      # the section again, at the end
             lines += [broken, "mortgages = 1.0"]
+        elif value:                     # the key's value replaced
+            lines = [broken if line.startswith(key + " ") else line
+                     for line in lines]
         else:                           # the key left out
             lines = [line for line in lines if not line.startswith(broken)]
         path.write_text("\n".join(lines) + "\n")

@@ -72,6 +72,20 @@ class TestStressCoefficients:
     def test_balance_sheet_validation(self):
         with pytest.raises(ValueError):
             BankBalanceSheet(100, 100, 100, 150, 4.5)
+        for amounts in ((math.nan, 50, 50, 150, 4.5), (50, 50, 50, 150, math.inf),
+                        (-500, 50, 50, 150, 4.5), (50, 50, 50, 150, -4.5),
+                        (0, 0, 0, 0, 0)):
+            with pytest.raises(ValueError, match="finite and non-negative, and "
+                                                 "total assets positive"):
+                BankBalanceSheet(*amounts)
+        for changed, message in (({"alpha_price": math.nan}, "lie in \\(0, 1\\)"),
+                                 ({"d0_m": math.nan}, "loss rates must be finite"),
+                                 ({"d0_b": -0.01}, "loss rates must be finite"),
+                                 ({"shock_b": math.inf}, "shapes must be finite"),
+                                 ({"shock_a": 0.0}, "shapes must be finite"),
+                                 ({"shock_b": -2.0}, "shapes must be finite")):
+            with pytest.raises(ValueError, match=message):
+                replace(DEFAULT_STRESS, **changed)
         with pytest.raises(ValueError):  # price sensitivity outside (0, 1)
             StressTestParams(DEFAULT_STRESS.banks, 1.5, 0.03, 0.005, 0.01)
         with pytest.raises(ValueError):  # starts below the leverage floor

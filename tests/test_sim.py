@@ -208,7 +208,7 @@ def test_one_memory_budget():
                        else [node.target] if isinstance(node, ast.AnnAssign) else [])
             caps += [f"{path.stem}.{target.id}" for target in targets
                      if isinstance(target, ast.Name) and target.id.endswith("_CAP")]
-    assert sites == [("bench", "_reports"), ("sim", "check_memory")], sites
+    assert sites == [("bench", "resource_rows"), ("sim", "check_memory")], sites
     assert caps == []
 
 
@@ -379,5 +379,5 @@ class TestFormulasCoverPeaks:
     @pytest.mark.parametrize("m,n,layers", [(3, 3, 100), (5, 6, 20), (3, 30, 200),
                                             (14, 3, 1), (16, 3, 1)])
     def test_resource_count(self, checked, m, n, layers):
-        peak = traced_peak(lambda: bench.qmc_resource_report(m, n, layers))
+        peak = traced_peak(lambda: bench.resource_rows(m, [n], layers))
         assert peak <= checked_bytes(checked, "counting")

@@ -11,7 +11,10 @@ Every checkout gets one file, ``BENCH_<label>.json`` in DIR (the repository
 root by default), rewritten after each of its runs.  It holds the checkout's
 git commit and source digest, the host fields of the ``meta`` line, each
 run's four end-to-end metrics and failed count, and each metric's median
-and quartiles per workload.  Nothing under ``perfbench/`` changes.
+and quartiles per workload.  The commit is null when ``git status`` shows a
+change under ``src/qmcecon`` in the checkout or fails there, since the runs
+then measured a source that no commit holds.  Nothing under ``perfbench/``
+changes.
 """
 
 import argparse
@@ -37,9 +40,22 @@ def parse_run(stdout: str) -> tuple[dict, dict]:
     return meta, json.loads(lines[-1])
 
 
-def summary(label: str, runs: list[tuple[str, dict, dict]]) -> dict:
+def source_committed(checkout: Path) -> bool:
+    """Whether git runs in the checkout and shows no change under
+    ``src/qmcecon``."""
+    try:
+        proc = subprocess.run(["git", "status", "--porcelain", "--", "src/qmcecon"],
+                              cwd=checkout, capture_output=True, text=True)
+    except OSError:
+        return False
+    return proc.returncode == 0 and not proc.stdout.strip()
+
+
+def summary(label: str, runs: list[tuple[str, dict, dict]],
+            committed: bool) -> dict:
     """The BENCH record of one checkout from its (workload, meta, result)
-    runs: commit, host, each run's metrics, and per-metric quartiles."""
+    runs: commit (None unless ``committed``), host, each run's metrics, and
+    per-metric quartiles."""
     metas = [meta for _, meta, _ in runs]
     if len({meta["source_sha256"] for meta in metas}) != 1:
         raise ValueError(f"{label}: the runs measured different sources")
@@ -56,7 +72,8 @@ def summary(label: str, runs: list[tuple[str, dict, dict]]) -> dict:
                 [run["metrics"][m] for run in entry["runs"]], [25, 50, 75])
             entry["summary"][m] = {"median": float(median), "q1": float(q1),
                                    "q3": float(q3)}
-    return {"label": label, "commit": metas[0]["git_commit"],
+    return {"label": label,
+            "commit": metas[0]["git_commit"] if committed else None,
             "source_sha256": metas[0]["source_sha256"],
             "host": {field: metas[0][field] for field in HOST_FIELDS},
             "workloads": workloads}
@@ -87,6 +104,7 @@ def main(argv=None) -> None:
     checkouts = [(label, Path(path).resolve()) for label, _, path in
                  (item.partition("=") for item in args.checkouts)]
     runs = {label: [] for label, _ in checkouts}
+    committed = {label: source_committed(checkout) for label, checkout in checkouts}
     for workload in args.workload or WORKLOADS:
         for i, seed in enumerate(args.seeds):
             shift = i % len(checkouts)
@@ -98,8 +116,8 @@ def main(argv=None) -> None:
                       + f" failed={result['failed']}", flush=True)
                 runs[label].append((workload, meta, result))
                 path = args.out_dir / f"BENCH_{label}.json"
-                path.write_text(json.dumps(summary(label, runs[label]),
-                                           indent=1) + "\n")
+                record = summary(label, runs[label], committed[label])
+                path.write_text(json.dumps(record, indent=1) + "\n")
 
 
 if __name__ == "__main__":
