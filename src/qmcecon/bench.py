@@ -94,21 +94,15 @@ def _usable_cpus() -> int:
 def _classical_point(workload, n_samples, errors, times, seed):
     # numpy's Generator fills release the GIL, so the seeded repeats run on
     # the usable CPUs, and repeat r keeps its error and wall time in errors[r]
-    # and times[r].  Each worker reuses one values buffer for its repeats
-    # range(w, repeats, workers); the buffers are allocated here, on the
-    # calling thread, because glibc's per-thread arenas would keep arrays
-    # that the workers allocate and free.  The buffers and the two arrays
-    # stay within the memory budget, which error_sweep has checked one fits.
+    # and times[r].  A run holds one leaf of samples at a time, so memory
+    # does not limit the workers.
     repeats = errors.size
-    workers = min(repeats, _usable_cpus(),
-                  (sim.MEMORY_BUDGET - 16 * repeats) // (8 * n_samples))
-    buffers = [np.empty(n_samples) for _ in range(workers)]
+    workers = min(repeats, _usable_cpus())
 
     def work(w):
         for rep in range(w, repeats, workers):
             run = econ.classical_mc(workload.sampler, workload.f, n_samples,
-                                    seed=seed + 7919 * rep,
-                                    oracle=workload.mean, out=buffers[w])
+                                    seed=seed + 7919 * rep, oracle=workload.mean)
             errors[rep], times[rep] = run.abs_error, run.wall_time
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -125,17 +119,15 @@ def error_sweep(spec: SweepSpec) -> list[dict]:
     allocated.  Classical rows average the absolute error over ``repeats``
     seeded runs; their points also run in order, each spreading its repeats
     over the usable CPUs, and ``wall_time_s`` is the mean per-run wall time
-    under that concurrency.  The largest point is checked against the memory
-    budget before any point runs: its N's 8 bytes of values per sample and
-    16 bytes per repeat for the repeats' errors and wall times, or the
-    registers of its n.
+    under that concurrency.  The memory budget is checked before any point
+    runs: 16 bytes per repeat for the repeats' errors and wall times, or the
+    registers of the largest n.
     """
     workload = spec.workload
     rows = []
     if spec.estimator == "classical":
-        largest = spec.range[-1]
-        sim.check_memory(f"{spec.repeats} classical runs of {largest} samples",
-                         8 * largest + 16 * spec.repeats)
+        sim.check_memory(f"{spec.repeats} classical runs of {spec.range[-1]} samples",
+                         16 * spec.repeats)
         errors, times = np.empty(spec.repeats), np.empty(spec.repeats)
         for point in spec.range:
             err, run_time = _classical_point(workload, point, errors, times,

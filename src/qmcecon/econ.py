@@ -37,7 +37,6 @@ from .engine import (
     normalize_rv,
     run_qmc,
 )
-from .sim import check_memory
 
 
 class ModelDegeneracyError(ValueError):
@@ -312,39 +311,39 @@ class MCRun:
     wall_time: float
 
 
-# Samples drawn and evaluated per step of a classical run: the draws and the
-# temporaries of f for 2**13 samples stay in L2.
+# Samples drawn, evaluated and summed per leaf of a classical run: the draws
+# and the temporaries of f for 2**13 samples stay in L2.
 CLASSICAL_CHUNK = 1 << 13
 
 
 def classical_mc(sampler, f, num_samples: int, seed: int,
-                 oracle: float | None = None,
-                 out: np.ndarray | None = None) -> MCRun:
+                 oracle: float | None = None) -> MCRun:
     """Plain Monte Carlo mean of f over draws from ``sampler``.
 
-    ``sampler(rng, size)`` returns draws, ``f`` maps them to values.  The
-    values fill one float64 array ``CLASSICAL_CHUNK`` samples at a time, so
-    the draws and f's temporaries never span the whole run; the estimate is
-    the array's mean, bit-identical to ``f(sampler(rng, N)).mean()``.  That
-    array is the first ``num_samples`` entries of ``out`` when given, else
-    a new one; its 8 bytes per sample are checked against the memory budget
-    before anything is allocated.
+    ``sampler(rng, size)`` returns draws, ``f`` maps them to values.  No
+    array spans the run: the values are summed with ``np.add.reduce`` in
+    leaves of at most ``CLASSICAL_CHUNK`` samples, and the leaf sums are
+    added up the tree of numpy's ``pairwise_sum``, which splits a run of
+    n > 128 values after its first n // 2 rounded down to a multiple of 8
+    (pairwise summation; Higham, SIAM J. Sci. Comput. 14(4), 1993).  Each
+    leaf is a node of that tree, so the estimate is bit-identical to
+    ``f(sampler(rng, N)).mean()``.
     Runs on the calling thread and is deterministic for a given seed; wall
     time covers sampling and evaluation (the benchmark's time-per-sample
     primitive).
     """
     if num_samples < 1:
         raise ValueError(f"need at least one sample, got {num_samples}")
-    check_memory(f"a classical run of {num_samples} samples", 8 * num_samples)
-    if out is not None and out.shape[0] < num_samples:
-        raise ValueError(f"out holds {out.shape[0]} values, need {num_samples}")
     rng = np.random.default_rng(seed)
+
+    def tree_sum(size):
+        if size <= CLASSICAL_CHUNK:
+            return float(np.add.reduce(f(sampler(rng, size))))
+        half = size // 2 - size // 2 % 8
+        return tree_sum(half) + tree_sum(size - half)
+
     start = time.perf_counter()
-    values = np.empty(num_samples) if out is None else out[:num_samples]
-    for lo in range(0, num_samples, CLASSICAL_CHUNK):
-        hi = min(lo + CLASSICAL_CHUNK, num_samples)
-        values[lo:hi] = f(sampler(rng, hi - lo))
-    estimate = float(values.mean())
+    estimate = tree_sum(num_samples) / num_samples
     elapsed = time.perf_counter() - start
     err = abs(estimate - oracle) if oracle is not None else math.nan
     return MCRun(num_samples, seed, estimate, err, elapsed)
@@ -375,7 +374,7 @@ class Workload:
     their product grid.  ``mean`` is the expectation under the continuous
     shock, which the classical estimate of ``f(sampler(rng, size))`` targets.
     ``f`` maps draws to values: a draw is a scalar when ``dims`` is 1 and a
-    row of ``dims`` scalars otherwise.  ``classical_mc`` draws in chunks, so
+    row of ``dims`` scalars otherwise.  ``classical_mc`` draws in leaves, so
     ``f`` must be elementwise over draws and the sampler's stream must not
     depend on how the size is split: two calls of sizes a and b give the
     draws of one call of size a + b.

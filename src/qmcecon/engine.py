@@ -13,8 +13,10 @@ Both evaluation paths take p1 from the statevector of the assembled F
 circuit.  The production path ("auto") feeds it to the closed-form spectral
 readout, which is exact: F|0> splits evenly over the two Grover eigenstates
 with phases +-theta, sin^2(pi theta / 2) = p1, so the outcome distribution
-of phase estimation depends on p1 alone.  The reference path ("circuit")
-builds each Q^y F|0> of the state (1/sqrt(M)) sum_y |y> Q^y F|0> before the
+of phase estimation depends on p1 alone.  It reads theta_hat from that
+distribution at four outcomes, the grid points next to +-theta, and builds
+the whole 2**n array only when a caller reads it.  The reference path
+("circuit") builds each Q^y F|0> of the state (1/sqrt(M)) sum_y |y> Q^y F|0> before the
 inverse QFT from controlled-Q block 0, gate by gate, and then runs the
 inverse QFT gate by gate; blocks 1..n-1 and the H layer are not simulated
 (see ``phase_estimation``).  The tests pin both paths against a brute-force
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -320,8 +323,9 @@ def denormalize_mu(mu_norm: float, rv: RandomVariableSpec,
 # angles as Python floats (about 32 B each, some 2**s of them) and the values
 # grid.  tracemalloc measured 86-115 B per amplitude at s = 13-17; QMCConfig
 # checks 128, so s = 23 fits (`run neoclassical --m 22 --n 4`: 873 MB RSS).
-# The spectral readout, run once F is freed, holds 3.125 float64 arrays of
-# 2**n, checked as four, so n = 25 fits (`--m 22 --n 25`: 954 MB RSS).
+# The full spectral distribution, which `auto` builds only when a caller
+# reads it, after F is freed, holds 3.125 float64 arrays of 2**n, checked as
+# four, so n = 25 fits (`--m 22 --n 25`: 954 MB RSS).
 
 
 @dataclass
@@ -349,9 +353,14 @@ class QMCConfig:
 
 @dataclass
 class PhaseEstimate:
-    """Exact outcome distribution of the estimation register plus readout."""
+    """Readout of the estimation register and its exact outcome distribution.
 
-    distribution: np.ndarray
+    ``simulated`` is the distribution the ``circuit`` method simulated, or
+    None under ``auto``, whose readout took four outcomes of the closed form;
+    ``distribution`` then builds all 2**n from p1 when first read.
+    """
+
+    simulated: np.ndarray | None
     theta_hat: float
     mu_normalized: float
     mu: float
@@ -360,9 +369,16 @@ class PhaseEstimate:
     p1: float | None = None
 
     def __post_init__(self):
-        total = float(np.sum(self.distribution))
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"distribution sums to {total}, expected 1")
+        if self.simulated is not None:
+            total = float(np.sum(self.simulated))
+            if abs(total - 1.0) > 1e-10:
+                raise ValueError(f"distribution sums to {total}, expected 1")
+
+    @cached_property
+    def distribution(self) -> np.ndarray:
+        if self.simulated is not None:
+            return self.simulated
+        return spectral_distribution(self.p1, self.n)
 
 
 def assemble_f(dists, rv: RandomVariableSpec,
@@ -401,14 +417,16 @@ def _wrap(d: np.ndarray, size: int, scratch: np.ndarray) -> None:
     d -= scratch
 
 
-def _kernel(theta: float, n: int) -> np.ndarray:
-    """|<y| QFT^-1 |phase theta>|^2 for y = 0..2**n-1 (Dirichlet kernel).
+def _kernel(theta: float, n: int, d: np.ndarray) -> np.ndarray:
+    """|<y| QFT^-1 |phase theta>|^2 at the outcomes y held as floats in ``d``
+    (Dirichlet kernel of a 2**n register).
 
     Evaluated as (sin(pi d) / (size sin(pi d / size)))**2 with the integer
     offset d = theta*size - y reduced into [-size/2, size/2]; this form stays
     accurate for large registers where theta*size is a big number.  Every
-    step writes into ``d`` or the result, so the kernel holds two float64
-    arrays of 2**n and a mask.
+    step writes into ``d``, which it overwrites, or the result, so the kernel
+    holds two float64 arrays of ``d``'s size and a mask.  Each value depends
+    on its own outcome only, so it is the same for any subset of outcomes.
     """
     size = 1 << n
     # Split theta and reduce the exact high part modulo the register size
@@ -416,9 +434,8 @@ def _kernel(theta: float, n: int) -> np.ndarray:
     # would otherwise lose ~size*eps of absolute precision.
     theta_hi = round(theta * (1 << 26)) / (1 << 26)
     theta_lo = theta - theta_hi
-    d = np.arange(size, dtype=float)
     np.subtract(theta_hi * size, d, out=d)
-    out = np.empty(size)
+    out = np.empty(d.size)
     _wrap(d, size, out)
     d += theta_lo * size
     _wrap(d, size, out)
@@ -435,6 +452,21 @@ def _kernel(theta: float, n: int) -> np.ndarray:
     return out
 
 
+def _phase(p1: float) -> float:
+    """theta in [0, 1] with sin^2(pi theta / 2) = p1."""
+    return math.acos(max(-1.0, min(1.0, 1.0 - 2.0 * p1))) / math.pi
+
+
+def _spectral(p1: float, n: int, outcomes: np.ndarray) -> np.ndarray:
+    """The half/half mix of the +-theta kernels at ``outcomes``, held as
+    floats and overwritten, so the mix holds three arrays of their size."""
+    theta = _phase(p1)
+    out = _kernel(theta, n, outcomes.copy())
+    out += _kernel(-theta, n, outcomes)
+    out *= 0.5
+    return out
+
+
 def spectral_distribution(p1: float, n: int) -> np.ndarray:
     """Exact estimation-register distribution from the encoded probability.
 
@@ -443,15 +475,32 @@ def spectral_distribution(p1: float, n: int) -> np.ndarray:
     kernels.  Valid for any F; pinned against the circuit simulation in the
     tests.
     """
-    theta = math.acos(max(-1.0, min(1.0, 1.0 - 2.0 * p1))) / math.pi
-    out = _kernel(theta, n)
-    out += _kernel(-theta, n)
-    out *= 0.5
-    return out
+    return _spectral(p1, n, np.arange(1 << n, dtype=float))
+
+
+def spectral_theta_hat(p1: float, n: int) -> float:
+    """``extract_theta(spectral_distribution(p1, n))`` from four outcomes.
+
+    The distribution peaks at the grid points next to theta*2**n and
+    (1 - theta)*2**n (Nielsen and Chuang, section 5.2), so the most probable
+    outcome of the left half is one of their floors and ceilings, clipped
+    to [0, 2**n / 2].  Their probabilities are computed as the full array
+    computes them, bit for bit, and ties go to the smaller outcome.  The
+    tests pin this against the full argmax.
+    """
+    size = 1 << n
+    theta = _phase(p1)
+    # theta lies in [0, 1], so no outcome falls below 0
+    outcomes = np.array(sorted({min(side(x * size), size // 2)
+                                for x in (theta, 1.0 - theta)
+                                for side in (math.floor, math.ceil)}))
+    probs = _spectral(p1, n, outcomes.astype(float))
+    return int(outcomes[np.argmax(probs)]) / size
 
 
 def _simulate_distribution(config, f_circuit, n):
-    """theta-ordered outcome distribution and the encoded probability p1.
+    """The ``circuit`` method's theta-ordered outcome distribution (None
+    under ``auto``) and the encoded probability p1.
 
     Both methods take p1 from F's statevector.  The ``circuit`` method keeps
     it as column 0 of a (2**s, 2**n) array, whose column y is block 0 applied
@@ -476,13 +525,8 @@ def _simulate_distribution(config, f_circuit, n):
         _, block, iqft = phase_estimation(f_circuit, n)
     state = apply_circuit(init_state(s), f_circuit)
     p1 = float(probabilities(state, [s - 1])[1])
-    # F's state and gates go before the spectral readout allocates (the
-    # caller keeps no reference), so the two memory checks of QMCConfig never
-    # overlap; the circuit method's block 0 keeps F's gates, counted above
-    del f_circuit
     if not circuit:
-        del state
-        return spectral_distribution(p1, n), p1
+        return None, p1
     columns = np.empty((1 << s, 1 << n), dtype=np.complex128)
     columns[:, 0] = state.amplitudes
     del state
@@ -503,9 +547,12 @@ def run_qmc(config: QMCConfig, dists, rv: RandomVariableSpec,
             ansatz: VariationalAnsatz | None = None) -> PhaseEstimate:
     """Assemble and run the full estimation pipeline.
 
-    Returns the exact outcome distribution over estimation bitstrings, the
-    extracted phase, and the recovered expectation in normalized and original
-    units.  ``config`` must describe ``dists``, whose sizes its memory checks
+    Returns the extracted phase, the recovered expectation in normalized and
+    original units, and the exact outcome distribution over estimation
+    bitstrings.  ``auto`` reads the phase from four outcomes of the closed
+    form (``spectral_theta_hat``) and builds the 2**n array only when
+    ``distribution`` is read; ``circuit`` simulates the array and reads its
+    argmax.  ``config`` must describe ``dists``, whose sizes its memory checks
     counted.  ``ansatz``, when given, prepares every register; otherwise
     each is prepared exactly.  The linear rotation encoding takes its ramp
     direction from ``rv`` and its c_s rescaling from the configured number
@@ -518,13 +565,14 @@ def run_qmc(config: QMCConfig, dists, rv: RandomVariableSpec,
         raise ValueError(f"expected {config.dims} distributions of m={config.m}")
     linear = (LinearRParams.for_oracle_budget(rv, config.n)
               if config.r_mode == "linear" else None)
-    distribution, p1 = _simulate_distribution(
+    simulated, p1 = _simulate_distribution(
         config, assemble_f(dists, rv, ansatz, linear), config.n)
-    theta_hat = extract_theta(distribution)
+    theta_hat = (spectral_theta_hat(p1, config.n) if simulated is None
+                 else extract_theta(simulated))
     mu_norm = theta_to_mu(theta_hat)
     mu = denormalize_mu(mu_norm, rv, linear)
     return PhaseEstimate(
-        distribution=distribution,
+        simulated=simulated,
         theta_hat=theta_hat,
         mu_normalized=mu_norm,
         mu=mu,

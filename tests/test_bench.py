@@ -114,26 +114,29 @@ def test_classical_rows_match_serial_runs():
         assert all(row["wall_time_s"] > 0 for row in rows)
 
 
-@pytest.mark.parametrize("cpus,cap_buffers,buffers", [(4, 1, 1), (4, 2, 2),
-                                                      (4, 9, 4), (1, 9, 1)])
-def test_classical_workers_fit_values_cap(monkeypatch, cpus, cap_buffers,
-                                          buffers):
+@pytest.mark.parametrize("cpus,repeats,workers", [(4, 1, 1), (4, 2, 2),
+                                                   (4, 9, 4), (1, 9, 1)])
+def test_classical_workers_fit_values_cap(monkeypatch, cpus, repeats, workers):
+    # a cap with room for the repeats' errors and wall times but not for one
+    # N-sized values buffer: memory does not limit the workers, the CPUs and
+    # the repeats do
     n_samples = 1000
-    spec = SweepSpec("neoclassical", "classical", [n_samples], repeats=7, seed=4)
+    spec = SweepSpec("neoclassical", "classical", [n_samples], repeats=repeats,
+                     seed=4)
     expected = _serial_rows(spec)
-    seen = set()
-    classical_mc = econ.classical_mc
+    pools = []
 
-    def recording_mc(*args, out=None, **kwargs):
-        seen.add(id(out))
-        return classical_mc(*args, out=out, **kwargs)
+    class RecordingPool(bench.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(bench, "_usable_cpus", lambda: cpus)
-    # besides the buffers, 16 B per repeat for its error and wall time
-    monkeypatch.setattr(sim, "MEMORY_BUDGET", cap_buffers * 8 * n_samples + 16 * 7)
-    monkeypatch.setattr(econ, "classical_mc", recording_mc)
+    monkeypatch.setattr(bench, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(sim, "MEMORY_BUDGET", 16 * repeats)
+    assert 16 * repeats < 8 * n_samples
     rows = error_sweep(spec)
-    assert len(seen) == buffers
+    assert pools == [workers]
     assert _without_wall_time(rows) == expected
 
 

@@ -1,5 +1,6 @@
 """tools/bench_record.py on canned benchmark output."""
 
+import argparse
 import importlib.util
 import json
 import subprocess
@@ -29,6 +30,13 @@ def _stdout(workload, seed, wall, failed=0, source="d1"):
               "metrics": {k: {"value": v, "unit": "s"} for k, v in values.items()}}
     return "\n".join([f"== {workload}  seed {seed}",
                       f"  {'wall_s':40s} {wall:>16.6g} s",
+                      f"  passes: 3  wall_s each: {wall:.3f} {wall - 0.05:.3f} "
+                      f"{wall + 0.1:.3f}",
+                      f"  part {'fit':35s} wall_s {wall - 0.1:9.4f} s"
+                      f"   peak_rss_mb     40.0 MB",
+                      f"  part {'table':35s} wall_s {0.1:9.4f} s"
+                      f"   peak_rss_mb     30.0 MB",
+                      "  part fit: traced wall_s 0.500; largest self_s: a 0.400",
                       "  [ok] check: detail",
                       "  meta " + json.dumps(meta),
                       json.dumps(result)]) + "\n"
@@ -48,7 +56,8 @@ def test_summary_of_canned_runs():
     assert estimates["runs"][1] == {
         "seed": 2, "failed": 0,
         "metrics": {"wall_s": 0.9, "setup_s": 0.2, "peak_rss_mb": 40.0,
-                    "pass_rate": 1.0}}
+                    "pass_rate": 1.0},
+        "part_walls_s": {"fit": 0.8, "table": 0.1}, "min_pass_wall_s": 0.85}
     assert estimates["summary"]["wall_s"] == {"median": 0.7, "q1": 0.6, "q3": 0.8}
     training = out["workloads"]["circuits-training"]
     assert training["runs"][0]["failed"] == 1
@@ -70,6 +79,26 @@ def test_seed_range():
     record = _bench_record()
     assert record.seed_range("1-10") == list(range(1, 11))
     assert record.seed_range("3") == [3]
+    with pytest.raises(argparse.ArgumentTypeError, match="'10-1'"):
+        record.seed_range("10-1")
+
+
+def test_reversed_seed_range_runs_nothing(tmp_path, monkeypatch, capsys):
+    record = _bench_record()
+    monkeypatch.setattr(record, "run_once", lambda *args: pytest.fail("ran"))
+    with pytest.raises(SystemExit) as exc:
+        record.main(["--seeds", "10-1", "--out-dir", str(tmp_path), f"a={ROOT}"])
+    assert exc.value.code == 2
+    assert "empty or reversed seed range '10-1'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_walls_of_canned_run():
+    record = _bench_record()
+    _, _, walls = record.parse_run(_stdout("estimates", 1, 0.5))
+    # the traced "part fit:" line is not a part wall
+    assert walls == {"part_walls_s": {"fit": 0.4, "table": 0.1},
+                     "min_pass_wall_s": 0.45}
 
 
 def test_commit_null_for_uncommitted_source(tmp_path):

@@ -357,25 +357,22 @@ class TestExitCodes:
         assert f"header has no {missing}= entry" in err
         assert out == ""
 
-    def test_classical_over_memory_exit_2_before_allocating(self, tmp_path,
-                                                             capsys, monkeypatch):
-        def refuse(rng, size):
-            raise AssertionError("sampled before the values budget check")
+    def test_classical_large_samples_reach_sampler(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # a run holds one leaf of samples at a time, so no sample count is
+        # refused for memory; only the repeats' 16 B each are checked
+        def stop(rng, size):
+            raise Reached("sampled")
 
         registry = econ.workload
         monkeypatch.setattr(econ, "workload", lambda app, scenario=None: replace(
-            registry(app, scenario), sampler=refuse))
+            registry(app, scenario), sampler=stop))
         out = tmp_path / "rows.csv"
-        # 8 B of values per sample and 16 B for the one repeat's error and
-        # wall time: 2**27 - 2 samples fill 1 GiB
-        for n_samples, need in (("1000000000000", 8 * 10**12 + 16),
-                                ("3000000000", 24 * 10**9 + 16),
-                                ("100,134217729", 2**30 + 24)):
-            code, _, err = run_cli(["--out", str(out), "sweep", "--app",
-                                    "neoclassical", "--estimator", "classical",
-                                    "--n-samples", n_samples], capsys)
-            assert code == 2
-            assert f"needs {need} bytes, exceeding the cap of 1073741824" in err
+        for n_samples in ("1000000000000", "3000000000", "100,134217729"):
+            with pytest.raises(Reached, match="sampled"):
+                run_cli(["--out", str(out), "sweep", "--app", "neoclassical",
+                         "--estimator", "classical", "--n-samples", n_samples],
+                        capsys)
             assert not out.exists()
 
     def test_classical_repeats_over_memory_exit_2_before_running(
@@ -391,7 +388,7 @@ class TestExitCodes:
                                 "--estimator", "classical", "--n-samples", "1",
                                 "--repeats", "1000000000000"], capsys)
         assert code == 2
-        assert ("1000000000000 classical runs of 1 samples needs 16000000000008 "
+        assert ("1000000000000 classical runs of 1 samples needs 16000000000000 "
                 "bytes, exceeding the cap of 1073741824") in err
         assert not out.exists()
 

@@ -38,7 +38,6 @@ from qmcecon.econ import (
     workload,
 )
 from qmcecon.engine import denormalize_mu, normalize_rv
-from qmcecon.sim import ResourceLimitError
 
 from util import write_stress_config
 
@@ -171,6 +170,16 @@ class TestStressMeans:
         mu_from_p1 = denormalize_mu(result.estimate.p1, rv)
         assert mu_from_p1 == pytest.approx(result.mu_grid_oracle, abs=1e-9)
 
+    def test_auto_estimate_holds_no_outcome_array(self):
+        # theta_hat comes from four outcomes, not 2**20
+        tracemalloc.start()
+        try:
+            estimate(stress_workload(DEFAULT_STRESS), 5, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_thirteen_qubit_estimate_stays_small(self):
         # p1 comes from a 2**13-amplitude statevector; a dense 2**13 x 2**13
         # operator would take 1 GiB
@@ -298,25 +307,20 @@ class TestClassicalMc:
 
     @pytest.mark.parametrize("app", APPS)
     def test_chunked_matches_one_shot(self, app):
+        # leaf sizes inside and at the chunk, and runs on both sides of the
+        # tree's splits: 2c splits into two leaves of c, 2c + 16 into two
+        # runs of c + 8, 2c + 1 and 2c + 15 split at c
         w, c = workload(app), CLASSICAL_CHUNK
-        for n in (1, c - 1, c, c + 1, 3 * c + 5):
+        for n in (1, 7, 8, 9, 127, 128, 129, c - 1, c, c + 1, 2 * c - 1, 2 * c,
+                  2 * c + 1, 2 * c + 15, 2 * c + 16, 2 * c + 17, 3 * c + 5,
+                  4 * c - 1, 4 * c, 4 * c + 1, 10**6):
             for seed in (0, 388_034):
                 run = classical_mc(w.sampler, w.f, n, seed, oracle=w.mean)
                 assert run.estimate == self.one_shot_mean(w, n, seed), (n, seed)
 
-    def test_out_buffer_longer_than_n(self):
-        w, n = workload("stress"), CLASSICAL_CHUNK + 3
-        out = np.full(n + 10, np.nan)
-        run = classical_mc(w.sampler, w.f, n, 3, out=out)
-        assert run.estimate == self.one_shot_mean(w, n, 3)
-        draws = w.sampler(np.random.default_rng(3), n)
-        np.testing.assert_array_equal(out[:n], w.f(draws))
-        assert np.isnan(out[n:]).all()
-        with pytest.raises(ValueError, match="out holds 5 values, need 6"):
-            classical_mc(w.sampler, w.f, 6, 3, out=np.empty(5))
-
     @pytest.mark.parametrize("app", APPS)
     def test_peak_memory_is_one_values_array(self, app):
+        # one leaf's draws and values at a time, whatever the run's size
         w, n = workload(app), 1 << 20
         tracemalloc.start()
         try:
@@ -324,20 +328,23 @@ class TestClassicalMc:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * 8 * n
+        assert peak < 2 * 2**20
 
-    def test_values_budget_checked_before_sampling(self):
-        def refuse(rng, size):
-            raise AssertionError("sampled past the budget check")
+    def test_large_run_reaches_sampler(self):
+        # 2**27 + 1 samples are 8 B past the memory budget as one float64
+        # array, but no array spans a run, so the first leaf is drawn
+        class Reached(Exception):
+            pass
 
-        for n in (2**27 + 1, 10**12):
-            with pytest.raises(ResourceLimitError,
-                               match="exceeding the cap of 1073741824"):
-                classical_mc(refuse, simple_problem_f, n, seed=0)
-        # 2**27 values are exactly 1 GiB, which the cap admits; the short
-        # buffer stops the run before it allocates or samples
-        with pytest.raises(ValueError, match="out holds 1 values"):
-            classical_mc(refuse, simple_problem_f, 2**27, seed=0, out=np.empty(1))
+        sizes = []
+
+        def stop(rng, size):
+            sizes.append(size)
+            raise Reached
+
+        with pytest.raises(Reached):
+            classical_mc(stop, simple_problem_f, 2**27 + 1, seed=0)
+        assert sizes == [CLASSICAL_CHUNK]
 
 
 @pytest.mark.parametrize("app", APPS)

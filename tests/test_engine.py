@@ -29,6 +29,7 @@ from qmcecon.engine import (
     phase_estimation,
     run_qmc,
     spectral_distribution,
+    spectral_theta_hat,
     theta_to_mu,
 )
 from qmcecon.sim import (
@@ -404,6 +405,17 @@ class TestReadout:
     def test_requires_normalized(self):
         with pytest.raises(ValueError):
             extract_theta(np.full(8, 0.2))
+
+    def test_four_outcomes_match_full_argmax(self):
+        # random p1, p1 at and next to 0, 1/2 and 1, and p1 that put theta
+        # on the outcome grid, where neighbouring outcomes can tie
+        rng = np.random.default_rng(27)
+        edges = [0.0, 1e-12, 0.5 - 1e-12, 0.5, 0.5 + 1e-12, 1.0 - 1e-12, 1.0]
+        for n in range(1, 17):
+            on_grid = np.sin(np.pi * rng.integers(0, 2**n, 20) / 2**(n + 1)) ** 2
+            for p1 in [*rng.random(300), *edges, *on_grid]:
+                full = extract_theta(spectral_distribution(float(p1), n))
+                assert spectral_theta_hat(float(p1), n) == full, (n, p1)
 
     def test_theta_to_mu(self):
         assert theta_to_mu(0.0) == 0.0

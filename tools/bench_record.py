@@ -10,8 +10,9 @@ first.  Each run's stdout ends with its ``meta`` line and its JSON result.
 Every checkout gets one file, ``BENCH_<label>.json`` in DIR (the repository
 root by default), rewritten after each of its runs.  It holds the checkout's
 git commit and source digest, the host fields of the ``meta`` line, each
-run's four end-to-end metrics and failed count, and each metric's median
-and quartiles per workload.  The commit is null when ``git status`` shows a
+run's four end-to-end metrics, failed count, per-part median walls (the
+``part <name> wall_s`` lines) and minimum pass wall (the ``wall_s each:``
+line), and each metric's median and quartiles per workload.  The commit is null when ``git status`` shows a
 change under ``src/qmcecon`` in the checkout or fails there, since the runs
 then measured a source that no commit holds.  Nothing under ``perfbench/``
 changes.
@@ -19,6 +20,7 @@ changes.
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,14 +32,21 @@ WORKLOADS = ("estimates", "circuits-training")
 METRICS = ("wall_s", "setup_s", "peak_rss_mb", "pass_rate")
 HOST_FIELDS = ("nproc", "cpus_usable", "cpu_model", "python", "numpy", "scipy",
                "blas", "blas_threads")
+PART_WALL = re.compile(r"\s*part (\S+)\s+wall_s\s+(\S+) s")
 
 
-def parse_run(stdout: str) -> tuple[dict, dict]:
-    """The ``meta`` object and the JSON result of one single-workload run."""
+def parse_run(stdout: str) -> tuple[dict, dict, dict]:
+    """The ``meta`` object, the JSON result and the walls of one
+    single-workload run: each part's median wall and the minimum pass wall."""
     lines = stdout.strip().splitlines()
     [meta] = [json.loads(line.strip()[5:]) for line in lines
               if line.strip().startswith("meta ")]
-    return meta, json.loads(lines[-1])
+    [passes] = [line.partition("wall_s each:")[2] for line in lines
+                if "wall_s each:" in line]
+    walls = {"part_walls_s": {match[1]: float(match[2])
+                              for match in map(PART_WALL.match, lines) if match},
+             "min_pass_wall_s": min(map(float, passes.split()))}
+    return meta, json.loads(lines[-1]), walls
 
 
 def source_committed(checkout: Path) -> bool:
@@ -51,20 +60,21 @@ def source_committed(checkout: Path) -> bool:
     return proc.returncode == 0 and not proc.stdout.strip()
 
 
-def summary(label: str, runs: list[tuple[str, dict, dict]],
+def summary(label: str, runs: list[tuple[str, dict, dict, dict]],
             committed: bool) -> dict:
-    """The BENCH record of one checkout from its (workload, meta, result)
-    runs: commit (None unless ``committed``), host, each run's metrics, and
-    per-metric quartiles."""
-    metas = [meta for _, meta, _ in runs]
+    """The BENCH record of one checkout from its (workload, meta, result,
+    walls) runs: commit (None unless ``committed``), host, each run's metrics
+    and walls, and per-metric quartiles."""
+    metas = [meta for _, meta, _, _ in runs]
     if len({meta["source_sha256"] for meta in metas}) != 1:
         raise ValueError(f"{label}: the runs measured different sources")
     workloads = {}
-    for workload, meta, result in runs:
+    for workload, meta, result, walls in runs:
         entry = workloads.setdefault(workload, {"runs": []})
         entry["runs"].append({
             "seed": meta["seed"], "failed": result["failed"],
-            "metrics": {m: result["metrics"][m]["value"] for m in METRICS}})
+            "metrics": {m: result["metrics"][m]["value"] for m in METRICS},
+            **walls})
     for entry in workloads.values():
         entry["summary"] = {}
         for m in METRICS:
@@ -79,7 +89,7 @@ def summary(label: str, runs: list[tuple[str, dict, dict]],
             "workloads": workloads}
 
 
-def run_once(checkout: Path, workload: str, seed: int) -> tuple[dict, dict]:
+def run_once(checkout: Path, workload: str, seed: int) -> tuple[dict, dict, dict]:
     proc = subprocess.run(["python3", "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed)],
                           cwd=checkout, capture_output=True, text=True)
@@ -91,7 +101,10 @@ def run_once(checkout: Path, workload: str, seed: int) -> tuple[dict, dict]:
 
 def seed_range(text: str) -> list[int]:
     first, _, last = text.partition("-")
-    return list(range(int(first), int(last or first) + 1))
+    seeds = list(range(int(first), int(last or first) + 1))
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty or reversed seed range {text!r}")
+    return seeds
 
 
 def main(argv=None) -> None:
@@ -109,12 +122,16 @@ def main(argv=None) -> None:
         for i, seed in enumerate(args.seeds):
             shift = i % len(checkouts)
             for label, checkout in checkouts[shift:] + checkouts[:shift]:
-                meta, result = run_once(checkout, workload, seed)
+                meta, result, walls = run_once(checkout, workload, seed)
                 print(f"{label} {workload} seed {seed}: "
                       + " ".join(f"{m}={result['metrics'][m]['value']:.4g}"
                                  for m in METRICS)
-                      + f" failed={result['failed']}", flush=True)
-                runs[label].append((workload, meta, result))
+                      + f" failed={result['failed']}"
+                      + f" min_pass={walls['min_pass_wall_s']:.4g} "
+                      + " ".join(f"{part}={wall:.4g}"
+                                 for part, wall in walls["part_walls_s"].items()),
+                      flush=True)
+                runs[label].append((workload, meta, result, walls))
                 path = args.out_dir / f"BENCH_{label}.json"
                 record = summary(label, runs[label], committed[label])
                 path.write_text(json.dumps(record, indent=1) + "\n")

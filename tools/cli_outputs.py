@@ -44,10 +44,6 @@ def commands():
     yield "sweep_classical_zero_samples", [
         "sweep", "--app", "simple", "--estimator", "classical", "--n-samples",
         "0,100"]
-    # 8 TB of values: refused before the first buffer is allocated
-    yield "sweep_classical_over_memory", [
-        "sweep", "--app", "neoclassical", "--estimator", "classical",
-        "--n-samples", "1000000000000"]
     # 16 TB of per-repeat errors and wall times: refused before the first run
     yield "sweep_classical_repeats_over_memory", [
         "sweep", "--app", "simple", "--estimator", "classical", "--n-samples",
