@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,11 +93,16 @@ def _usable_cpus() -> int:
 
 def _classical_point(workload, n_samples, errors, times, seed):
     # numpy's Generator fills release the GIL, so the seeded repeats run on
-    # the usable CPUs, and repeat r keeps its error and wall time in errors[r]
-    # and times[r].  A run holds one leaf of samples at a time, so memory
-    # does not limit the workers.
+    # the usable CPUs: worker w takes repeats w, w + W, ... and keeps repeat
+    # r's error and wall time in errors[r] and times[r].  Worker 0 runs on
+    # the calling thread and workers 1..W-1 on threads of their own; all are
+    # joined before an exception of worker 0, or else the first that a
+    # spawned worker raised, propagates.
+    # A run holds one leaf of samples at a time, so memory does not limit
+    # the workers.
     repeats = errors.size
     workers = min(repeats, _usable_cpus())
+    failures = []
 
     def work(w):
         for rep in range(w, repeats, workers):
@@ -105,8 +110,23 @@ def _classical_point(workload, n_samples, errors, times, seed):
                                     seed=seed + 7919 * rep, oracle=workload.mean)
             errors[rep], times[rep] = run.abs_error, run.wall_time
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(work, range(workers)))
+    def spawned(w):
+        try:
+            work(w)
+        except BaseException as exc:    # re-raised on the calling thread
+            failures.append(exc)
+
+    threads = [threading.Thread(target=spawned, args=(w,))
+               for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[0]
     # the means add in repeat order, however the repeats were scheduled
     return float(errors.mean()), float(times.mean())
 
@@ -314,8 +334,8 @@ def time_per_sample(seed: int = 0) -> float:
     through the ``neoclassical`` workload's sampler and ``f``: the
     extrapolated classical competitor is one CPU core running plain MC code,
     with HPC parallelism applied as an external speedup factor.  The median
-    of five 20,000-sample timings on a monotonic clock is returned, since
-    single runs are too noisy to anchor the runtime crossover.
+    of five 20,000-sample timings on a monotonic clock, the middle one when
+    sorted, is returned, since a single timing is too noisy to report alone.
 
     The result measures the host it runs on and is reported for information;
     the crossovers written by ``qmcecon bench fig9``/``fig10`` use
@@ -332,7 +352,7 @@ def time_per_sample(seed: int = 0) -> float:
             acc += f(sampler(rng, None))
         elapsed = time.perf_counter() - start
         times.append(elapsed / 20_000)
-    return float(np.median(times))
+    return sorted(times)[2]
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,9 @@ def discretize_beta(m: int, a: float, b: float) -> DiscretizedDistribution:
         raise ValueError(f"need m >= 1 grid qubits, got {m}")
     if not (math.isfinite(a) and math.isfinite(b) and a > 0 and b > 0):
         raise ValueError(f"Beta shapes must be positive and finite, got a={a}, b={b}")
+    if m == 1 and a > 1 and b > 1:
+        raise ValueError(f"Beta({a},{b}) has zero density at both points of the "
+                         "2**1-point grid {0, 1}; shapes both above 1 need m >= 2")
     grid = np.linspace(0.0, 1.0, 1 << m)
     log_density = np.full(grid.shape, -(math.lgamma(a) + math.lgamma(b)
                                         - math.lgamma(a + b)))

@@ -22,7 +22,6 @@ baseline.  ``workload(app)`` returns one of:
 
 from __future__ import annotations
 
-import configparser
 import math
 import time
 from dataclasses import dataclass, fields
@@ -501,6 +500,8 @@ _SYSTEM_KEYS = (("alpha_price", "price_sensitivity", True),
 
 def load_stress_config(path) -> StressTestParams:
     """Read a stress scenario from an INI file with [bank1]/[bank2]/[system]."""
+    import configparser  # only a scenario file needs it
+
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)

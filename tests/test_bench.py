@@ -1,6 +1,11 @@
+import json
 import math
+import os
+import subprocess
 import sys
-from dataclasses import replace
+import threading
+from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +29,7 @@ from qmcecon.engine import (LinearRParams, assemble_f, build_controlled_Q,
                             normalize_rv, phase_estimation)
 from qmcecon.sim import Circuit
 
-from util import fit_r_squared, flat_phase_estimation
+from util import fit_r_squared, flat_phase_estimation, write_stress_config
 
 
 def _benchmark_f(m, n, layers):
@@ -124,20 +129,42 @@ def test_classical_workers_fit_values_cap(monkeypatch, cpus, repeats, workers):
     spec = SweepSpec("neoclassical", "classical", [n_samples], repeats=repeats,
                      seed=4)
     expected = _serial_rows(spec)
-    pools = []
+    started = []
 
-    class RecordingPool(bench.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
+    class RecordingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
 
     monkeypatch.setattr(bench, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(bench, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(bench.threading, "Thread", RecordingThread)
     monkeypatch.setattr(sim, "MEMORY_BUDGET", 16 * repeats)
     assert 16 * repeats < 8 * n_samples
     rows = error_sweep(spec)
-    assert pools == [workers]
+    # worker 0 runs on the calling thread
+    assert len(started) == workers - 1
     assert _without_wall_time(rows) == expected
+
+
+@pytest.mark.parametrize("failing_repeat", [1, 0])
+def test_classical_worker_failure_propagates(monkeypatch, failing_repeat):
+    # with 2 workers, repeat 1 runs on the spawned thread and repeat 0 on the
+    # calling thread; either failure reaches the caller once both are joined
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
+    spec = SweepSpec("neoclassical", "classical", [1000], repeats=4, seed=4)
+    failing_seed = spec.seed + 7919 * failing_repeat
+    classical_mc = econ.classical_mc
+
+    def failing_mc(*args, seed, **kwargs):
+        if seed == failing_seed:
+            raise RuntimeError(f"repeat {failing_repeat} failed")
+        return classical_mc(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(econ, "classical_mc", failing_mc)
+    threads_before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"repeat {failing_repeat} failed"):
+        error_sweep(spec)
+    assert threading.active_count() == threads_before
 
 
 def test_classical_many_workers_match_serial(monkeypatch):
@@ -349,3 +376,32 @@ def test_time_per_sample_positive_and_stable():
     b = time_per_sample(seed=1)
     assert a > 0 and b > 0
     assert 0.2 < a / b < 5.0
+
+
+def test_passes_load_no_idle_modules(tmp_path):
+    # none of these computes anything in the timing, the classical sweep or
+    # a run without a scenario file; together they held about 2 MB of the
+    # estimates pass's peak
+    params = replace(econ.DEFAULT_STRESS, alpha_price=4e-5, shock_a=3.0,
+                     shock_b=7.0)
+    path = tmp_path / "scenario.ini"
+    write_stress_config(path, params)
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = """if True:
+        import dataclasses, json, sys
+        from qmcecon import bench, cli, econ
+        bench.time_per_sample(seed=0)
+        bench.error_sweep(bench.SweepSpec("neoclassical", "classical",
+                                          [100, 1000], repeats=2))
+        print(json.dumps([name for name in ("numpy.ma", "concurrent.futures",
+                                            "logging", "configparser")
+                          if name in sys.modules]))
+        print(json.dumps(dataclasses.asdict(econ.load_stress_config(sys.argv[1]))))
+    """
+    proc = subprocess.run([sys.executable, "-c", code, str(path)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    loaded, read = proc.stdout.splitlines()
+    assert json.loads(loaded) == []
+    assert json.loads(read) == json.loads(json.dumps(asdict(params)))

@@ -116,3 +116,60 @@ def test_commit_null_for_uncommitted_source(tmp_path):
     assert record.source_committed(tmp_path)
     source.write_text("x = 2\n")
     assert not record.source_committed(tmp_path)
+
+
+def _write_record(out_dir, label, source, wall, spread=0.0):
+    # every metric of both workloads reads 1.0 but wall_s, whose quartiles
+    # lie spread / 2 either side of its median
+    summary = {m: {"median": 1.0, "q1": 1.0, "q3": 1.0}
+               for m in ("wall_s", "setup_s", "peak_rss_mb", "pass_rate")}
+    summary["wall_s"] = {"median": wall, "q1": wall - spread / 2,
+                         "q3": wall + spread / 2}
+    record = {"label": label, "source_sha256": source,
+              "workloads": {w: {"summary": summary}
+                            for w in ("estimates", "circuits-training")}}
+    (out_dir / f"BENCH_{label}.json").write_text(json.dumps(record))
+
+
+def _chain(out_dir, *pairs):
+    record = _bench_record()
+    with pytest.raises(SystemExit) as exc:
+        record.main(["--out-dir", str(out_dir), "--chain", *pairs])
+    return exc.value.code
+
+
+def test_chain_of_linked_pairs(tmp_path, capsys):
+    _write_record(tmp_path, "a", "d0", 1.0, spread=0.1)
+    _write_record(tmp_path, "b", "d1", 0.8)
+    _write_record(tmp_path, "b2", "d1", 2.0, spread=0.2)
+    _write_record(tmp_path, "c", "d2", 1.5)
+    assert _chain(tmp_path, "a:b", "b2:c") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "| Workload | Metric | a:b | b2:c | Chained |"
+    assert lines[2] == "| `estimates` | `wall_s` | 0.800 | 0.750 | 0.600 |"
+    assert lines[3] == ("| `estimates` | `setup_s` | 1.000 unresolved "
+                        "| 1.000 unresolved | 1.000 |")
+    assert len(lines) == 2 + 2 * 4
+
+
+def test_chain_marks_ratio_within_before_spread_unresolved(tmp_path, capsys):
+    # the medians differ by 0.1: resolved against a spread of 0.09, not 0.1
+    for spread, mark in ((0.09, ""), (0.1, " unresolved")):
+        _write_record(tmp_path, "a", "d0", 1.0, spread=spread)
+        _write_record(tmp_path, "b", "d1", 1.1)
+        assert _chain(tmp_path, "a:b") == 0
+        row = capsys.readouterr().out.splitlines()[2]
+        assert row == f"| `estimates` | `wall_s` | 1.100{mark} | 1.100 |"
+
+
+def test_broken_chain_exit_2(tmp_path, capsys):
+    _write_record(tmp_path, "a", "d0", 1.0)
+    _write_record(tmp_path, "b", "d1", 0.8)
+    _write_record(tmp_path, "b2", "d9", 2.0)
+    _write_record(tmp_path, "c", "d2", 1.5)
+    assert _chain(tmp_path, "a:b", "b2:c") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "broken chain: b measured d1, but b2 measured d9" in err
+    assert _chain(tmp_path, "a:b", "b2") == 2
+    assert "expected BEFORE:AFTER, got 'b2'" in capsys.readouterr().err

@@ -246,6 +246,12 @@ class TestExitCodes:
                 "bytes, exceeding the cap of 1073741824") in err
         assert not (tmp_path / "d.csv").exists()
 
+    def test_stress_two_point_grid_exit_1(self, capsys):
+        code, out, err = run_cli(["oracle", "stress", "--m", "1"], capsys)
+        assert code == 1 and out == ""
+        assert ("Beta(2.0,10.0) has zero density at both points of the 2**1-point "
+                "grid {0, 1}; shapes both above 1 need m >= 2") in err
+
     def test_train_zero_qubits_exit_1_before_writing(self, tmp_path, capsys):
         params = tmp_path / "params.txt"
         code, _, err = run_cli(["train-a", "--m", "0", "--layers", "1",

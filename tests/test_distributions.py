@@ -91,6 +91,15 @@ class TestDiscretizeBeta:
             with pytest.raises(ValueError, match="diverges at a grid endpoint"):
                 discretize_beta(3, a, b)
 
+    def test_two_point_grid_needs_a_shape_at_most_one(self):
+        # the 2-point grid sits on 0 and 1, where Beta(2, 10) has zero density
+        with pytest.raises(ValueError) as exc:
+            discretize_beta(1, 2.0, 10.0)
+        assert str(exc.value) == (
+            "Beta(2.0,10.0) has zero density at both points of the 2**1-point "
+            "grid {0, 1}; shapes both above 1 need m >= 2")
+        np.testing.assert_array_equal(discretize_beta(1, 1.0, 3.0).masses, [1, 0])
+
     @pytest.mark.parametrize("m", [0, -1])
     def test_invalid_m(self, m):
         with pytest.raises(ValueError, match=f"need m >= 1 grid qubits, got {m}"):
@@ -105,7 +114,7 @@ class TestDiscretizeBeta:
             density = stats.beta.pdf(grid, a, b)
             if density.sum() == 0:
                 # m = 1 keeps only the endpoints, where a, b > 1 give 0
-                with pytest.raises(ValueError, match="do not normalize"):
+                with pytest.raises(ValueError, match="zero density at both points"):
                     discretize_beta(m, a, b)
                 continue
             d = discretize_beta(m, a, b)

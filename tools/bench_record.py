@@ -2,6 +2,7 @@
 
 Usage: python tools/bench_record.py [--seeds 1-10] [--workload W ...]
                                     [--out-dir DIR] LABEL=CHECKOUT ...
+       python tools/bench_record.py [--out-dir DIR] --chain BEFORE:AFTER ...
 
 For each workload and seed, ``python3 perfbench/run.py --workload W --seed k``
 runs in every checkout, one after another.  The checkout that goes first
@@ -16,6 +17,15 @@ line), and each metric's median and quartiles per workload.  The commit is null 
 change under ``src/qmcecon`` in the checkout or fails there, since the runs
 then measured a source that no commit holds.  Nothing under ``perfbench/``
 changes.
+
+``--chain`` runs nothing.  It reads ``BENCH_<label>.json`` from DIR for each
+BEFORE:AFTER pair, in the order given, and exits 2 unless each pair's AFTER
+digest is the next pair's BEFORE digest.  It prints a markdown table: for
+each workload and end-to-end metric, each pair's ratio of medians
+(after/before) and the chain's product.  A ratio is marked ``unresolved``
+when the two medians differ by no more than the BEFORE's q3 - q1, since
+each host session reads its own absolute speed and only the ratios within
+a pair compare code.
 """
 
 import argparse
@@ -107,13 +117,65 @@ def seed_range(text: str) -> list[int]:
     return seeds
 
 
+def chain_table(pairs: list[tuple[dict, dict]]) -> str:
+    """The markdown table of per-pair median ratios and their product for the
+    (before, after) records of a linked chain."""
+    labels = [f"{before['label']}:{after['label']}" for before, after in pairs]
+    lines = ["| Workload | Metric | " + " | ".join(labels) + " | Chained |",
+             "| --- | --- | " + "--- | " * len(labels) + "--- |"]
+    for workload in WORKLOADS:
+        for m in METRICS:
+            cells, product = [], 1.0
+            for before, after in pairs:
+                was = before["workloads"][workload]["summary"][m]
+                now = after["workloads"][workload]["summary"][m]["median"]
+                ratio = now / was["median"]
+                product *= ratio
+                resolved = abs(now - was["median"]) > was["q3"] - was["q1"]
+                cells.append(f"{ratio:.3f}" + ("" if resolved else " unresolved"))
+            lines.append(f"| `{workload}` | `{m}` | " + " | ".join(cells)
+                         + f" | {product:.3f} |")
+    return "\n".join(lines)
+
+
+def label_pair(text: str) -> tuple[str, str]:
+    before, _, after = text.partition(":")
+    if not (before and after):
+        raise argparse.ArgumentTypeError(f"expected BEFORE:AFTER, got {text!r}")
+    return before, after
+
+
+def chain(label_pairs: list[tuple[str, str]], out_dir: Path) -> int:
+    """Print the chain table of the BEFORE:AFTER pairs; 2 if a link breaks."""
+    def load(label):
+        return json.loads((out_dir / f"BENCH_{label}.json").read_text())
+
+    pairs = [(load(before), load(after)) for before, after in label_pairs]
+    for (_, after), (before, _) in zip(pairs, pairs[1:]):
+        if after["source_sha256"] != before["source_sha256"]:
+            print(f"broken chain: {after['label']} measured "
+                  f"{after['source_sha256'][:12]}, but {before['label']} "
+                  f"measured {before['source_sha256'][:12]}", file=sys.stderr)
+            return 2
+    print(chain_table(pairs))
+    return 0
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("checkouts", nargs="+", metavar="LABEL=CHECKOUT")
+    parser.add_argument("checkouts", nargs="*", metavar="LABEL=CHECKOUT")
     parser.add_argument("--seeds", type=seed_range, default=seed_range("1-10"))
     parser.add_argument("--workload", action="append", choices=WORKLOADS)
     parser.add_argument("--out-dir", type=Path, default=ROOT)
+    parser.add_argument("--chain", nargs="+", type=label_pair,
+                        metavar="BEFORE:AFTER")
     args = parser.parse_args(argv)
+    if args.chain:
+        if args.checkouts:
+            parser.error("--chain reads records and runs no checkout")
+        raise SystemExit(chain(args.chain, args.out_dir))
+    if not args.checkouts:
+        parser.error("name at least one LABEL=CHECKOUT")
     checkouts = [(label, Path(path).resolve()) for label, _, path in
                  (item.partition("=") for item in args.checkouts)]
     runs = {label: [] for label, _ in checkouts}
