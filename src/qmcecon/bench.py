@@ -224,7 +224,7 @@ def _segment_costs(m: int, n: int, layers: int) -> list:
     rv = normalize_rv(workload.values(dist))
     f_circuit = assemble_f([dist], rv, _bench_ansatz(m, layers),
                            LinearRParams.for_oracle_budget(rv, n))
-    _, block, _ = phase_estimation(f_circuit, 1)
+    block, _ = phase_estimation(f_circuit, 1)
     s = m + 1
     width = 2 * s - 1
     return [_lowered_cost(circuit, width, range(s + 1, width))

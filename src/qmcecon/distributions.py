@@ -88,7 +88,9 @@ def discretize_beta(m: int, a: float, b: float) -> DiscretizedDistribution:
     log B(a, b) = lgamma(a) + lgamma(b) - lgamma(a + b).  It is evaluated as
     exp of its logarithm, so large shapes such as a = b = 600 stay finite
     where the plain product overflows.  At an endpoint a zero exponent gives
-    exactly 1, a positive one 0 and a negative one +inf.
+    exactly 1, a positive one 0 and a negative one +inf.  Where exp
+    underflows at every grid point (a = b = 1e6), the masses come from the
+    log-density less its maximum.
     """
     if m < 1:
         raise ValueError(f"need m >= 1 grid qubits, got {m}")
@@ -111,6 +113,12 @@ def discretize_beta(m: int, a: float, b: float) -> DiscretizedDistribution:
     # values diverge and cannot carry point masses.
     if not np.all(np.isfinite(density)):
         raise ValueError(f"Beta({a},{b}) density diverges at a grid endpoint")
+    total = density.sum()
+    if total == 0 or not np.isfinite(total):
+        # Shapes so large that exp underflows at every grid point (or the
+        # sum overflows): scale by the largest value, which only this case
+        # does, so every grid that normalizes as it is keeps its bits.
+        density = np.exp(log_density - log_density.max())
     return DiscretizedDistribution(m, grid, _pointwise_masses(density))
 
 
@@ -274,7 +282,9 @@ def _cnot_chain(m: int) -> tuple[np.ndarray, np.ndarray]:
     """
     index = np.arange(1 << m)
     gather = index ^ (index >> 1)
-    return _read_only(gather), _read_only(np.argsort(gather))
+    scatter = np.empty_like(gather)
+    scatter[gather] = index
+    return _read_only(gather), _read_only(scatter)
 
 
 @functools.lru_cache(maxsize=None)

@@ -20,7 +20,7 @@ the whole 2**n array only when a caller reads it.  The reference path
 inverse QFT from controlled-Q block 0, gate by gate, and then runs the
 inverse QFT gate by gate; blocks 1..n-1 and the H layer are not simulated
 (see ``phase_estimation``).  The tests pin both paths against a brute-force
-oracle.  ``bench`` counts the same three circuits.
+oracle.  ``bench`` counts F, block 0 and the inverse QFT.
 """
 
 from __future__ import annotations
@@ -163,18 +163,6 @@ def build_R_linear(m: int, params: LinearRParams) -> Circuit:
     return circ
 
 
-def build_F(a_circuit: Circuit, r_circuit: Circuit) -> Circuit:
-    """Problem unitary: state preparation followed by the ancilla rotation,
-    whose register must be the preparation's, with the ancilla after it."""
-    if r_circuit.num_qubits != a_circuit.num_qubits + 1:
-        raise ValueError(f"a rotation stage on {r_circuit.num_qubits} qubits does "
-                         f"not fit a {a_circuit.num_qubits}-qubit register")
-    circ = Circuit(r_circuit.num_qubits)
-    circ.extend(a_circuit)
-    circ.extend(r_circuit)
-    return circ
-
-
 # ---------------------------------------------------------------------------
 # Grover operator and its controlled form
 # ---------------------------------------------------------------------------
@@ -245,27 +233,23 @@ def build_controlled_Q(f_circuit: Circuit, control: int) -> Circuit:
     return Circuit(max(system + [control]) + 1, half * 2)
 
 
-def phase_estimation(f_circuit: Circuit, n: int) -> tuple[Circuit, Circuit, Circuit]:
-    """F with the H layer on F's s wires and est = s..s+n-1; controlled-Q
-    block 0, ``build_controlled_Q(f, est[0])``, on F's wires and est[0]; and
-    the inverse QFT on est.
+def phase_estimation(f_circuit: Circuit, n: int) -> tuple[Circuit, Circuit]:
+    """Controlled-Q block 0, ``build_controlled_Q(f, est[0])``, on F's s
+    wires and est[0]; and the inverse QFT on est = s..s+n-1.
 
-    The estimation circuit runs them in order, with block k, which is block
-    0 with est[0] and est[k] exchanged, run 2**(n-1-k) times: 2**n - 1
-    oracle applications.  Only block 0 is built; ``bench`` counts the others
-    by that rule.  The ``circuit`` method uses that est[0] is only a control
-    to apply Q^y from block 0, so blocks 1..n-1 and the H layer are not
-    simulated gate by gate.  Each controlled zero reflection is one MCX with
-    s controls, whose lowering needs s - 2 clean work wires.
+    The estimation circuit is F, an H on each estimation wire, block k, which
+    is block 0 with est[0] and est[k] exchanged, run 2**(n-1-k) times for
+    k = 0..n-1 (2**n - 1 oracle applications), and the inverse QFT.  F is
+    the caller's, and only block 0 is built: ``bench`` counts the H layer
+    and the other blocks by that rule, and the ``circuit`` method uses that
+    est[0] is only a control to apply Q^y from block 0, so it simulates
+    neither.  Each controlled zero reflection is one MCX with s controls,
+    whose lowering needs s - 2 clean work wires.
     """
     if n < 1:
         raise ValueError(f"need at least one estimation qubit, got {n}")
     s = f_circuit.num_qubits
-    est = list(range(s, s + n))
-    prep = Circuit(s + n).extend(f_circuit)
-    for q in est:
-        prep.h(q)
-    return prep, build_controlled_Q(f_circuit, s), inverse_qft(est)
+    return build_controlled_Q(f_circuit, s), inverse_qft(range(s, s + n))
 
 
 # ---------------------------------------------------------------------------
@@ -396,17 +380,20 @@ def assemble_f(dists, rv: RandomVariableSpec,
     if any(d.m != m for d in dists):
         raise ValueError("all distributions must use the same m")
     total_m = len(dists) * m
-    a_all = Circuit(total_m)
+    if rv.values.shape != (1 << total_m,):
+        raise ValueError(f"a variable of {rv.values.size} values does not fit a "
+                         f"{total_m}-qubit register")
+    f_circuit = Circuit(total_m + 1)
     for j, dist in enumerate(dists):
         reg = range(j * m, (j + 1) * m)
-        a_all.extend(exact_state_prep(dist, reg) if ansatz is None
-                     else ansatz_circuit(ansatz, reg))
+        f_circuit.extend(exact_state_prep(dist, reg) if ansatz is None
+                         else ansatz_circuit(ansatz, reg))
     if linear is None:
-        return build_F(a_all, build_R_exact(rv))
+        return f_circuit.extend(build_R_exact(rv))
     ramp = np.linspace(0.0, 1.0, 1 << total_m)
     if not np.allclose(rv.values, ramp) and not np.allclose(rv.values, ramp[::-1]):
         raise ValueError("linear encoding requires a variable linear in the grid")
-    return build_F(a_all, build_R_linear(total_m, linear))
+    return f_circuit.extend(build_R_linear(total_m, linear))
 
 
 def _wrap(d: np.ndarray, size: int, scratch: np.ndarray) -> None:
@@ -511,18 +498,18 @@ def _simulate_distribution(config, f_circuit, n):
     statevectors of 16 * 2**(s + n) bytes (the array, the inverse QFT's
     working copy and two states of a gate's temporaries; at n = 1 the s + 1
     wire state and its copy are as large as the array), 32 per gate stored
-    (F and the H layer; block 0 of twice a CZ, F's inverse, a zero reflection
-    of 2s + 3 gates and F; the inverse QFT), 64 per multiplexor angle (in F
-    and its inverse) and 1 MiB for numpy's buffers and small objects.
+    (F; block 0 of twice a CZ, F's inverse, a zero reflection of 2s + 3
+    gates and F; the inverse QFT), 64 per multiplexor angle (in F and its
+    inverse) and 1 MiB for numpy's buffers and small objects.
     """
     s, f_len = f_circuit.num_qubits, len(f_circuit)
     circuit = config.method == "circuit"
     if circuit:
-        stored = f_len + n + n * (n + 1) // 2 + 4 * f_len + 4 * s + 8
+        stored = f_len + n * (n + 1) // 2 + 4 * f_len + 4 * s + 8
         angles = sum(len(g.angle) for g in f_circuit.gates if g.kind == "ucry")
         check_memory(f"phase estimation on {s + n} qubits",
                      80 * (1 << (s + n)) + 32 * stored + 64 * angles + (1 << 20))
-        _, block, iqft = phase_estimation(f_circuit, n)
+        block, iqft = phase_estimation(f_circuit, n)
     state = apply_circuit(init_state(s), f_circuit)
     p1 = float(probabilities(state, [s - 1])[1])
     if not circuit:

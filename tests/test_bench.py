@@ -249,7 +249,7 @@ class TestResources:
         s = m + 1
         work = range(s + n, s + n + m - 1)
         f = _benchmark_f(m, n, 2)
-        _, block, _ = phase_estimation(f, n)
+        block, _ = phase_estimation(f, n)
         first = list(lower_gates(block.gates, work))
         for k in range(n):
             swap = {s: s + k, s + k: s}

@@ -187,10 +187,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("args,message", [
         (["run", "stress", "--m", "5", "--n", "19", "--method", "circuit"],
-         "phase estimation on 30 qubits needs 85900474112 bytes, "
+         "phase estimation on 30 qubits needs 85900473504 bytes, "
          "exceeding the cap of 1073741824"),
         (["run", "neoclassical", "--m", "16", "--n", "9", "--method", "circuit"],
-         "phase estimation on 26 qubits needs 5378153120 bytes, "
+         "phase estimation on 26 qubits needs 5378152832 bytes, "
          "exceeding the cap of 1073741824")],
         ids=["run-30-qubits", "run-large-F"])
     def test_circuit_method_over_cap_exit_2_before_building(
@@ -212,7 +212,7 @@ class TestExitCodes:
         base = ["run", "stress", "--m", "5", "--method", "circuit"]
         code, _, err = run_cli([*base, "--n", "13"], capsys)
         assert code == 2
-        assert ("phase estimation on 24 qubits needs 1343302112 bytes, "
+        assert ("phase estimation on 24 qubits needs 1343301696 bytes, "
                 "exceeding the cap of 1073741824") in err
         with pytest.raises(Reached):
             main([*base, "--n", "12"])
@@ -452,6 +452,16 @@ class TestExitCodes:
                                  capsys)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and message in err
+
+    def test_scenario_with_large_beta_shapes(self, tmp_path, capsys):
+        # exp of the shock's log-density underflows at every grid point
+        path = tmp_path / "scenario.ini"
+        write_stress_config(path, replace(DEFAULT_STRESS, shock_a=1e6, shock_b=1e6))
+        code, out, err = run_cli(["--config", str(path), "oracle", "stress"],
+                                 capsys)
+        assert code == 0 and err == ""
+        loss = out.splitlines()[-1].split(": ")[1].split()[0]
+        assert np.isfinite(float(loss))
 
     def test_params_without_layers_exit_1(self, tmp_path, capsys):
         params = tmp_path / "params.txt"

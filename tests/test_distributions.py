@@ -105,6 +105,14 @@ class TestDiscretizeBeta:
         with pytest.raises(ValueError, match=f"need m >= 1 grid qubits, got {m}"):
             discretize_beta(m, 2.0, 10.0)
 
+    def test_large_shapes_where_exp_underflows(self):
+        # exp of the log-density is 0 at every point of these grids
+        d = discretize_beta(2, 1e6, 1e6)
+        np.testing.assert_allclose(d.masses, [0.0, 0.5, 0.5, 0.0], rtol=0, atol=1e-9)
+        d = discretize_beta(5, 1e6, 1e6)
+        assert d.masses.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(np.isfinite(d.masses))
+
     @pytest.mark.parametrize("a,b", [(2, 10), (1, 1), (1, 3), (3, 1), (2.5, 7.3),
                                      (50, 50), (600, 600)])
     def test_masses_match_scipy(self, a, b):

@@ -18,7 +18,6 @@ from qmcecon.engine import (
     QMCConfig,
     RandomVariableSpec,
     assemble_f,
-    build_F,
     build_R_exact,
     build_R_linear,
     build_controlled_Q,
@@ -34,7 +33,6 @@ from qmcecon.engine import (
 )
 from qmcecon.sim import (
     Circuit,
-    Gate,
     ResourceLimitError,
     apply_circuit,
     dense_unitary,
@@ -188,7 +186,7 @@ class TestProblemUnitary:
     def test_constant_one_gives_unit_probability(self):
         dist = random_distribution(3, np.random.default_rng(1))
         rv = RandomVariableSpec(np.ones(8), 0.0, 1.0)
-        f = build_F(exact_state_prep(dist), build_R_exact(rv))
+        f = assemble_f([dist], rv)
         chi = apply_circuit(init_state(4), f)
         assert probabilities(chi, [3])[1] == pytest.approx(1.0, abs=1e-12)
 
@@ -196,8 +194,7 @@ class TestProblemUnitary:
         dist = discretize_normal(5, 0.0, 1.0, -math.pi, math.pi)
         values = np.sin(dist.grid) ** 2
         rv = RandomVariableSpec(values, 0.0, 1.0)
-        f = build_F(exact_state_prep(dist),
-                    build_R_exact(rv))
+        f = assemble_f([dist], rv)
         chi = apply_circuit(init_state(6), f)
         p1 = probabilities(chi, [5])[1]
         assert p1 == pytest.approx(math.sinh(1) / math.e, abs=5e-4)
@@ -208,10 +205,10 @@ class TestProblemUnitary:
         d1, d2 = random_distribution(2, rng), random_distribution(2, rng)
         values = rng.uniform(0, 1, 16)
         rv = RandomVariableSpec(values, 0.0, 1.0)
-        a_all = Circuit(4)
-        a_all.extend(exact_state_prep(d1, [0, 1]))
-        a_all.extend(exact_state_prep(d2, [2, 3]))
-        f = build_F(a_all, build_R_exact(rv))
+        f = Circuit(5)
+        f.extend(exact_state_prep(d1, [0, 1]))
+        f.extend(exact_state_prep(d2, [2, 3]))
+        f.extend(build_R_exact(rv))
         chi = apply_circuit(init_state(5), f)
         joint = np.outer(d1.masses, d2.masses).reshape(-1)
         assert probabilities(chi, [4])[1] == pytest.approx(
@@ -226,14 +223,17 @@ class TestAssembleF:
         d1, d2 = random_distribution(2, rng), random_distribution(2, rng)
         rv = normalize_rv(rng.uniform(0, 1, 16))
         f = assemble_f([d1, d2], rv)
-        a_all = Circuit(4)
-        a_all.extend(exact_state_prep(d1, [0, 1]))
-        a_all.extend(exact_state_prep(d2, [2, 3]))
         assert f.num_qubits == 5
-        assert f.gates == build_F(a_all, build_R_exact(rv)).gates
+        assert f.gates == (exact_state_prep(d1, [0, 1]).gates
+                           + exact_state_prep(d2, [2, 3]).gates
+                           + build_R_exact(rv).gates)
         for size in (8, 32):
             with pytest.raises(ValueError, match="does not fit a 4-qubit register"):
                 assemble_f([d1, d2], normalize_rv(rng.uniform(0, 1, size)))
+        # the linear cascade too is refused before any gate is built
+        with pytest.raises(ValueError, match="does not fit a 2-qubit register"):
+            assemble_f([d1], normalize_rv(np.arange(8.0)),
+                       linear=LinearRParams.for_grid(3, 0.1))
 
     def test_mixed_m_rejected(self):
         rng = np.random.default_rng(4)
@@ -249,19 +249,18 @@ class TestAssembleF:
         ansatz = VariationalAnsatz(m, 2, rng.uniform(-math.pi, math.pi, 12))
         dists = [random_distribution(m, rng) for _ in range(dims)]
         rv = normalize_rv(rng.uniform(0, 1, 1 << (dims * m)))
-        a_all = Circuit(dims * m)
-        for j in range(dims):
-            a_all.extend(ansatz_circuit(ansatz, range(j * m, (j + 1) * m)))
+        prepared = [g for j in range(dims)
+                    for g in ansatz_circuit(ansatz, range(j * m, (j + 1) * m)).gates]
         assert (assemble_f(dists, rv, ansatz).gates
-                == build_F(a_all, build_R_exact(rv)).gates)
+                == prepared + build_R_exact(rv).gates)
 
     def test_linear_params_select_the_cascade(self):
         dist = random_distribution(3, np.random.default_rng(6))
         rv = normalize_rv(np.linspace(2.0, -1.0, 8))
         linear = LinearRParams.for_grid(3, 0.2, increasing=False)
         f = assemble_f([dist], rv, linear=linear)
-        assert f.gates == build_F(exact_state_prep(dist),
-                                  build_R_linear(3, linear)).gates
+        assert f.gates == (exact_state_prep(dist).gates
+                           + build_R_linear(3, linear).gates)
 
     def test_run_qmc_prepares_with_any_given_ansatz(self):
         rng = np.random.default_rng(7)
@@ -282,8 +281,7 @@ class TestGroverOperator:
         rng = np.random.default_rng(m)
         dist = random_distribution(m, rng)
         rv = normalize_rv(rng.uniform(0, 3, 1 << m))
-        f = build_F(exact_state_prep(dist),
-                    build_R_exact(rv))
+        f = assemble_f([dist], rv)
         q = dense_unitary(grover_operator(f))
         mu = float(dist.masses @ rv.values)
         theta = math.acos(1 - 2 * mu) / math.pi
@@ -297,9 +295,9 @@ class TestGroverOperator:
         dist = random_distribution(2, rng)
         rv = normalize_rv(rng.uniform(0, 1, 4))
         ansatz = VariationalAnsatz(3, 2, rng.uniform(-math.pi, math.pi, 18))
-        for f in (build_F(exact_state_prep(dist), build_R_exact(rv)),
-                  build_F(ansatz_circuit(ansatz),
-                          build_R_linear(3, LinearRParams.for_grid(3, 0.3)))):
+        linear = build_R_linear(3, LinearRParams.for_grid(3, 0.3))
+        for f in (assemble_f([dist], rv),
+                  Circuit(4).extend(ansatz_circuit(ansatz)).extend(linear)):
             s = f.num_qubits
             q = dense_unitary(grover_operator(f))
             cq = dense_unitary(build_controlled_Q(f, control=s))
@@ -312,7 +310,7 @@ class TestGroverOperator:
     def test_control_overlap_rejected(self):
         dist = random_distribution(2, np.random.default_rng(0))
         rv = normalize_rv(np.arange(4.0))
-        f = build_F(exact_state_prep(dist), build_R_exact(rv))
+        f = assemble_f([dist], rv)
         with pytest.raises(ValueError):
             build_controlled_Q(f, control=1)
 
@@ -335,14 +333,13 @@ class TestPhaseEstimationCircuit:
         expected = len(f.gates) + 6 + 63 * len(block.gates) + iqft_gates
         assert len(circ6.gates) == expected
 
-    def test_prep_block_0_and_inverse_qft(self):
-        # F with the H layer and the inverse QFT span F's wires and est;
-        # block 0 spans F's wires and est[0] only
+    def test_block_0_and_inverse_qft(self):
+        # block 0 spans F's wires and est[0] only; the inverse QFT spans
+        # F's wires and est
         dist, rv = small_problem(2)
         f = assemble_f([dist], rv)
-        prep, block, iqft = phase_estimation(f, 4)
-        assert [c.num_qubits for c in (prep, block, iqft)] == [3 + 4, 3 + 1, 3 + 4]
-        assert prep.gates == f.gates + [Gate("h", (q,)) for q in range(3, 7)]
+        block, iqft = phase_estimation(f, 4)
+        assert [c.num_qubits for c in (block, iqft)] == [3 + 1, 3 + 4]
         assert block == build_controlled_Q(f, 3)
         assert iqft.gates == inverse_qft(range(3, 7)).gates
 
@@ -358,7 +355,7 @@ class TestPhaseEstimationCircuit:
             ansatz = VariationalAnsatz(3, 2, rng.uniform(-math.pi, math.pi, 18))
             f = assemble_f([dist], rv, ansatz, LinearRParams.for_oracle_budget(rv, 5))
         s = f.num_qubits
-        _, block, _ = phase_estimation(f, 5)
+        block, _ = phase_estimation(f, 5)
         touching = [g for g in block.gates if s in g.qubits]
         # the CZ and the zero reflection's MCX, in each of the two halves
         assert [g.kind for g in touching] == ["cz", "mcx"] * 2

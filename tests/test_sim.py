@@ -317,7 +317,7 @@ class TestFormulasCoverPeaks:
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_circuit_method_counts_before_building(self, checked, monkeypatch, n):
         # the stored gates are reckoned from F's length, before block 0 is
-        # built, and equal those of the three circuits
+        # built, and equal those of F and the two circuits
         rng = np.random.default_rng(n)
         f = random_circuit(5, 40, rng)
         f.ucry([0, 1, 2], 4, rng.uniform(-3, 3, 8))
@@ -331,7 +331,7 @@ class TestFormulasCoverPeaks:
         checked.clear()
         monkeypatch.setattr(engine, "phase_estimation", circuits)
         engine._simulate_distribution(config, f, n)
-        stored = sum(map(len, build(f, n)))
+        stored = len(f) + sum(map(len, build(f, n)))
         assert checks_before == [1]
         assert checked[0] == (f"phase estimation on {5 + n} qubits",
                               80 * (1 << 5 + n) + 32 * stored + 64 * 8 + (1 << 20))

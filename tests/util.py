@@ -82,8 +82,10 @@ def lowering_error(reference: np.ndarray, lowered: Circuit) -> float:
 def flat_phase_estimation(f_circuit: Circuit, n: int) -> Circuit:
     """The whole estimation circuit written out gate by gate: F, the H layer,
     ``build_controlled_Q(f, s + k)`` 2**(n-1-k) times for each k, and the
-    inverse QFT.  Every block is built here, independently of
-    ``engine.phase_estimation``, which builds block 0 only."""
+    inverse QFT.  Every part is built here, independently of
+    ``engine.phase_estimation``, which returns block 0 and the inverse QFT
+    only: F is its caller's, and the H layer and blocks 1..n-1 follow from
+    block 0 by rule."""
     s = f_circuit.num_qubits
     est = range(s, s + n)
     circ = Circuit(s + n).extend(f_circuit)

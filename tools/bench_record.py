@@ -18,6 +18,12 @@ change under ``src/qmcecon`` in the checkout or fails there, since the runs
 then measured a source that no commit holds.  Nothing under ``perfbench/``
 changes.
 
+Run each side from a fresh ``git clone`` in sibling directories, e.g.
+``before/`` and ``after/`` under one parent.  A long-lived working
+checkout with byte-identical source read 30-40 % slower on
+``circuits-training`` than fresh clones of it, in every one of ten runs,
+for a reason outside the code.
+
 ``--chain`` runs nothing.  It reads ``BENCH_<label>.json`` from DIR for each
 BEFORE:AFTER pair, in the order given, and exits 2 unless each pair's AFTER
 digest is the next pair's BEFORE digest.  It prints a markdown table: for
