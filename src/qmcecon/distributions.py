@@ -242,28 +242,44 @@ def _layer_unitaries(m: int, layers: int, params: np.ndarray) -> np.ndarray:
     return u
 
 
+def _chunk_sizes(m: int) -> list[int]:
+    """2**k for each chunk of at most CHUNK_QUBITS consecutive qubits."""
+    return [1 << min(CHUNK_QUBITS, m - q0) for q0 in range(0, m, CHUNK_QUBITS)]
+
+
 def _chunk_bytes(m: int, layers: int) -> int:
     """Bytes of every layer's chunk matrices and overlap blocks."""
-    return 2 * layers * 16 * sum(4 ** min(CHUNK_QUBITS, m - q0)
-                                 for q0 in range(0, m, CHUNK_QUBITS))
+    return 2 * layers * 16 * sum(n * n for n in _chunk_sizes(m))
 
 
-def _kron(u: np.ndarray) -> np.ndarray:
-    """u[:, 0] (x) u[:, 1] (x) ... for every layer: (layers, k, 2, 2) to
-    (layers, 2**k, 2**k).  Halving the qubits at each step keeps the large
-    products few: five qubits are ((q0 q1) (q2 (q3 q4)))."""
+def _kron(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """u[:, 0] (x) u[:, 1] (x) ... per layer, (layers, k, 2, 2) to (layers,
+    2**k, 2**k), into ``out`` if given.  Halving the qubits at each step keeps
+    the large products few: five qubits are ((q0 q1) (q2 (q3 q4)))."""
     if u.shape[1] == 1:
         return u[:, 0]
     a, b = _kron(u[:, :u.shape[1] // 2]), _kron(u[:, u.shape[1] // 2:])
-    n = a.shape[-1] * b.shape[-1]
-    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(-1, n, n)
+    shape = (len(a), a.shape[1], b.shape[1], a.shape[2], b.shape[2])
+    product = np.multiply(a[:, :, None, :, None], b[:, None, :, None, :],
+                          out=None if out is None else out.reshape(shape))
+    return product.reshape(len(a), shape[1] * shape[2], -1)
 
 
-def _chunk_unitaries(u: np.ndarray) -> list[np.ndarray]:
+def _chunk_unitaries(u: np.ndarray, out=None) -> list[np.ndarray]:
     """The rotations of each chunk of at most CHUNK_QUBITS consecutive qubits
-    as one matrix per layer: (layers, 2**k, 2**k)."""
-    return [_kron(u[:, q0:q0 + CHUNK_QUBITS])
-            for q0 in range(0, u.shape[1], CHUNK_QUBITS)]
+    as one matrix per layer: (layers, 2**k, 2**k), into ``out``'s arrays
+    when given."""
+    starts = range(0, u.shape[1], CHUNK_QUBITS)
+    return [_kron(u[:, q0:q0 + CHUNK_QUBITS], None if out is None else out[i])
+            for i, q0 in enumerate(starts)]
+
+
+def _epoch_buffers(m: int, layers: int) -> tuple[list, list]:
+    """An epoch's chunk matrices and overlap blocks, allocated once a training:
+    freed each epoch, their pages could go back to the system and fault in
+    again (72 faults an epoch, a third of its time, at m = 5 with 10 layers)."""
+    return tuple([np.empty((layers, n, n), np.complex128) for n in _chunk_sizes(m)]
+                 for _ in range(2))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -362,7 +378,7 @@ def _rotation_gradient(theta: np.ndarray, overlap: np.ndarray) -> np.ndarray:
     return grad
 
 
-def _cost_and_gradient(m, layers, params, target_masses):
+def _cost_and_gradient(m, layers, params, target_masses, buffers=None):
     """Cost plus its exact gradient from one forward and one reverse sweep.
 
     The L1 cost C = sum_i |p_i - t_i| has dC/d theta = 2 Re <lambda| d psi/d theta>
@@ -389,7 +405,8 @@ def _cost_and_gradient(m, layers, params, target_masses):
     gradient would come from the shifted circuits.
     """
     u = _layer_unitaries(m, layers, params)
-    chunks = _chunk_unitaries(u)
+    chunk_out, blocks = buffers or _epoch_buffers(m, layers)
+    chunks = _chunk_unitaries(u, chunk_out)
     gather, scatter = _cnot_chain(m)
     state, rotated = _forward(chunks, gather)
     residual = np.abs(state) ** 2 - target_masses
@@ -397,7 +414,6 @@ def _cost_and_gradient(m, layers, params, target_masses):
     # The sweep carries bra = conj(lambda), which U^+ maps to U^T bra, so the
     # chunk matrices' transposes serve and no adjoint is built.
     chunks_t = [mat.swapaxes(-1, -2) for mat in chunks]
-    blocks = [np.empty_like(mat) for mat in chunks]
     bra = np.sign(residual) * state.conj()
     for layer in range(layers - 1, -1, -1):
         bra = bra[scatter]
@@ -441,10 +457,12 @@ def train_ansatz(target: DiscretizedDistribution, layers: int,
     rng = np.random.default_rng(schedule.seed)
     params = rng.uniform(-0.1, 0.1, size=VariationalAnsatz.num_params(m, layers))
     trace = np.empty(schedule.total_epochs())
+    buffers = _epoch_buffers(m, layers)
     epoch = 0
     for epochs, lr in schedule.stages:
         for _ in range(epochs):
-            cost, grad = _cost_and_gradient(m, layers, params, target.masses)
+            cost, grad = _cost_and_gradient(m, layers, params, target.masses,
+                                            buffers)
             trace[epoch] = cost
             params = params - lr * grad
             epoch += 1
