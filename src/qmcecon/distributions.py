@@ -89,8 +89,8 @@ def discretize_beta(m: int, a: float, b: float) -> DiscretizedDistribution:
     exp of its logarithm, so large shapes such as a = b = 600 stay finite
     where the plain product overflows.  At an endpoint a zero exponent gives
     exactly 1, a positive one 0 and a negative one +inf.  Where exp
-    underflows at every grid point (a = b = 1e6), the masses come from the
-    log-density less its maximum.
+    underflows at every grid point (a = b = 1e6), or log B(a, b) overflows
+    (a = 1e306), the masses come from the log-density less its maximum.
     """
     if m < 1:
         raise ValueError(f"need m >= 1 grid qubits, got {m}")
@@ -100,8 +100,13 @@ def discretize_beta(m: int, a: float, b: float) -> DiscretizedDistribution:
         raise ValueError(f"Beta({a},{b}) has zero density at both points of the "
                          "2**1-point grid {0, 1}; shapes both above 1 need m >= 2")
     grid = np.linspace(0.0, 1.0, 1 << m)
-    log_density = np.full(grid.shape, -(math.lgamma(a) + math.lgamma(b)
-                                        - math.lgamma(a + b)))
+    try:
+        log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    except OverflowError:   # a shape near the float range (a = 1e306)
+        log_beta = math.inf
+    # a constant cancels under normalisation, so a non-finite one is left out
+    finite_norm = math.isfinite(log_beta)
+    log_density = np.full(grid.shape, -log_beta if finite_norm else 0.0)
     with np.errstate(divide="ignore"):
         # Skipping a zero exponent keeps 0 * log(0) from making a NaN.
         if a != 1:
@@ -114,10 +119,10 @@ def discretize_beta(m: int, a: float, b: float) -> DiscretizedDistribution:
     if not np.all(np.isfinite(density)):
         raise ValueError(f"Beta({a},{b}) density diverges at a grid endpoint")
     total = density.sum()
-    if total == 0 or not np.isfinite(total):
+    if not finite_norm or total == 0 or not np.isfinite(total):
         # Shapes so large that exp underflows at every grid point (or the
-        # sum overflows): scale by the largest value, which only this case
-        # does, so every grid that normalizes as it is keeps its bits.
+        # sum or B(a, b) overflows): scale by the largest value, which only
+        # this case does, so every grid that normalizes as it is keeps its bits.
         density = np.exp(log_density - log_density.max())
     return DiscretizedDistribution(m, grid, _pointwise_masses(density))
 

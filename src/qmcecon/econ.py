@@ -438,7 +438,8 @@ _SYSTEM_KEYS = (("alpha_price", "price_sensitivity", True),
 
 
 def load_stress_config(path) -> StressTestParams:
-    """Read a stress scenario from an INI file with [bank1]/[bank2]/[system]."""
+    """Read a stress scenario from an INI file with [bank1]/[bank2]/[system];
+    a section or key that is not read, as a misspelt one, is refused."""
     import configparser  # only a scenario file needs it
 
     parser = configparser.ConfigParser()
@@ -449,18 +450,27 @@ def load_stress_config(path) -> StressTestParams:
     if not read:
         raise ValueError(f"cannot read scenario file {path}")
 
-    def section(name, keys) -> dict:
+    bank_keys = [(f.name, f.name, True) for f in fields(BankBalanceSheet)]
+    sections = {"bank1": bank_keys, "bank2": bank_keys, "system": _SYSTEM_KEYS}
+    # a key in [DEFAULT] reaches every section, so each must read it
+    unread = [f"section [{name}]" for name in parser if name not in sections
+              and name != parser.default_section]
+    unread += [f"key {key!r} in [{name}]" for name, keys in sections.items()
+               if name in parser for key in parser[name]
+               if key not in {k for _, k, _ in keys}]
+    if unread:
+        raise ValueError(f"scenario file {path} has unknown {', '.join(unread)}")
+
+    def section(name) -> dict:
         if name not in parser:
             raise ValueError(f"scenario file misses [{name}]")
         sec, out = parser[name], {}
-        for attr, key, required in keys:
+        for attr, key, required in sections[name]:
             if key in sec:
                 out[attr] = sec.getfloat(key)
             elif required:
                 raise ValueError(f"[{name}] misses key {key!r}")
         return out
 
-    bank_keys = [(f.name, f.name, True) for f in fields(BankBalanceSheet)]
-    banks = tuple(BankBalanceSheet(**section(name, bank_keys))
-                  for name in ("bank1", "bank2"))
-    return StressTestParams(banks=banks, **section("system", _SYSTEM_KEYS))
+    banks = tuple(BankBalanceSheet(**section(name)) for name in ("bank1", "bank2"))
+    return StressTestParams(banks=banks, **section("system"))

@@ -341,22 +341,29 @@ class PhaseEstimate:
 
     ``simulated`` is the distribution the ``circuit`` method simulated, or
     None under ``auto``, whose readout took four outcomes of the closed form;
-    ``distribution`` then builds all 2**n from p1 when first read.
+    ``distribution`` then builds all 2**n from p1 when first read.  The
+    oracle calls and the normalized mean follow from n and theta_hat.
     """
 
     simulated: np.ndarray | None
     theta_hat: float
-    mu_normalized: float
     mu: float
     n: int
-    oracle_calls: int
-    p1: float | None = None
+    p1: float
 
     def __post_init__(self):
         if self.simulated is not None:
             total = float(np.sum(self.simulated))
             if abs(total - 1.0) > 1e-10:
                 raise ValueError(f"distribution sums to {total}, expected 1")
+
+    @property
+    def mu_normalized(self) -> float:
+        return theta_to_mu(self.theta_hat)
+
+    @property
+    def oracle_calls(self) -> int:
+        return 2**self.n - 1
 
     @cached_property
     def distribution(self) -> np.ndarray:
@@ -556,14 +563,6 @@ def run_qmc(config: QMCConfig, dists, rv: RandomVariableSpec,
         config, assemble_f(dists, rv, ansatz, linear), config.n)
     theta_hat = (spectral_theta_hat(p1, config.n) if simulated is None
                  else extract_theta(simulated))
-    mu_norm = theta_to_mu(theta_hat)
-    mu = denormalize_mu(mu_norm, rv, linear)
-    return PhaseEstimate(
-        simulated=simulated,
-        theta_hat=theta_hat,
-        mu_normalized=mu_norm,
-        mu=mu,
-        n=config.n,
-        oracle_calls=2**config.n - 1,
-        p1=p1,
-    )
+    mu = denormalize_mu(theta_to_mu(theta_hat), rv, linear)
+    return PhaseEstimate(simulated=simulated, theta_hat=theta_hat, mu=mu,
+                         n=config.n, p1=p1)

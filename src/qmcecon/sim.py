@@ -9,6 +9,10 @@ Conventions used throughout the package:
 * Amplitudes are stored as ``complex128`` and are never renormalised while a
   circuit runs.  Norm drift stays below 1e-10 for the circuit sizes handled
   here and is monitored by the test suite rather than corrected.
+* Every gate kind but the multiplexor ``ucry`` is a controlled-U: its 2x2
+  matrix U acts on the target wherever every control is |1>, and is the
+  identity elsewhere.  ``_KINDS`` gives each kind its number of controls
+  and U, so one kernel applies them all.
 """
 
 from __future__ import annotations
@@ -38,22 +42,31 @@ def check_memory(what: str, nbytes: int) -> None:
             f"{what} needs {nbytes} bytes, exceeding the cap of {MEMORY_BUDGET}")
 
 
-# gate kind -> (num targets, num controls, takes angle)
-_GATE_SIGNATURES = {
-    "rx": (1, 0, True),
-    "ry": (1, 0, True),
-    "rz": (1, 0, True),
-    "h": (1, 0, False),
-    "x": (1, 0, False),
-    "cnot": (1, 1, False),
-    "cz": (1, 1, False),
-    "cry": (1, 1, True),
-    "cphase": (1, 1, True),
-    "mcx": (1, None, False),  # any number of controls
-    "ucry": (1, None, True),  # any number of controls; a tuple of 2**k angles
-}
+def _turn(rows):
+    """U of an angle, built as ``rows(c, s)`` of its half's cosine and sine."""
+    return lambda angle: np.array(rows(math.cos(angle / 2), math.sin(angle / 2)),
+                                  dtype=np.complex128)
 
-_SELF_INVERSE = {"h", "x", "cnot", "cz", "mcx"}
+
+_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+_RY = _turn(lambda c, s: [[c, -s], [s, c]])
+
+# gate kind -> (number of controls, None for any; the target's 2x2 U: a fixed
+# matrix, a function of the angle, or None for ucry, which has one RY per
+# control pattern).  A fixed U here is its own inverse.
+_KINDS = {
+    "rx": (0, _turn(lambda c, s: [[c, -1j * s], [-1j * s, c]])),
+    "ry": (0, _RY),
+    "rz": (0, _turn(lambda c, s: [[c - 1j * s, 0], [0, c + 1j * s]])),
+    "h": (0, np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)),
+    "x": (0, _X),
+    "cnot": (1, _X),
+    "cz": (1, np.diag([1, -1]).astype(np.complex128)),
+    "cry": (1, _RY),
+    "cphase": (1, lambda angle: np.array([[1, 0], [0, np.exp(1j * angle)]])),
+    "mcx": (None, _X),      # at least one control
+    "ucry": (None, None),   # a tuple of 2**k angles for k controls
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,11 +88,11 @@ class Gate:
     angle: float | tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in _GATE_SIGNATURES:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        n_t, n_c, has_angle = _GATE_SIGNATURES[self.kind]
-        if len(self.targets) != n_t:
-            raise ValueError(f"{self.kind} expects {n_t} target(s), got {self.targets}")
+        n_c, u = _KINDS[self.kind]
+        if len(self.targets) != 1:
+            raise ValueError(f"{self.kind} expects one target, got {self.targets}")
         if n_c is not None and len(self.controls) != n_c:
             raise ValueError(f"{self.kind} expects {n_c} control(s), got {self.controls}")
         if self.kind == "mcx" and len(self.controls) < 1:
@@ -89,14 +102,14 @@ class Gate:
             raise ValueError(f"targets/controls overlap in {self.kind}: {qubits}")
         if any(q < 0 for q in qubits):
             raise ValueError(f"negative qubit index in {self.kind}: {qubits}")
-        if self.kind == "ucry":
+        if u is None:
             need = 1 << len(self.controls)
             if not isinstance(self.angle, tuple) or len(self.angle) != need:
                 raise ValueError(f"ucry with {len(self.controls)} controls needs a "
                                  f"tuple of {need} angles")
             if not all(map(math.isfinite, self.angle)):
                 raise ValueError("ucry needs finite angles")
-        elif has_angle:
+        elif callable(u):
             if self.angle is None or not math.isfinite(self.angle):
                 raise ValueError(f"{self.kind} needs a finite angle, got {self.angle}")
         elif self.angle is not None:
@@ -107,12 +120,13 @@ class Gate:
         return self.targets + self.controls
 
     def inverse(self) -> "Gate":
-        if self.kind in _SELF_INVERSE:
-            return self
-        if self.kind == "ucry":
+        u = _KINDS[self.kind][1]
+        if u is None:
             return Gate("ucry", self.targets, self.controls,
                         tuple(-a for a in self.angle))
-        return Gate(self.kind, self.targets, self.controls, -self.angle)
+        if callable(u):
+            return Gate(self.kind, self.targets, self.controls, -self.angle)
+        return self
 
 
 @dataclass
@@ -203,56 +217,8 @@ def init_state(num_qubits: int) -> StateVector:
     return StateVector(num_qubits, amp)
 
 
-# ---------------------------------------------------------------------------
-# Gate matrices
-# ---------------------------------------------------------------------------
-
-_H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
-_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-
-
-def rotation_matrix(kind: str, angle: float) -> np.ndarray:
-    c, s = math.cos(angle / 2), math.sin(angle / 2)
-    if kind == "rx":
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
-    if kind == "ry":
-        return np.array([[c, -s], [s, c]], dtype=np.complex128)
-    if kind == "rz":
-        return np.array([[c - 1j * s, 0], [0, c + 1j * s]], dtype=np.complex128)
-    raise ValueError(f"not a rotation kind: {kind}")
-
-
-def _single_qubit_matrix(gate: Gate) -> np.ndarray:
-    if gate.kind == "h":
-        return _H
-    if gate.kind == "x":
-        return _X
-    return rotation_matrix(gate.kind, gate.angle)
-
-
-# ---------------------------------------------------------------------------
-# In-place application on a tensor whose leading axes are the qubit axes.
-# Trailing axes (used by dense_unitary) broadcast through untouched.
-# ---------------------------------------------------------------------------
-
-def _control_view(tensor: np.ndarray, controls: tuple[int, ...], target: int):
-    """View of the subspace where every control qubit is |1>, and the
-    target's axis in it: the control axes are collapsed away, so the target
-    moves down by one axis per control below it.
-    """
-    index = [slice(None)] * tensor.ndim
-    for c in controls:
-        index[c] = 1
-    return tensor[tuple(index)], target - sum(c < target for c in controls)
-
-
-def _apply_matrix_axis(view: np.ndarray, mat: np.ndarray, axis: int) -> None:
-    moved = np.moveaxis(view, axis, 0)
-    a0 = moved[0].copy()
-    a1 = moved[1]
-    moved[0] = mat[0, 0] * a0 + mat[0, 1] * a1
-    moved[1] = mat[1, 0] * a0 + mat[1, 1] * a1
-
+# Gates apply in place on a tensor whose leading axes are the qubit axes;
+# trailing axes (used by dense_unitary) broadcast through untouched.
 
 def _apply_ucry(tensor: np.ndarray, gate: Gate) -> None:
     """Rotate the target by angle[i] in the block where the controls read i.
@@ -278,29 +244,28 @@ def _apply_ucry(tensor: np.ndarray, gate: Gate) -> None:
 
 
 def _apply_gate_tensor(tensor: np.ndarray, gate: Gate) -> None:
-    kind = gate.kind
-    if kind in ("rx", "ry", "rz", "h", "x"):
-        _apply_matrix_axis(tensor, _single_qubit_matrix(gate), gate.targets[0])
-        return
-    if kind == "ucry":
-        _apply_ucry(tensor, gate)
-        return
-    view, t_axis = _control_view(tensor, gate.controls, gate.targets[0])
-    if kind in ("cnot", "mcx"):
-        moved = np.moveaxis(view, t_axis, 0)
-        tmp = moved[0].copy()
-        moved[0] = moved[1]
-        moved[1] = tmp
-    elif kind == "cz":
-        moved = np.moveaxis(view, t_axis, 0)
-        moved[1] *= -1.0
-    elif kind == "cphase":
-        moved = np.moveaxis(view, t_axis, 0)
-        moved[1] *= np.exp(1j * gate.angle)
-    elif kind == "cry":
-        _apply_matrix_axis(view, rotation_matrix("ry", gate.angle), t_axis)
-    else:  # pragma: no cover - signature table keeps this unreachable
-        raise ValueError(f"cannot simulate gate kind {kind!r}")
+    """U on the target's two halves of the view where every control is |1>."""
+    u = _KINDS[gate.kind][1]
+    if u is None:
+        return _apply_ucry(tensor, gate)
+    u = u(gate.angle) if callable(u) else u
+    index = [slice(None)] * tensor.ndim
+    for c in gate.controls:
+        index[c] = 1
+    index[gate.targets[0]] = 0
+    top = tensor[(*index, ...)]         # views, even when 0-d
+    index[gate.targets[0]] = 1
+    bottom = tensor[(*index, ...)]
+    if u[0, 0] == u[1, 1] == 0:         # anti-diagonal: the halves trade places
+        old_top = top.copy()
+        np.multiply(bottom, u[0, 1], out=top)
+        np.multiply(old_top, u[1, 0], out=bottom)
+    else:
+        old_top = top.copy()
+        top *= u[0, 0]
+        top += u[0, 1] * bottom
+        bottom *= u[1, 1]
+        bottom += u[1, 0] * old_top
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
@@ -342,7 +307,7 @@ def dense_unitary(circuit: Circuit) -> np.ndarray:
     """Full 2**q x 2**q matrix of a circuit.
 
     Checked as four complex128 matrices, 64 * 4**q bytes (12 qubits fit):
-    a 2x2 gate's temporaries bring the peak to 2.5 of them, and a
+    a 2x2 gate's temporaries bring the peak to 2.0 of them, and a
     multiplexor's working copy to 3.0-3.3.
     """
     q = circuit.num_qubits

@@ -16,8 +16,9 @@ from qmcecon.circuits import (
 )
 from qmcecon.sim import Circuit, Gate, dense_unitary
 
-from util import (bit_reversal_matrix, dft_matrix, lowering_error, mcx_oracle,
-                  phase_aligned_distance, random_circuit, work_wires)
+from util import (X, bit_reversal_matrix, controlled_oracle, dft_matrix,
+                  lowering_error, phase_aligned_distance, random_circuit,
+                  work_wires)
 
 
 class TestInverseQft:
@@ -53,12 +54,12 @@ class TestMcx:
         out = decompose(Circuit(2).mcx([0], 1))
         assert [(g.kind, g.targets, g.controls) for g in out.gates] == [
             ("cnot", (1,), (0,))]
-        assert lowering_error(mcx_oracle(2, [0], 1), out) < 1e-12
+        assert lowering_error(controlled_oracle(2, [0], 1, X), out) < 1e-12
 
     def test_two_controls_is_toffoli(self):
         out = decompose(Circuit(3).mcx([0, 1], 2))
         assert Counter(g.kind for g in out.gates)["cnot"] == 6
-        assert lowering_error(mcx_oracle(3, [0, 1], 2), out) < 1e-12
+        assert lowering_error(controlled_oracle(3, [0, 1], 2, X), out) < 1e-12
 
     def test_ladder_with_work(self):
         # exact on the work = |0> inputs, work wires returned to |0>
@@ -66,7 +67,8 @@ class TestMcx:
             out = decompose(Circuit(k + 1).mcx(range(k), k),
                             work=range(k + 1, 2 * k - 1))
             assert out.num_qubits == 2 * k - 1
-            assert lowering_error(mcx_oracle(k + 1, range(k), k), out) < 1e-10
+            assert lowering_error(controlled_oracle(k + 1, range(k), k, X),
+                                  out) < 1e-10
 
     def test_ladder_gate_count(self):
         toffoli = len(decompose(Circuit(3).mcx([0, 1], 2)).gates)

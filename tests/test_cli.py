@@ -463,6 +463,30 @@ class TestExitCodes:
         loss = out.splitlines()[-1].split(": ")[1].split()[0]
         assert np.isfinite(float(loss))
 
+    def test_scenario_with_overflowing_beta_normaliser(self, tmp_path, capsys):
+        # log B(a, b) overflows, and the shock still has well-defined masses
+        path = tmp_path / "scenario.ini"
+        write_stress_config(path, replace(DEFAULT_STRESS, shock_a=1e306))
+        code, out, err = run_cli(["--config", str(path), "oracle", "stress"],
+                                 capsys)
+        assert code == 0 and err == ""
+        loss = out.splitlines()[-1].split(": ")[1].split()[0]
+        assert np.isfinite(float(loss))
+
+    def test_unread_scenario_entries_exit_1(self, tmp_path, capsys):
+        # a misspelt shape would silently keep the default of 2.0
+        path = tmp_path / "scenario.ini"
+        write_stress_config(path, replace(DEFAULT_STRESS, shock_a=3.0))
+        text = path.read_text().replace("shock_beta_a", "shok_beta_a")
+        path.write_text("[DEFAULT]\nequity = 4.5\n" + text
+                        + "[bank3]\nmortgages = 1.0\n")
+        code, out, err = run_cli(["--config", str(path), "oracle", "stress"],
+                                 capsys)
+        assert code == 1 and out == ""
+        assert err == (f"error: scenario file {path} has unknown section "
+                       "[bank3], key 'shok_beta_a' in [system], key 'equity' "
+                       "in [system]\n")
+
     def test_params_without_layers_exit_1(self, tmp_path, capsys):
         params = tmp_path / "params.txt"
         params.write_text("# m=5 layers=0 seed=0 final_cost=0\n")

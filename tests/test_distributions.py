@@ -113,6 +113,15 @@ class TestDiscretizeBeta:
         assert d.masses.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.isfinite(d.masses))
 
+    def test_shapes_where_the_normaliser_overflows(self):
+        # lgamma(1e306) overflows; the grid's largest log-density takes all
+        np.testing.assert_array_equal(discretize_beta(3, 1e306, 2.0).masses,
+                                      [0, 0, 0, 0, 0, 0, 1, 0])
+        np.testing.assert_array_equal(discretize_beta(3, 2.0, 1e306).masses,
+                                      [0, 1, 0, 0, 0, 0, 0, 0])
+        with pytest.raises(ValueError, match="diverges at a grid endpoint"):
+            discretize_beta(3, 0.5, 1e306)
+
     @pytest.mark.parametrize("a,b", [(2, 10), (1, 1), (1, 3), (3, 1), (2.5, 7.3),
                                      (50, 50), (600, 600)])
     def test_masses_match_scipy(self, a, b):

@@ -458,6 +458,27 @@ class TestScenarioConfig:
                                   else StressTestParams.shock_b)
         assert replace(loaded, shock_a=3.0, shock_b=7.0) == params
 
+    @pytest.mark.parametrize("added,unknown", [
+        ("[bank3]\nequity = 1.0", "section [bank3]"),
+        ("[system]\nshok_beta_a = 3.0", "key 'shok_beta_a' in [system]"),
+        ("[bank2]\nshock_beta_a = 3.0", "key 'shock_beta_a' in [bank2]"),
+        ("[DEFAULT]\nshock_beta_a = 3.0",
+         "key 'shock_beta_a' in [bank1], key 'shock_beta_a' in [bank2]")],
+        ids=["section", "misspelt-key", "key-of-another-section", "default-key"])
+    def test_unread_entries_refused(self, tmp_path, added, unknown):
+        path = tmp_path / "scenario.ini"
+        write_stress_config(path, DEFAULT_STRESS)
+        section = added.partition("\n")[0]
+        text = path.read_text()
+        if section in text:     # the line goes into the file's own section
+            text = text.replace(section + "\n", added + "\n")
+        else:
+            text = added + "\n" + text
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_stress_config(path)
+        assert str(exc.value) == f"scenario file {path} has unknown {unknown}"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValueError):
             load_stress_config(tmp_path / "nope.ini")

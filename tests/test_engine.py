@@ -555,7 +555,7 @@ class TestFullPipeline:
 
     def test_phase_estimate_validates(self):
         with pytest.raises(ValueError):
-            PhaseEstimate(np.full(4, 0.3), 0.0, 0.0, 0.0, 2, 3)
+            PhaseEstimate(np.full(4, 0.3), 0.0, 0.0, 2, 0.3)
 
     def test_spectral_edge_cases(self):
         for p1 in (0.0, 1.0):

@@ -19,7 +19,7 @@ from qmcecon.sim import (
     probabilities,
 )
 
-from util import phase_aligned_distance, random_circuit
+from util import X, controlled_oracle, phase_aligned_distance, random_circuit
 
 
 class TestInitState:
@@ -179,6 +179,68 @@ class TestDenseUnitary:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             dense_unitary(Circuit(13).h(0))
+
+
+# ---------------------------------------------------------------------------
+# Every gate kind against its textbook matrix, built without the simulator
+# ---------------------------------------------------------------------------
+
+Y = np.array([[0, -1j], [1j, 0]])
+Z = np.diag([1, -1])
+
+
+def turn(pauli):
+    return lambda t: math.cos(t / 2) * np.eye(2) - 1j * math.sin(t / 2) * pauli
+
+
+# kind -> (controls it takes, None for one or more; its 2x2 U, or U as a
+# function of the angle)
+TEXTBOOK = {
+    "rx": (0, turn(X)), "ry": (0, turn(Y)), "rz": (0, turn(Z)),
+    "h": (0, np.array([[1, 1], [1, -1]]) / math.sqrt(2)), "x": (0, X),
+    "cnot": (1, X), "cz": (1, Z), "cry": (1, turn(Y)),
+    "cphase": (1, lambda t: np.diag([1, np.exp(1j * t)])), "mcx": (None, X)}
+
+# (wires, controls, target): the target below, between and above its controls
+PLACES = [(3, (), 0), (4, (), 2), (3, (2,), 0), (4, (0,), 3), (4, (3,), 1),
+          (3, (1, 2), 0), (3, (2, 0), 1), (4, (0, 1), 3), (4, (3, 0, 2), 1)]
+
+
+def place_id(wires, controls, target):
+    return f"{wires}w-c{''.join(map(str, controls))}-t{target}"
+
+
+@pytest.mark.parametrize("kind,wires,controls,target", [
+    pytest.param(kind, *place, id=f"{kind}-{place_id(*place)}")
+    for kind, (takes, _) in TEXTBOOK.items() for place in PLACES
+    if len(place[1]) == takes or (takes is None and place[1])])
+def test_kind_matches_textbook(kind, wires, controls, target):
+    # U on the target where every control is |1>, and U^+ for the inverse
+    u = TEXTBOOK[kind][1]
+    angle = 1.234 if callable(u) else None
+    gate = Gate(kind, (target,), controls, angle)
+    expect = controlled_oracle(wires, controls, target,
+                               u(angle) if callable(u) else u)
+    np.testing.assert_allclose(dense_unitary(Circuit(wires).add(gate)), expect,
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(dense_unitary(Circuit(wires).add(gate.inverse())),
+                               expect.conj().T, rtol=0, atol=1e-15)
+    assert (gate.inverse() is gate) == (angle is None)
+
+
+@pytest.mark.parametrize("wires,controls,target", [
+    pytest.param(*place, id=place_id(*place)) for place in PLACES])
+def test_ucry_matches_textbook(wires, controls, target):
+    # RY(angle[i]) on the target where the controls read i
+    angles = tuple(np.linspace(-2.5, 3.0, 1 << len(controls)).tolist())
+    gate = Gate("ucry", (target,), controls, angles)
+    expect = np.eye(1 << wires)
+    for i, angle in enumerate(angles):
+        expect = controlled_oracle(wires, controls, target, turn(Y)(angle), i) @ expect
+    np.testing.assert_allclose(dense_unitary(Circuit(wires).add(gate)), expect,
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(dense_unitary(Circuit(wires).add(gate.inverse())),
+                               expect.conj().T, rtol=0, atol=1e-15)
 
 
 def test_global_phase_helper_sane():

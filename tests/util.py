@@ -38,15 +38,27 @@ def phase_aligned_distance(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.max(np.abs(u * phase - v)))
 
 
-def mcx_oracle(num_qubits, controls, target) -> np.ndarray:
-    """Projector-controlled X built by direct basis enumeration."""
-    dim = 1 << num_qubits
-    mat = np.eye(dim, dtype=complex)
-    for i in range(dim):
-        if all((i >> (num_qubits - 1 - c)) & 1 for c in controls):
-            j = i ^ (1 << (num_qubits - 1 - target))
-            mat[i, i] = 0.0
-            mat[j, i] = 1.0
+X = np.array([[0, 1], [1, 0]])
+
+
+def controlled_oracle(num_qubits, controls, target, u, reads=None) -> np.ndarray:
+    """The 2x2 ``u`` on ``target`` where the controls hold the bits of
+    ``reads`` (the first control the most significant; all 1 by default),
+    the identity elsewhere, built by direct basis enumeration."""
+    controls = list(controls)
+    reads = (1 << len(controls)) - 1 if reads is None else reads
+
+    def bit(i, q):
+        return (i >> (num_qubits - 1 - q)) & 1
+
+    mat = np.eye(1 << num_qubits, dtype=complex)
+    for i in range(1 << num_qubits):
+        held = 0
+        for c in controls:
+            held = 2 * held + bit(i, c)
+        if held == reads and not bit(i, target):
+            j = i | 1 << (num_qubits - 1 - target)
+            mat[np.ix_([i, j], [i, j])] = u
     return mat
 
 
