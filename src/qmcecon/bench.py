@@ -258,10 +258,12 @@ def resource_rows(m: int, n_values, layers: int = 10) -> list[dict]:
     and nothing is checked or built; below, one memory check comes first,
     and its total is counted before any frontier is advanced.
     """
+    if n_values and n_values[0] < 1:
+        raise ValueError(f"need at least one estimation qubit, got {n_values[0]}")
+    if n_values and n_values[-1] >= 62:
+        n_values = n_values[-1:]    # refused first: a long range is not listed
     n_values = list(n_values)
     _check_increasing(n_values)
-    if n_values[0] < 1:
-        raise ValueError(f"need at least one estimation qubit, got {n_values[0]}")
     largest = n_values[-1]
     if largest < 62:
         # The 2**m shock grid with its variable and linearity check: 49-103 B

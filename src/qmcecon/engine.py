@@ -303,10 +303,11 @@ def denormalize_mu(mu_norm: float, rv: RandomVariableSpec,
 # ---------------------------------------------------------------------------
 
 # An exact s = dims*m + 1 qubit F is s native gates, but it allocates as
-# 2**s: the statevector with a working copy and multiplexor temporaries, the
-# angles as Python floats (about 32 B each, some 2**s of them) and the values
-# grid.  tracemalloc measured 86-115 B per amplitude at s = 13-17; QMCConfig
-# checks 128, so s = 23 fits (`run neoclassical --m 22 --n 4`: 873 MB RSS).
+# 2**s: the statevector, apply_circuit's copy and a gate's two half-state
+# temporaries, the angles as Python floats (about 32 B each, some 2**s of
+# them) and the values grid.  tracemalloc measured 81-115 B per amplitude at
+# s = 13-17, the stress test's the lowest; QMCConfig checks 128, so s = 23
+# fits (`run neoclassical --m 22 --n 4`: 873 MB RSS).
 # The full spectral distribution, which `auto` builds only when a caller
 # reads it, after F is freed, holds 3.125 float64 arrays of 2**n, checked as
 # four, so n = 25 fits (`--m 22 --n 25`: 954 MB RSS).
@@ -503,8 +504,9 @@ def _simulate_distribution(config, f_circuit, n):
     first; the estimation wires read in reverse order undo the QFT's bit
     reversal.  Its memory is checked before block 0 or a state is built: five
     statevectors of 16 * 2**(s + n) bytes (the array, the inverse QFT's
-    working copy and two states of a gate's temporaries; at n = 1 the s + 1
-    wire state and its copy are as large as the array), 32 per gate stored
+    working copy and a gate's two half-state temporaries, 3.1-4.1 of them
+    traced at n = 3-12; at n = 1 the s + 1 wire state and its copy are as
+    large as the array), 32 per gate stored
     (F; block 0 of twice a CZ, F's inverse, a zero reflection of 2s + 3
     gates and F; the inverse QFT), 64 per multiplexor angle (in F and its
     inverse) and 1 MiB for numpy's buffers and small objects.

@@ -9,10 +9,11 @@ Conventions used throughout the package:
 * Amplitudes are stored as ``complex128`` and are never renormalised while a
   circuit runs.  Norm drift stays below 1e-10 for the circuit sizes handled
   here and is monitored by the test suite rather than corrected.
-* Every gate kind but the multiplexor ``ucry`` is a controlled-U: its 2x2
-  matrix U acts on the target wherever every control is |1>, and is the
-  identity elsewhere.  ``_KINDS`` gives each kind its number of controls
-  and U, so one kernel applies them all.
+* Every gate kind acts on its target by a 2x2 matrix U.  All but the
+  multiplexor ``ucry`` are controlled-U: U wherever every control is |1>,
+  the identity elsewhere.  ``ucry``'s U is the RY of each control pattern's
+  own angle.  ``_KINDS`` gives each kind its number of controls and U, and
+  one kernel applies them all, each gate in place.
 """
 
 from __future__ import annotations
@@ -38,32 +39,35 @@ def check_memory(what: str, nbytes: int) -> None:
     calls this once, before it allocates, with ``what`` naming it.
     """
     if nbytes > MEMORY_BUDGET:
+        # past 2**128, a power of two: str() refuses integers of 4300 digits
+        size = (nbytes if nbytes < 1 << 128
+                else f"at least 2**{nbytes.bit_length() - 1}")
         raise ResourceLimitError(
-            f"{what} needs {nbytes} bytes, exceeding the cap of {MEMORY_BUDGET}")
+            f"{what} needs {size} bytes, exceeding the cap of {MEMORY_BUDGET}")
 
 
 def _turn(rows):
     """U of an angle, built as ``rows(c, s)`` of its half's cosine and sine."""
-    return lambda angle: np.array(rows(math.cos(angle / 2), math.sin(angle / 2)),
-                                  dtype=np.complex128)
+    return lambda angle: rows(math.cos(angle / 2), math.sin(angle / 2))
 
 
-_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_RY = _turn(lambda c, s: [[c, -s], [s, c]])
+_X = ((0, 1), (1, 0))
+_RY = _turn(lambda c, s: ((c, -s), (s, c)))
+_H = 1 / math.sqrt(2)
 
-# gate kind -> (number of controls, None for any; the target's 2x2 U: a fixed
-# matrix, a function of the angle, or None for ucry, which has one RY per
-# control pattern).  A fixed U here is its own inverse.
+# gate kind -> (number of controls, None for any; the target's 2x2 U as rows
+# of scalars: fixed, a function of the angle, or None for ucry, whose RY
+# angle varies with the control pattern).  A fixed U here is its own inverse.
 _KINDS = {
-    "rx": (0, _turn(lambda c, s: [[c, -1j * s], [-1j * s, c]])),
+    "rx": (0, _turn(lambda c, s: ((c, -1j * s), (-1j * s, c)))),
     "ry": (0, _RY),
-    "rz": (0, _turn(lambda c, s: [[c - 1j * s, 0], [0, c + 1j * s]])),
-    "h": (0, np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)),
+    "rz": (0, _turn(lambda c, s: ((c - 1j * s, 0), (0, c + 1j * s)))),
+    "h": (0, ((_H, _H), (_H, -_H))),
     "x": (0, _X),
     "cnot": (1, _X),
-    "cz": (1, np.diag([1, -1]).astype(np.complex128)),
+    "cz": (1, ((1, 0), (0, -1))),
     "cry": (1, _RY),
-    "cphase": (1, lambda angle: np.array([[1, 0], [0, np.exp(1j * angle)]])),
+    "cphase": (1, lambda angle: ((1, 0), (0, np.exp(1j * angle)))),
     "mcx": (None, _X),      # at least one control
     "ucry": (None, None),   # a tuple of 2**k angles for k controls
 }
@@ -152,9 +156,6 @@ class Circuit:
         return self
 
     # -- convenience builders ------------------------------------------------
-    def rx(self, q, angle):
-        return self.add(Gate("rx", (q,), angle=angle))
-
     def ry(self, q, angle):
         return self.add(Gate("ry", (q,), angle=angle))
 
@@ -169,9 +170,6 @@ class Circuit:
 
     def cnot(self, control, target):
         return self.add(Gate("cnot", (target,), (control,)))
-
-    def cz(self, control, target):
-        return self.add(Gate("cz", (target,), (control,)))
 
     def cry(self, control, target, angle):
         return self.add(Gate("cry", (target,), (control,), angle))
@@ -220,52 +218,45 @@ def init_state(num_qubits: int) -> StateVector:
 # Gates apply in place on a tensor whose leading axes are the qubit axes;
 # trailing axes (used by dense_unitary) broadcast through untouched.
 
-def _apply_ucry(tensor: np.ndarray, gate: Gate) -> None:
-    """Rotate the target by angle[i] in the block where the controls read i.
-
-    The control axes and then the target axis move to the front, so the
-    tensor reads as (2**k, 2, rest) and row i turns by its own RY: one
-    vectorised pass, however many controls there are.
-    """
-    k = len(gate.controls)
-    half = np.asarray(gate.angle) / 2
-    cos, sin = np.cos(half)[:, None], np.sin(half)[:, None]
-    moved = np.moveaxis(tensor, gate.controls + gate.targets, range(k + 1))
-    rows = moved.reshape(1 << k, 2, -1)    # a copy unless the axes lead
-    top, bottom = rows[:, 0], rows[:, 1]
-    old_top = top.copy()
-    # in place: one half-state temporary at a time besides old_top
-    top *= cos
-    top -= sin * bottom
-    bottom *= cos
-    bottom += sin * old_top
-    if not np.may_share_memory(rows, tensor):
-        moved[...] = rows.reshape(moved.shape)
-
-
 def _apply_gate_tensor(tensor: np.ndarray, gate: Gate) -> None:
-    """U on the target's two halves of the view where every control is |1>."""
+    """U on the target's two halves of the view where every control is |1>.
+
+    A multiplexor leaves its control axes in the view, and its U's entries
+    are arrays of its RY's cos and sin that broadcast over it: size 2 on
+    each control axis (the first control the most significant bit) and 1
+    on every other axis.
+    """
     u = _KINDS[gate.kind][1]
-    if u is None:
-        return _apply_ucry(tensor, gate)
-    u = u(gate.angle) if callable(u) else u
     index = [slice(None)] * tensor.ndim
-    for c in gate.controls:
-        index[c] = 1
+    if u is None:
+        shape = [1] * tensor.ndim
+        for c in gate.controls:
+            shape[c] = 2
+        del shape[gate.targets[0]]
+        k = len(gate.controls)
+        wire_order = sorted(range(k), key=gate.controls.__getitem__)
+        half = np.asarray(gate.angle) / 2
+        cos, sin = (a.reshape((2,) * k).transpose(wire_order).reshape(shape)
+                    for a in (np.cos(half), np.sin(half, out=half)))
+        u = ((cos, -sin), (sin, cos))
+    else:
+        u = u(gate.angle) if callable(u) else u
+        for c in gate.controls:
+            index[c] = 1
     index[gate.targets[0]] = 0
     top = tensor[(*index, ...)]         # views, even when 0-d
     index[gate.targets[0]] = 1
     bottom = tensor[(*index, ...)]
-    if u[0, 0] == u[1, 1] == 0:         # anti-diagonal: the halves trade places
-        old_top = top.copy()
-        np.multiply(bottom, u[0, 1], out=top)
-        np.multiply(old_top, u[1, 0], out=bottom)
+    (u00, u01), (u10, u11) = u
+    old_top = top.copy()
+    if u is _X:                         # the one anti-diagonal U: a swap
+        np.multiply(bottom, u01, out=top)
+        np.multiply(old_top, u10, out=bottom)
     else:
-        old_top = top.copy()
-        top *= u[0, 0]
-        top += u[0, 1] * bottom
-        bottom *= u[1, 1]
-        bottom += u[1, 0] * old_top
+        top *= u00
+        top += u01 * bottom
+        bottom *= u11
+        bottom += u10 * old_top
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
@@ -307,8 +298,7 @@ def dense_unitary(circuit: Circuit) -> np.ndarray:
     """Full 2**q x 2**q matrix of a circuit.
 
     Checked as four complex128 matrices, 64 * 4**q bytes (12 qubits fit):
-    a 2x2 gate's temporaries bring the peak to 2.0 of them, and a
-    multiplexor's working copy to 3.0-3.3.
+    every gate's two half-matrix temporaries bring the peak to 2.0 of them.
     """
     q = circuit.num_qubits
     check_memory(f"a dense unitary of {q} qubits", 64 * (1 << 2 * q))

@@ -266,6 +266,9 @@ class TestResources:
         assert row["depth"] < row["total_gates"] < 1 << 61
         with pytest.raises(sim.ResourceLimitError, match="past the 2\\*\\*61"):
             resource_rows(5, [51])
+        # refused from its last n, before a range of 1e12 is listed
+        with pytest.raises(sim.ResourceLimitError, match="n=1000000000000 at m=3"):
+            resource_rows(3, range(3, 10**12 + 1))
         for m, n, message in ((0, 3, "need m >= 1"), (-1, 3, "need m >= 1"),
                               (3, 0, "at least one estimation qubit")):
             with pytest.raises(ValueError, match=message):

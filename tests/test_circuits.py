@@ -145,7 +145,8 @@ class TestUcry:
 
 class TestDecompose:
     def test_elementary_fixpoint(self):
-        circ = Circuit(2).rx(0, 0.3).ry(1, -0.2).rz(0, 1.0).cnot(0, 1)
+        circ = (Circuit(2).add(Gate("rx", (0,), angle=0.3))
+                .ry(1, -0.2).rz(0, 1.0).cnot(0, 1))
         out = decompose(circ)
         assert Counter(g.kind for g in out.gates) == Counter(
             g.kind for g in circ.gates)
@@ -159,7 +160,7 @@ class TestDecompose:
     @pytest.mark.parametrize("builder", [
         lambda c: c.h(0),
         lambda c: c.x(1),
-        lambda c: c.cz(0, 1),
+        lambda c: c.add(Gate("cz", (1,), (0,))),
         lambda c: c.cphase(1, 0, 0.9),
         lambda c: c.mcx([0, 1], 2),
         lambda c: c.mcx([0, 1, 2], 3),
@@ -183,12 +184,13 @@ class TestDecompose:
 
 class TestResources:
     def test_serial_chain(self):
-        circ = Circuit(2).rx(0, 1.0).rx(0, 1.0).rx(0, 1.0)
+        rx = Gate("rx", (0,), angle=1.0)
+        circ = Circuit(2).add(rx).add(rx).add(rx)
         rep = count_resources(circ)
         assert rep.total_gates == 3 and rep.depth == 3
 
     def test_parallel_gates(self):
-        circ = Circuit(2).rx(0, 1.0).rx(1, 1.0)
+        circ = Circuit(2).extend(Gate("rx", (q,), angle=1.0) for q in (0, 1))
         rep = count_resources(circ)
         assert rep.total_gates == 2 and rep.depth == 1
 
@@ -203,7 +205,7 @@ class TestResources:
         circ = random_circuit(4, 15, rng)
         circ = decompose(circ, work_wires(circ))
         depth = count_resources(circ).depth
-        circ.rx(2, 0.1)
+        circ.add(Gate("rx", (2,), angle=0.1))
         assert count_resources(circ).depth >= depth
 
     def test_rejects_unlowered_gates(self):
@@ -253,7 +255,8 @@ class TestComposedCount:
         assert maxplus_squarings(powers[0], 0) == []
 
     def test_untouched_wire_passes_through(self):
-        t = transfer_matrix(Circuit(3).rx(0, 0.1).cnot(0, 1).gates, 3)
+        t = transfer_matrix(
+            Circuit(3).add(Gate("rx", (0,), angle=0.1)).cnot(0, 1).gates, 3)
         np.testing.assert_array_equal(t, [[2, 2, NO_PATH],
                                           [1, 1, NO_PATH],
                                           [NO_PATH, NO_PATH, 0]])

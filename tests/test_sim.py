@@ -228,8 +228,9 @@ def test_kind_matches_textbook(kind, wires, controls, target):
     assert (gate.inverse() is gate) == (angle is None)
 
 
+# one wire and no control: a statevector's target-free view is 0-d
 @pytest.mark.parametrize("wires,controls,target", [
-    pytest.param(*place, id=place_id(*place)) for place in PLACES])
+    pytest.param(*place, id=place_id(*place)) for place in [(1, (), 0), *PLACES]])
 def test_ucry_matches_textbook(wires, controls, target):
     # RY(angle[i]) on the target where the controls read i
     angles = tuple(np.linspace(-2.5, 3.0, 1 << len(controls)).tolist())
@@ -239,6 +240,9 @@ def test_ucry_matches_textbook(wires, controls, target):
         expect = controlled_oracle(wires, controls, target, turn(Y)(angle), i) @ expect
     np.testing.assert_allclose(dense_unitary(Circuit(wires).add(gate)), expect,
                                rtol=0, atol=1e-15)
+    np.testing.assert_allclose(
+        apply_circuit(init_state(wires), Circuit(wires).add(gate)).amplitudes,
+        expect[:, 0], rtol=0, atol=1e-15)
     np.testing.assert_allclose(dense_unitary(Circuit(wires).add(gate.inverse())),
                                expect.conj().T, rtol=0, atol=1e-15)
 
@@ -272,6 +276,18 @@ def test_one_memory_budget():
                      if isinstance(target, ast.Name) and target.id.endswith("_CAP")]
     assert sites == [("bench", "resource_rows"), ("sim", "check_memory")], sites
     assert caps == []
+
+
+def test_refusal_names_any_size():
+    # exact digits up to 2**128; past it, a power of two, since str() refuses
+    # an integer of over 4300 digits
+    for nbytes, size in (((1 << 128) - 1, str((1 << 128) - 1)),
+                         (1 << 128, "at least 2**128"),
+                         (3 << 20000, "at least 2**20001")):
+        with pytest.raises(ResourceLimitError) as refused:
+            sim.check_memory("a request", nbytes)
+        assert str(refused.value) == (f"a request needs {size} bytes, "
+                                      "exceeding the cap of 1073741824")
 
 
 @pytest.mark.parametrize("build,fits,allocator", [
@@ -320,6 +336,13 @@ def traced_peak(run) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_multiplexor_applies_in_place():
+    # controls that do not lead, out of wire order: the matrix and the two
+    # half-matrix temporaries every gate takes, with no copy of the matrix
+    circ = Circuit(10).ucry((9, 3, 5, 7), 0, np.linspace(-2.5, 3.0, 16))
+    assert traced_peak(lambda: dense_unitary(circ)) <= 2.1 * (16 << 20)
 
 
 class TestFormulasCoverPeaks:
@@ -434,7 +457,7 @@ class TestFormulasCoverPeaks:
     def test_dense_unitary(self, checked, q):
         rng = np.random.default_rng(q)
         circ = random_circuit(q, 30, rng)
-        for k in range(4):      # a multiplexor's working copy is the peak
+        for k in range(4):
             circ.ucry(range(k), q - 1, rng.uniform(-3, 3, 1 << k))
         peak = traced_peak(lambda: dense_unitary(circ))
         assert peak <= checked_bytes(checked, "a dense unitary")

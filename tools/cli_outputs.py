@@ -89,6 +89,9 @@ def commands():
     # n = 62 past the int64 depths: refused before n = 40..61 are counted
     yield "resources_range_past_int64", ["resources", "--m", "5", "--n-min",
                                          "40", "--n-max", "62"]
+    # n up to 1e12: refused from the last n, before the range is listed
+    yield "resources_range_to_1e12", ["resources", "--m", "3", "--n-min", "3",
+                                      "--n-max", "1000000000000"]
     # 9e9 ansatz angles and 4 TB of gates: refused before they are drawn
     yield "resources_huge_layers", ["resources", "--m", "3", "--layers",
                                     "1000000000", "--n-min", "3", "--n-max", "3"]
@@ -118,6 +121,8 @@ def commands():
     # a 25-qubit F and a 26-qubit readout: refused before their grids
     yield "run_f_over_memory", ["run", "stress", "--m", "12"]
     yield "run_readout_over_memory", ["run", "simple", "--n", "26"]
+    # a byte count of 6,000 digits: refused, and named as a power of two
+    yield "run_readout_n20000", ["run", "simple", "--n", "20000"]
     # 2**21 outcome rows of about 1 KB each: refused before the estimate
     yield "run_distribution_over_memory", ["run", "simple", "--n", "21",
                                            "--distribution-out", "dist.csv"]
