@@ -233,7 +233,7 @@ def _segment_costs(m: int, n: int, layers: int) -> list:
 
 def resource_rows(m: int, n_values, layers: int = 10) -> list[dict]:
     """Counts and depth of the decomposed estimation circuit, one row per n
-    of ``n_values``, in increasing n.
+    of the sequence ``n_values``, in increasing n.
 
     Builds the macro benchmark F (layered preparation ansatz, linear rotation
     encoding) and controlled-Q block 0 of ``phase_estimation`` once per

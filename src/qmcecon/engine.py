@@ -504,12 +504,12 @@ def _simulate_distribution(config, f_circuit, n):
     first; the estimation wires read in reverse order undo the QFT's bit
     reversal.  Its memory is checked before block 0 or a state is built: five
     statevectors of 16 * 2**(s + n) bytes (the array, the inverse QFT's
-    working copy and a gate's two half-state temporaries, 3.1-4.1 of them
-    traced at n = 3-12; at n = 1 the s + 1 wire state and its copy are as
-    large as the array), 32 per gate stored
-    (F; block 0 of twice a CZ, F's inverse, a zero reflection of 2s + 3
-    gates and F; the inverse QFT), 64 per multiplexor angle (in F and its
-    inverse) and 1 MiB for numpy's buffers and small objects.
+    working copy and a gate's two half-state temporaries: a peak of 3.1-4.1
+    statevectors traced at n = 3-12; at n = 1 the s + 1 wire state and its
+    copy are as large as the array), 32 per gate stored (F; block 0 of twice
+    a CZ, F's inverse, a zero reflection of 2s + 3 gates and F; the inverse
+    QFT), 64 per multiplexor angle (in F and its inverse) and 1 MiB for
+    numpy's buffers and small objects.
     """
     s, f_len = f_circuit.num_qubits, len(f_circuit)
     circuit = config.method == "circuit"

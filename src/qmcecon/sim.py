@@ -235,7 +235,7 @@ def _apply_gate_tensor(tensor: np.ndarray, gate: Gate) -> None:
         del shape[gate.targets[0]]
         k = len(gate.controls)
         wire_order = sorted(range(k), key=gate.controls.__getitem__)
-        half = np.asarray(gate.angle) / 2
+        half = np.asarray(gate.angle) / 2    # then sin: three angle arrays
         cos, sin = (a.reshape((2,) * k).transpose(wire_order).reshape(shape)
                     for a in (np.cos(half), np.sin(half, out=half)))
         u = ((cos, -sin), (sin, cos))
