@@ -12,6 +12,7 @@ import os
 import threading
 import time
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,9 @@ REFERENCE_SECONDS_PER_SAMPLE = 2.24e-7
 
 
 def _check_increasing(points) -> None:
-    if not points or any(b <= a for a, b in zip(points, points[1:])):
+    increasing = (points.step > 0 if isinstance(points, range)
+                  else all(a < b for a, b in zip(points, points[1:])))
+    if not points or not increasing:
         raise ValueError("range must be non-empty and increasing")
 
 
@@ -53,7 +56,7 @@ def _check_increasing(points) -> None:
 class SweepSpec:
     app: str                      # "simple" | "stress" | "neoclassical"
     estimator: str                # "qmc_exact" | "qmc_linear" | "classical"
-    range: list[int]              # n values (quantum) or N values (classical)
+    range: Sequence[int]          # n values (quantum) or N values (classical)
     repeats: int = 1              # classical only
     seed: int = 0
     m: int | None = None          # None: the workload's default register size
@@ -206,15 +209,15 @@ def _bench_ansatz(m: int, layers: int) -> VariationalAnsatz:
 
 def _lowered_cost(circuit, width: int, work=()):
     lowered = list(lower_gates(circuit.gates, work))
-    return count_stream(lowered, width), transfer_matrix(lowered, width)
+    return Counter(gate.kind for gate in lowered), transfer_matrix(lowered, width)
 
 
 def _segment_costs(m: int, n: int, layers: int) -> list:
-    """``(ResourceReport, transfer matrix)`` of F, of one H and of controlled-Q
-    block 0, each lowered once on the compact layout: F's s = m + 1 wires,
-    est[0] at wire s, then s - 2 work wires.  The controlled zero reflection
-    is one MCX with s controls (est[0] and every F wire but its target), and
-    its Toffoli ladder takes the work wires; no other gate needs them.
+    """Gate counts by kind and transfer matrix of F and of controlled-Q block
+    0, each lowered once on the compact layout: F's s = m + 1 wires, est[0]
+    at wire s, then s - 2 work wires.  The controlled zero reflection is one
+    MCX with s controls (est[0] and every F wire but its target), and its
+    Toffoli ladder takes the work wires; no other gate needs them.
 
     F's linear ramp takes the oracle budget of n, but the lowering reads no
     angle, so every n of a table has these costs.
@@ -228,26 +231,25 @@ def _segment_costs(m: int, n: int, layers: int) -> list:
     s = m + 1
     width = 2 * s - 1
     return [_lowered_cost(circuit, width, range(s + 1, width))
-            for circuit in (f_circuit, Circuit(1).h(0), block)]
+            for circuit in (f_circuit, block)]
 
 
 def resource_rows(m: int, n_values, layers: int = 10) -> list[dict]:
     """Counts and depth of the decomposed estimation circuit, one row per n
     of the sequence ``n_values``, in increasing n.
 
-    Builds the macro benchmark F (layered preparation ansatz, linear rotation
-    encoding) and controlled-Q block 0 of ``phase_estimation`` once per
-    table, and lowers each once on F's wires, one estimation wire and the
-    work wires.  The lowering reads only the positions of a gate's wires, so
-    block k has block 0's counts and, on est[k] in place of est[0], block
-    0's transfer matrix.  Block 0's counts are multiplied by its 2**n - 1
-    copies, and the per-wire frontier goes through the 2**(n-1-k) copies of
-    block k by one max-plus product with block 0's matrix squared n - 1 - k
-    times; the squarings serve every block of every row.  The H layer and
-    the inverse QFT act on the estimation wires alone.  The controlled-Q
-    blocks are never written out, so the cost grows with n, not 2**n; the
-    counts and depth equal those of ``count_stream`` over the flat lowering,
-    which the tests check.
+    F (the macro benchmark's layered ansatz and linear rotation encoding)
+    and controlled-Q block 0 of ``phase_estimation`` are built once per
+    table and lowered once on F's wires, one estimation wire and the work
+    wires, each to its gate counts by kind and its transfer matrix.  Block
+    k lowers as block 0 on est[k] in place of est[0].  A row counts F, the
+    H layer n times, block 0 2**n - 1 times and its inverse QFT, lowered per
+    row.  Its depth is the per-wire frontier carried through F, then, from
+    each estimation wire's H, through the 2**(n-1-k) copies of block k by
+    one max-plus product with block 0's matrix squared n - 1 - k times (the
+    squarings serve every block of every row), and last through the inverse
+    QFT's matrix.  ``count_stream`` counts the H layer, which is never
+    composed, and the tests check every row against it over the flat lowering.
 
     Nothing of size 2**n is allocated, so n is bounded by the integer range
     instead: a lowered gate total, and so a depth, that reaches 2**61 (the
@@ -260,12 +262,11 @@ def resource_rows(m: int, n_values, layers: int = 10) -> list[dict]:
     """
     if n_values and n_values[0] < 1:
         raise ValueError(f"need at least one estimation qubit, got {n_values[0]}")
-    if n_values and n_values[-1] >= 62:
-        n_values = n_values[-1:]    # refused first: a long range is not listed
-    n_values = list(n_values)
     _check_increasing(n_values)
     largest = n_values[-1]
     if largest < 62:
+        if m < 1:   # before its grid of 2**m points is reckoned
+            raise ValueError(f"need m >= 1 grid qubits, got {m}")
         # The 2**m shock grid with its variable and linearity check: 49-103 B
         # per point traced at m = 14-16.  F's layers * (4m - 1) gates, its
         # inverse, block 0's references to both and their lowering: 384 B
@@ -273,23 +274,24 @@ def resource_rows(m: int, n_values, layers: int = 10) -> list[dict]:
         # n's inverse QFT, n(n - 1)/2 phase gates and their lowering: 1536 B
         # per phase gate, against 940-1110 B traced at n = 20-53.  1 MiB for
         # the rest (the reflections, the transfer matrices and block 0's
-        # squarings).
-        sim.check_memory(
-            f"counting {layers} ansatz layers at n={largest}",
-            128 * 2**m + 8 * VariationalAnsatz.num_params(m, layers)
-            + 384 * layers * (4 * m - 1) + 768 * largest * (largest - 1)
-            + (1 << 20))
-        costs = _segment_costs(m, largest, layers)
-        (f_cost, f_transfer), (h_cost, _), (q_cost, q_transfer) = costs
+        # squarings).  Past m = 128 the total passes 2**128 bytes, whose refusal
+        # names only its bit length: it is counted in units of 2**(m - 128).
+        rest = (8 * VariationalAnsatz.num_params(m, layers)
+                + 384 * layers * (4 * m - 1) + 768 * largest * (largest - 1)
+                + (1 << 20))
+        unit = max(0, m - 128)
+        sim.check_memory(f"counting {layers} ansatz layers at n={largest}",
+                         (128 << m - unit) + (rest >> unit), unit)
+        (f_kinds, f_transfer), (q_kinds, q_transfer) = _segment_costs(m, largest, layers)
+        h_layer = count_stream(lower_gates(Circuit(1).h(0).gates), 1)
     s = m + 1
     rows = []
     for n in n_values[::-1]:
         if n < 62:
-            iqft_cost, iqft_transfer = _lowered_cost(inverse_qft(range(n)), n)
-            counts = Counter(f_cost.counts)
-            for cost, repeats in ((h_cost, n), (q_cost, 2**n - 1),
-                                  (iqft_cost, 1)):
-                counts.update({kind: c * repeats for kind, c in cost.counts.items()})
+            iqft_kinds, iqft_transfer = _lowered_cost(inverse_qft(range(n)), n)
+            counts = f_kinds + iqft_kinds
+            for kinds, repeats in ((h_layer.counts, n), (q_kinds, 2**n - 1)):
+                counts.update({kind: c * repeats for kind, c in kinds.items()})
             total = sum(counts.values())
         if n >= 62 or total >= 1 << 61:
             gates = f"at least 2**{n} - 1" if n >= 62 else total
@@ -302,7 +304,7 @@ def resource_rows(m: int, n_values, layers: int = 10) -> list[dict]:
         # is block 0 on est[k] in place of est[0], 2**(n-1-k) times, and the
         # inverse QFT acts on the estimation wires alone
         frontier = f_transfer.max(axis=0)
-        est = np.full(n, h_cost.depth, dtype=np.int64)
+        est = np.full(n, h_layer.depth, dtype=np.int64)
         for k in range(n):
             frontier[s] = est[k]
             frontier = maxplus(frontier, powers[n - 1 - k])

@@ -95,7 +95,7 @@ def _positive_int(text: str) -> int:
 def _check_shock_grid(m: int) -> None:
     # the grid of 2**m points with its masses and temporaries: 33 B per point
     # traced for a normal grid, 41 B for the stress oracle
-    check_memory(f"a shock grid of 2**{m} points", 48 * 2**m)
+    check_memory(f"a shock grid of 2**{m} points", 48, m)
 
 
 def _stress_params(args) -> econ.StressTestParams:
@@ -133,7 +133,7 @@ def _cmd_run(args) -> int:
     if args.distribution_out:
         # a dict per outcome and the text: up to 843 B each traced (JSON)
         check_memory(f"--distribution-out of {args.n} estimation qubits",
-                     1024 * (1 << args.n))
+                     1024, args.n)
     result = econ.estimate(workload, m, args.n, r_mode=args.r_mode,
                            ansatz=ansatz, method=args.method)
     est, abs_error = result.estimate, result.abs_error_grid
@@ -160,7 +160,7 @@ def _cmd_sweep(args) -> int:
             raise ValueError("classical sweeps need --n-samples LIST")
         rng_points = [int(x) for x in args.n_samples.split(",")]
     else:
-        rng_points = list(range(args.n_min, args.n_max + 1))
+        rng_points = range(args.n_min, args.n_max + 1)
     spec = bench.SweepSpec(app=args.app, estimator=args.estimator,
                            range=rng_points, repeats=args.repeats,
                            seed=args.seed, m=args.m,

@@ -451,8 +451,7 @@ def train_ansatz(target: DiscretizedDistribution, layers: int,
     if layers < 1:
         raise ValueError(f"need at least one layer, got {layers}")
     m = target.m
-    check_memory(f"training m={m} with {layers} layers",
-                 (layers + 1) * (1 << m) * 16)
+    check_memory(f"training m={m} with {layers} layers", (layers + 1) * 16, m)
     # Checks of their own: adding the blocks or the trace to the states'
     # bytes would move the boundary above (m=20 trains 63 layers, not 64).
     check_memory(f"the chunk matrices and overlap blocks of {layers} layers "

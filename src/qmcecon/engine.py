@@ -332,8 +332,8 @@ class QMCConfig:
             raise ValueError(f"need m >= 1 and n >= 1, got m={self.m}, n={self.n}")
         # Fail before anything sized by the registers is allocated.
         s = self.dims * self.m + 1
-        check_memory(f"an F register of {s} qubits", 128 * (1 << s))
-        check_memory(f"a readout of {self.n} estimation qubits", 32 * (1 << self.n))
+        check_memory(f"an F register of {s} qubits", 128, s)
+        check_memory(f"a readout of {self.n} estimation qubits", 32, self.n)
 
 
 @dataclass

@@ -32,18 +32,22 @@ class ResourceLimitError(RuntimeError):
     """Raised when a request would exceed the memory budget."""
 
 
-def check_memory(what: str, nbytes: int) -> None:
-    """Refuse a request whose peak allocation ``nbytes`` exceeds the budget.
+def check_memory(what: str, nbytes: int, log2: int = 0) -> None:
+    """Refuse a request whose peak allocation ``nbytes * 2**log2`` exceeds
+    the budget.
 
     Every request sized by a register or by a count from the command line
-    calls this once, before it allocates, with ``what`` naming it.
+    calls this once, before it allocates, with ``what`` naming it.  A
+    register passes its width as ``log2``, so a huge one is refused from the
+    exponent, before a product of that many bits is built.
     """
-    if nbytes > MEMORY_BUDGET:
-        # past 2**128, a power of two: str() refuses integers of 4300 digits
-        size = (nbytes if nbytes < 1 << 128
-                else f"at least 2**{nbytes.bit_length() - 1}")
-        raise ResourceLimitError(
-            f"{what} needs {size} bytes, exceeding the cap of {MEMORY_BUDGET}")
+    bits = nbytes.bit_length() + log2   # of the product, for nbytes >= 1
+    if bits <= MEMORY_BUDGET.bit_length() and nbytes * 2**log2 <= MEMORY_BUDGET:
+        return
+    # past 2**128, a power of two: str() refuses integers of 4300 digits
+    size = nbytes * 2**log2 if bits <= 128 else f"at least 2**{bits - 1}"
+    raise ResourceLimitError(
+        f"{what} needs {size} bytes, exceeding the cap of {MEMORY_BUDGET}")
 
 
 def _turn(rows):
@@ -209,7 +213,7 @@ def init_state(num_qubits: int) -> StateVector:
     """
     if num_qubits < 1:
         raise ValueError(f"need at least one qubit, got {num_qubits}")
-    check_memory(f"a statevector of {num_qubits} qubits", 16 * (1 << num_qubits))
+    check_memory(f"a statevector of {num_qubits} qubits", 16, num_qubits)
     amp = np.zeros(1 << num_qubits, dtype=np.complex128)
     amp[0] = 1.0
     return StateVector(num_qubits, amp)
@@ -301,7 +305,7 @@ def dense_unitary(circuit: Circuit) -> np.ndarray:
     every gate's two half-matrix temporaries bring the peak to 2.0 of them.
     """
     q = circuit.num_qubits
-    check_memory(f"a dense unitary of {q} qubits", 64 * (1 << 2 * q))
+    check_memory(f"a dense unitary of {q} qubits", 64, 2 * q)
     dim = 1 << q
     mat = np.eye(dim, dtype=np.complex128)
     tensor = mat.reshape((2,) * q + (dim,))

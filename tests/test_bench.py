@@ -22,8 +22,8 @@ from qmcecon.bench import (
     runtime_extrapolate,
     time_per_sample,
 )
-from qmcecon.circuits import (ELEMENTARY_KINDS, count_resources, decompose,
-                              lower_gates)
+from qmcecon.circuits import (ELEMENTARY_KINDS, count_resources, count_stream,
+                              decompose, lower_gates, transfer_matrix)
 from qmcecon.distributions import discretize_normal
 from qmcecon.engine import (LinearRParams, assemble_f, build_controlled_Q,
                             normalize_rv, phase_estimation)
@@ -224,10 +224,31 @@ class TestResources:
             return phase_estimation(*args)
 
         monkeypatch.setattr(bench, "phase_estimation", recording)
-        monkeypatch.setattr(sim, "check_memory", lambda what, nbytes: checks.append(what))
+        monkeypatch.setattr(sim, "check_memory", lambda what, *size: checks.append(what))
         resource_rows(5, range(3, 11), layers=10)
         assert calls == [1]
         assert checks == ["counting 10 ansatz layers at n=10"]
+
+    def test_table_scans_only_the_h_layer(self, monkeypatch):
+        # the gate-by-gate reference scans the one-wire H layer alone; F,
+        # block 0 and each row's inverse QFT are composed from transfer
+        # matrices, one apiece
+        scans, widths = [], []
+
+        def scan(gates, width):
+            gates = list(gates)
+            scans.append((sorted(g.kind for g in gates), width))
+            return count_stream(gates, width)
+
+        def compose(gates, width):
+            widths.append(width)
+            return transfer_matrix(gates, width)
+
+        monkeypatch.setattr(bench, "count_stream", scan)
+        monkeypatch.setattr(bench, "transfer_matrix", compose)
+        resource_rows(5, range(3, 11), layers=10)
+        assert scans == [(["ry", "rz"], 1)]
+        assert widths == [11, 11, *range(10, 2, -1)]
 
     def test_depth_closed_form_at_large_n(self, monkeypatch):
         # m = 7: the controlled-Q blocks end at 604 * 2**n - 528, and from

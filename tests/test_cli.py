@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -421,6 +422,50 @@ class TestExitCodes:
         assert code == 2
         assert message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("args,message", [
+        (["sweep", "--app", "simple", "--estimator", "qmc_exact", "--n-min", "4",
+          "--n-max", "3000000"],
+         "a readout of 3000000 estimation qubits needs at least 2**3000005"),
+        (["sweep", "--app", "simple", "--estimator", "qmc_exact", "--n-min", "4",
+          "--n-max", "1000000000000"], "a readout of 1000000000000 estimation "
+         "qubits needs at least 2**1000000000005"),
+        (["run", "simple", "--n", "1000000000"],
+         "a readout of 1000000000 estimation qubits needs at least 2**1000000005"),
+        (["run", "simple", "--m", "1000000000"],
+         "an F register of 1000000001 qubits needs at least 2**1000000008"),
+        (["oracle", "simple", "--m", "1000000000"],
+         "a shock grid of 2**1000000000 points needs at least 2**1000000005"),
+        (["resources", "--m", "1000000000"],
+         "counting 10 ansatz layers at n=10 needs at least 2**1000000007"),
+        # exact digits below 2**128; past m = 128 the bytes beyond the grid's
+        # are counted in units of 2**(m - 128), which keeps the bit length
+        (["resources", "--m", "120"], "counting 10 ansatz layers at n=10 needs "
+         "170141183460469231731687303715887091584"),
+        (["resources", "--m", "129"],
+         "counting 10 ansatz layers at n=10 needs at least 2**136"),
+        (["train-a", "--m", "1000000000"],
+         "a shock grid of 2**1000000000 points needs at least 2**1000000005")],
+        ids=["sweep-n3e6", "sweep-n1e12", "run-n", "run-m", "oracle-m",
+             "resources-m", "resources-m120", "resources-m129", "train-a-m"])
+    def test_huge_request_refused_from_its_exponent(
+            self, tmp_path, capsys, monkeypatch, args, message):
+        # a sweep's range is not listed, and no integer of 10**9 bits or
+        # more is built before the refusal
+        monkeypatch.chdir(tmp_path)
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(["--out", "rows.csv", *args], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 1 << 20
+        assert code == 2 and out == ""
+        assert err == (f"resource error: {message} bytes, exceeding the cap of "
+                       "1073741824\n")
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("broken,message", [
         ("benchmark_business_loss", "[system] misses key 'benchmark_business_loss'"),

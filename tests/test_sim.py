@@ -315,9 +315,9 @@ def checked(monkeypatch):
     calls = []
     check = sim.check_memory
 
-    def record(what, nbytes):
-        calls.append((what, nbytes))
-        check(what, nbytes)
+    def record(what, nbytes, log2=0):
+        calls.append((what, nbytes * 2**log2))
+        check(what, nbytes, log2)
 
     for module in (sim, engine, distributions, cli):
         monkeypatch.setattr(module, "check_memory", record)

@@ -52,6 +52,12 @@ def commands():
     yield "sweep_qmc_over_memory", [
         "sweep", "--app", "simple", "--estimator", "qmc_exact", "--n-min", "18",
         "--n-max", "26"]
+    # n up to 3e6 and 1e12: refused from the largest n's exponent, with the
+    # range not listed and no 2**n built
+    for name, n_max in (("3e6", "3000000"), ("1e12", "1000000000000")):
+        yield f"sweep_range_to_{name}", [
+            "sweep", "--app", "simple", "--estimator", "qmc_exact", "--n-min",
+            "4", "--n-max", n_max]
     linear = ["run", "neoclassical", "--r-mode", "linear", "--m", "5", "--n", "8"]
     yield "run_linear", linear
     yield "run_linear_trained", [*linear, "--params", "trained.txt"]
@@ -117,12 +123,22 @@ def commands():
     # 2**25 stress grid points at 48 B each: refused before the grid is built
     yield "oracle_stress_over_memory", ["oracle", "stress", "--m", "25"]
     yield "oracle_stress_m_negative", ["oracle", "stress", "--m", "-1"]
+    # a shock grid of 2**1e9 points: refused from the exponent, before 2**m
+    # is built, by the oracle, the table and training alike
+    yield "oracle_simple_m1e9", ["oracle", "simple", "--m", "1000000000"]
+    yield "resources_m1e9", ["resources", "--m", "1000000000"]
+    yield "train_m1e9", ["train-a", "--m", "1000000000", "--params-out",
+                         "huge.txt"]
     yield "run_simple_n0", ["run", "simple", "--n", "0"]
     # a 25-qubit F and a 26-qubit readout: refused before their grids
     yield "run_f_over_memory", ["run", "stress", "--m", "12"]
     yield "run_readout_over_memory", ["run", "simple", "--n", "26"]
     # a byte count of 6,000 digits: refused, and named as a power of two
     yield "run_readout_n20000", ["run", "simple", "--n", "20000"]
+    # a readout and an F register of 1e9 qubits: refused from the exponent,
+    # before an integer of 1e9 bits is built
+    yield "run_readout_n1e9", ["run", "simple", "--n", "1000000000"]
+    yield "run_f_m1e9", ["run", "simple", "--m", "1000000000"]
     # 2**21 outcome rows of about 1 KB each: refused before the estimate
     yield "run_distribution_over_memory", ["run", "simple", "--n", "21",
                                            "--distribution-out", "dist.csv"]
