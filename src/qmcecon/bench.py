@@ -212,21 +212,20 @@ def _lowered_cost(circuit, width: int, work=()):
     return Counter(gate.kind for gate in lowered), transfer_matrix(lowered, width)
 
 
-def _segment_costs(m: int, n: int, layers: int) -> list:
+def _segment_costs(m: int, layers: int) -> list:
     """Gate counts by kind and transfer matrix of F and of controlled-Q block
     0, each lowered once on the compact layout: F's s = m + 1 wires, est[0]
     at wire s, then s - 2 work wires.  The controlled zero reflection is one
     MCX with s controls (est[0] and every F wire but its target), and its
-    Toffoli ladder takes the work wires; no other gate needs them.
-
-    F's linear ramp takes the oracle budget of n, but the lowering reads no
-    angle, so every n of a table has these costs.
+    Toffoli ladder takes the work wires; no other gate needs them.  The
+    lowering reads no angle, so F's ramp and ansatz angles are placeholders,
+    and every n of a table has these costs.
     """
     workload = econ.neoclassical_workload()
     dist = workload.shock(m)
     rv = normalize_rv(workload.values(dist))
     f_circuit = assemble_f([dist], rv, _bench_ansatz(m, layers),
-                           LinearRParams.for_oracle_budget(rv, n))
+                           LinearRParams.for_grid(m, 1.0))
     block, _ = phase_estimation(f_circuit, 1)
     s = m + 1
     width = 2 * s - 1
@@ -282,7 +281,7 @@ def resource_rows(m: int, n_values, layers: int = 10) -> list[dict]:
         unit = max(0, m - 128)
         sim.check_memory(f"counting {layers} ansatz layers at n={largest}",
                          (128 << m - unit) + (rest >> unit), unit)
-        (f_kinds, f_transfer), (q_kinds, q_transfer) = _segment_costs(m, largest, layers)
+        (f_kinds, f_transfer), (q_kinds, q_transfer) = _segment_costs(m, layers)
         h_layer = count_stream(lower_gates(Circuit(1).h(0).gates), 1)
     s = m + 1
     rows = []

@@ -271,22 +271,19 @@ def transfer_matrix(gates, num_qubits: int) -> np.ndarray:
     takes a per-wire frontier ``f`` to ``max_i f[i] + T[i, j]``.  A wire the
     stream does not touch passes through with 0 on the diagonal.
     """
-    gates = list(gates)
-    wires = sorted({q for gate in gates for q in gate.qubits})
-    local = {q: k for k, q in enumerate(wires)}
-    # Scanned over the touched wires only.  rows[j] + lift[j] is, per touched
-    # input wire, the longest path to the end of wire j: a one-wire gate only
-    # raises lift, and a gate on several wires writes one new row that all of
-    # them share (a row is never changed once stored).
-    eye = np.full((len(wires), len(wires)), NO_PATH, dtype=np.int64)
+    # rows[j] + lift[j] is, per input wire, the longest path to the end of
+    # wire j: a one-wire gate only raises lift, and a gate on several wires
+    # writes one new row that all of them share (a row is never changed once
+    # stored).  An untouched wire keeps its identity row.
+    eye = np.full((num_qubits, num_qubits), NO_PATH, dtype=np.int64)
     np.fill_diagonal(eye, 0)
     rows = list(eye)
-    lift = [0] * len(wires)
+    lift = [0] * num_qubits
     for gate in gates:
         if not gate.controls:   # every kind has one target
-            lift[local[gate.targets[0]]] += 1
+            lift[gate.targets[0]] += 1
             continue
-        touched = [local[q] for q in gate.qubits]
+        touched = gate.qubits
         top = max(lift[j] for j in touched)
         row = rows[touched[0]] + (lift[touched[0]] - top)
         for j in touched[1:]:
@@ -294,10 +291,7 @@ def transfer_matrix(gates, num_qubits: int) -> np.ndarray:
         for j in touched:
             rows[j] = row
             lift[j] = top + 1
-    out = np.full((num_qubits, num_qubits), NO_PATH, dtype=np.int64)
-    np.fill_diagonal(out, 0)
-    if wires:
-        out[np.ix_(wires, wires)] = (np.array(rows) + np.array(lift)[:, None]).T
+    out = (np.array(rows) + np.array(lift)[:, None]).T
     out[out < 0] = NO_PATH
     return out
 

@@ -30,6 +30,7 @@ from .distributions import (
 from .sim import ResourceLimitError, check_memory
 
 NONDETERMINISTIC_COLUMNS = ("wall_time_s",)
+BENCH_TARGETS = ("fig3", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,6 +61,11 @@ def _write_rows(rows: list[dict], out: str | None, fmt: str) -> None:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _outcome_rows(distribution) -> list[dict]:
+    return [{"theta": i / distribution.size, "probability": float(p)}
+            for i, p in enumerate(distribution)]
 
 
 def _parse_stages(text: str) -> list[tuple[int, float]]:
@@ -148,9 +154,8 @@ def _cmd_run(args) -> int:
     if args.out:
         _write_rows(rows, args.out, args.format)
     if args.distribution_out:
-        dist_rows = [{"theta": i / est.distribution.size, "probability": float(p)}
-                     for i, p in enumerate(est.distribution)]
-        _write_rows(dist_rows, args.distribution_out, args.format)
+        _write_rows(_outcome_rows(est.distribution), args.distribution_out,
+                    args.format)
     return 0
 
 
@@ -206,9 +211,8 @@ def _cmd_oracle(args) -> int:
 
 def _bench_fig3(args, out_dir):
     est = econ.estimate(econ.simple_workload(), 5, 6).estimate
-    rows = [{"theta": i / est.distribution.size, "probability": float(p)}
-            for i, p in enumerate(est.distribution)]
-    _write_rows(rows, str(out_dir / "fig3_phase_distribution.csv"), args.format)
+    _write_rows(_outcome_rows(est.distribution),
+                str(out_dir / "fig3_phase_distribution.csv"), args.format)
 
 
 def _bench_fig6(args, out_dir):
@@ -280,8 +284,7 @@ def _bench_fig11(args, out_dir):
 def _cmd_bench(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    targets = (["fig3", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11"]
-               if args.target == "all" else [args.target])
+    targets = BENCH_TARGETS if args.target == "all" else (args.target,)
     fig6_rows = None
     # fig9 and fig10 share one depth fit and one measured tau, which is host
     # information only: the crossovers use the reference tau
@@ -290,22 +293,13 @@ def _cmd_bench(args) -> int:
         measured_tau = bench.time_per_sample(seed=args.seed)
         dfit = bench.depth_fit(bench.resource_rows(econ.BENCH_M, range(3, 11)))
     for target in targets:
-        if target == "fig3":
-            _bench_fig3(args, out_dir)
+        if target in ("fig9", "fig10"):
+            fig6_rows = _bench_crossover(args, out_dir, measured_tau, dfit,
+                                         fig6_rows, hypothetical=target == "fig10")
         elif target == "fig6":
             fig6_rows = _bench_fig6(args, out_dir)
-        elif target == "fig7":
-            _bench_fig7(args, out_dir)
-        elif target == "fig8":
-            _bench_fig8(args, out_dir)
-        elif target == "fig9":
-            fig6_rows = _bench_crossover(args, out_dir, measured_tau, dfit,
-                                         fig6_rows)
-        elif target == "fig10":
-            fig6_rows = _bench_crossover(args, out_dir, measured_tau, dfit,
-                                         fig6_rows, hypothetical=True)
-        elif target == "fig11":
-            _bench_fig11(args, out_dir)
+        else:   # looked up when called, so a patched module function applies
+            globals()[f"_bench_{target}"](args, out_dir)
         print(f"bench {target}: done")
     return 0
 
@@ -374,8 +368,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("bench", help="emit plot data for the report figures")
-    p.add_argument("target", choices=("fig3", "fig6", "fig7", "fig8", "fig9",
-                                      "fig10", "fig11", "all"))
+    p.add_argument("target", choices=(*BENCH_TARGETS, "all"))
     p.add_argument("--out-dir", default="bench_out")
     p.set_defaults(func=_cmd_bench)
     return parser
