@@ -72,9 +72,6 @@ class RandomVariableSpec:
         if not self.f_min <= self.f_max:
             raise ValueError("need f_min <= f_max")
 
-    def original_values(self) -> np.ndarray:
-        return self.f_min + self.values * (self.f_max - self.f_min)
-
 
 def normalize_rv(raw_values) -> RandomVariableSpec:
     """Map raw grid values onto [0, 1] via (f - f_min) / (f_max - f_min)."""
@@ -294,8 +291,8 @@ def denormalize_mu(mu_norm: float, rv: RandomVariableSpec,
     mean_f = mu_norm - 0.5
     # mean grid fraction i/(2**m - 1), valid for either ramp direction
     mean_u = (mean_f - linear.b) / (linear.a * (rv.values.size - 1))
-    originals = rv.original_values()
-    return float(originals[0] + mean_u * (originals[-1] - originals[0]))
+    first, last = rv.f_min + rv.values[[0, -1]] * (rv.f_max - rv.f_min)
+    return float(first + mean_u * (last - first))
 
 
 # ---------------------------------------------------------------------------

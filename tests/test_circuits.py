@@ -254,6 +254,30 @@ class TestComposedCount:
                 power, transfer_matrix(block.gates * 2**j, 5))
         assert maxplus_squarings(powers[0], 0) == []
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_frontier_scan_from_each_input_wire(self, seed):
+        # wires 0-3 take any elementary gate, wires 4 and 5 one-wire gates
+        # only, and wires 6 and 7 none
+        rng = np.random.default_rng(300 + seed)
+        width = 8
+        gates = random_circuit(4, 40, rng, list(ELEMENTARY_KINDS)).gates
+        gates += [Gate("rz", (int(q),), angle=0.1) for q in rng.integers(4, 6, 12)]
+        rng.shuffle(gates)
+        want = np.empty((width, width), dtype=np.int64)
+        for i in range(width):
+            # the longest path from the input of wire i, scheduled as in
+            # count_stream: a gate ends one layer past the latest of its wires
+            frontier = np.full(width, NO_PATH, dtype=np.int64)
+            frontier[i] = 0
+            for gate in gates:
+                latest = max(frontier[q] for q in gate.qubits)
+                if latest != NO_PATH:
+                    frontier[list(gate.qubits)] = latest + 1
+            want[i] = frontier
+        assert set(range(6)) <= {q for gate in gates for q in gate.qubits}
+        np.testing.assert_array_equal(
+            transfer_matrix((gate for gate in gates), width), want)
+
     def test_untouched_wire_passes_through(self):
         t = transfer_matrix(
             Circuit(3).add(Gate("rx", (0,), angle=0.1)).cnot(0, 1).gates, 3)

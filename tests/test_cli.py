@@ -806,6 +806,47 @@ class TestCrossoverOutput:
         assert calls == [7]
 
 
+class TestBenchTargets:
+    GOLDEN_BENCH = Path(__file__).parent / "golden" / "cli_outputs" / "bench"
+
+    FILES = {"fig3": {"fig3_phase_distribution.csv"},
+             "fig6": {"fig6_neoclassical_scaling.csv"},
+             "fig7": {"fig7_stress_error.csv"},
+             "fig8": {"fig8_resources.csv"},
+             "fig9": {"fig6_neoclassical_scaling.csv", "fig9_crossover.csv"},
+             "fig10": {"fig6_neoclassical_scaling.csv",
+                       "fig10_crossover_ideal_slope.csv"},
+             "fig11": {"fig11_trained_distribution.csv",
+                       "fig11_trained_params.txt"}}
+
+    @pytest.fixture(autouse=True)
+    def quick_seams(self, monkeypatch):
+        # the slow parts made small: the classical sweep, the measured tau and
+        # the 3,000 training epochs
+        sweep = bench.error_sweep
+        monkeypatch.setattr(bench, "error_sweep", lambda spec: sweep(
+            replace(spec, range=spec.range[:3], repeats=2)
+            if spec.estimator == "classical" else spec))
+        monkeypatch.setattr(bench, "time_per_sample", lambda seed=0: 3e-7)
+        monkeypatch.setattr(cli, "APPENDIX_SCHEDULE",
+                            distributions.TrainingSchedule([(2, 0.01)]))
+
+    @pytest.mark.parametrize("target", [*cli.BENCH_TARGETS, "all"])
+    def test_target_writes_exactly_its_files(self, tmp_path, capsys, target):
+        code, out, _ = run_cli(["bench", target, "--out-dir", str(tmp_path)],
+                               capsys)
+        assert code == 0
+        done = cli.BENCH_TARGETS if target == "all" else (target,)
+        assert ({path.name for path in tmp_path.iterdir()}
+                == set().union(*(self.FILES[name] for name in done)))
+        assert ([line for line in out.splitlines() if line.endswith(": done")]
+                == [f"bench {name}: done" for name in done])
+
+    def test_all_files_are_the_golden_bench_tree(self):
+        assert (set().union(*self.FILES.values())
+                == {path.name for path in self.GOLDEN_BENCH.iterdir()})
+
+
 class TestTrainCommand:
     def test_train_writes_reloadable_params(self, tmp_path, capsys):
         params = tmp_path / "params.txt"

@@ -4,8 +4,12 @@ Usage: PYTHONPATH=<tree>/src python tools/cli_outputs.py OUT_DIR
 
 Each command runs through ``qmcecon.cli.main`` in OUT_DIR with ``--out
 <name>.csv``.  Its exit code and stdout (not bench's, which has the host's
-seconds per sample) go to ``<name>.txt``; ``cli.NONDETERMINISTIC_COLUMNS``
-leave every CSV.  ``diff -r`` two trees' directories to check byte identity.
+seconds per sample) go to ``<name>.txt``, and its stderr, where a refusal or
+an argument error is printed, to ``<name>.err`` when it is not empty.  The
+commands run with ``COLUMNS=80``, so argparse wraps its usage line alike on
+every terminal; the variable is restored afterwards.
+``cli.NONDETERMINISTIC_COLUMNS`` leave every CSV.  ``diff -r`` two trees'
+directories to check byte identity.
 
 The committed tree ``tests/golden/cli_outputs`` is this script's output, and
 ``tests/test_golden.py`` regenerates and compares it.  A change that moves an
@@ -152,17 +156,32 @@ def drop_nondeterministic(path: Path) -> None:
         csv.writer(fh).writerows([row[i] for i in keep] for row in rows)
 
 
+def run(name: str, argv: list[str]) -> None:
+    with (contextlib.redirect_stdout(io.StringIO()) as stdout,
+          contextlib.redirect_stderr(io.StringIO()) as stderr):
+        try:
+            code = cli.main(["--out", f"{name}.csv", *argv])
+        except SystemExit as exc:   # argparse rejected an argument
+            code = exc.code
+    Path(f"{name}.txt").write_text(
+        f"exit {code}\n" + ("" if name == "bench" else stdout.getvalue()))
+    if stderr.getvalue():
+        Path(f"{name}.err").write_text(stderr.getvalue())
+
+
 def main(out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     os.chdir(out)
-    for name, argv in commands():
-        with contextlib.redirect_stdout(io.StringIO()) as stdout:
-            try:
-                code = cli.main(["--out", f"{name}.csv", *argv])
-            except SystemExit as exc:   # argparse rejected an argument
-                code = exc.code
-        Path(f"{name}.txt").write_text(
-            f"exit {code}\n" + ("" if name == "bench" else stdout.getvalue()))
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        for name, argv in commands():
+            run(name, argv)
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
     for path in sorted(Path().rglob("*.csv")):
         drop_nondeterministic(path)
 
