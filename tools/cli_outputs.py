@@ -26,6 +26,7 @@ import io
 import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 from qmcecon import cli
 
@@ -172,16 +173,9 @@ def run(name: str, argv: list[str]) -> None:
 def main(out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     os.chdir(out)
-    columns = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = "80"
-    try:
+    with mock.patch.dict(os.environ, COLUMNS="80"):
         for name, argv in commands():
             run(name, argv)
-    finally:
-        if columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = columns
     for path in sorted(Path().rglob("*.csv")):
         drop_nondeterministic(path)
 
