@@ -291,7 +291,7 @@ def transfer_matrix(gates, num_qubits: int) -> np.ndarray:
         for j in touched:
             rows[j] = row
             lift[j] = top + 1
-    out = (np.array(rows) + np.array(lift)[:, None]).T
+    out = (np.array(rows, dtype=np.int64) + np.array(lift, dtype=np.int64)[:, None]).T
     out[out < 0] = NO_PATH
     return out
 

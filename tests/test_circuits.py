@@ -278,6 +278,10 @@ class TestComposedCount:
         np.testing.assert_array_equal(
             transfer_matrix((gate for gate in gates), width), want)
 
+    def test_no_wires_is_an_empty_int64_matrix(self):
+        t = transfer_matrix(iter(()), 0)
+        assert t.shape == (0, 0) and t.dtype == np.int64
+
     def test_untouched_wire_passes_through(self):
         t = transfer_matrix(
             Circuit(3).add(Gate("rx", (0,), angle=0.1)).cnot(0, 1).gates, 3)
