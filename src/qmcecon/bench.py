@@ -20,8 +20,8 @@ import numpy as np
 from .circuits import (ELEMENTARY_KINDS, count_stream, inverse_qft,
                        lower_gates, maxplus, maxplus_squarings, transfer_matrix)
 from .distributions import VariationalAnsatz
-from .engine import (LinearRParams, QMCConfig, assemble_f, normalize_rv,
-                     phase_estimation)
+from .engine import (LinearRParams, QMCConfig, assemble_f, grover_operator,
+                     normalize_rv)
 from .sim import Circuit
 from . import econ, sim
 
@@ -226,8 +226,8 @@ def _segment_costs(m: int, layers: int) -> list:
     rv = normalize_rv(workload.values(dist))
     f_circuit = assemble_f([dist], rv, _bench_ansatz(m, layers),
                            LinearRParams.for_grid(m, 1.0))
-    block, _ = phase_estimation(f_circuit, 1)
     s = m + 1
+    block = grover_operator(f_circuit, s)
     width = 2 * s - 1
     return [_lowered_cost(circuit, width, range(s + 1, width))
             for circuit in (f_circuit, block)]
@@ -237,18 +237,25 @@ def resource_rows(m: int, n_values, layers: int = 10) -> list[dict]:
     """Counts and depth of the decomposed estimation circuit, one row per n
     of the sequence ``n_values``, in increasing n.
 
+    The estimation circuit on F's s wires and est = s..s+n-1 is F, an H on
+    each estimation wire, block k run 2**(n-1-k) times for k = 0..n-1
+    (2**n - 1 oracle applications), and the inverse QFT on est.  Block 0 is
+    controlled-Q, ``grover_operator(f, est[0])``, and block k is block 0
+    with est[0] and est[k] exchanged.  Nothing builds the H layer or blocks
+    1..n-1: this table counts them by that rule, and the ``circuit`` method
+    applies Q on F's wires alone, since est[0] is only a control.
+
     F (the macro benchmark's layered ansatz and linear rotation encoding)
-    and controlled-Q block 0 of ``phase_estimation`` are built once per
-    table and lowered once on F's wires, one estimation wire and the work
-    wires, each to its gate counts by kind and its transfer matrix.  Block
-    k lowers as block 0 on est[k] in place of est[0].  A row counts F, the
-    H layer n times, block 0 2**n - 1 times and its inverse QFT, lowered per
-    row.  Its depth is the per-wire frontier carried through F, then, from
-    each estimation wire's H, through the 2**(n-1-k) copies of block k by
-    one max-plus product with block 0's matrix squared n - 1 - k times (the
-    squarings serve every block of every row), and last through the inverse
-    QFT's matrix.  ``count_stream`` counts the H layer, which is never
-    composed, and the tests check every row against it over the flat lowering.
+    and block 0 are built once per table and lowered once on F's wires,
+    est[0] and the work wires, each to its gate counts by kind and its
+    transfer matrix.  A row counts F, the H layer n times, block 0 2**n - 1
+    times and its inverse QFT, lowered per row.  Its depth is the per-wire
+    frontier carried through F, then, from each estimation wire's H, through
+    the 2**(n-1-k) copies of block k by one max-plus product with block 0's
+    matrix squared n - 1 - k times (the squarings serve every block of every
+    row), and last through the inverse QFT's matrix.  ``count_stream``
+    counts the H layer, which is never composed, and the tests check every
+    row against it over the flat lowering.
 
     Nothing of size 2**n is allocated, so n is bounded by the integer range
     instead: a lowered gate total, and so a depth, that reaches 2**61 (the

@@ -155,6 +155,8 @@ def _lower_gate(gate: Gate, work: tuple[int, ...]):
         yield from _lower_h(gate.targets[0])
     elif kind == "x":
         yield Gate("rx", gate.targets, angle=math.pi)
+    elif kind == "z":
+        yield Gate("rz", gate.targets, angle=math.pi)
     elif kind == "cz":
         t = gate.targets[0]
         yield from _lower_h(t)

@@ -16,11 +16,12 @@ with phases +-theta, sin^2(pi theta / 2) = p1, so the outcome distribution
 of phase estimation depends on p1 alone.  It reads theta_hat from that
 distribution at four outcomes, the grid points next to +-theta, and builds
 the whole 2**n array only when a caller reads it.  The reference path
-("circuit") builds each Q^y F|0> of the state (1/sqrt(M)) sum_y |y> Q^y F|0> before the
-inverse QFT from controlled-Q block 0, gate by gate, and then runs the
-inverse QFT gate by gate; blocks 1..n-1 and the H layer are not simulated
-(see ``phase_estimation``).  The tests pin both paths against a brute-force
-oracle.  ``bench`` counts F, block 0 and the inverse QFT.
+("circuit") builds each Q^y F|0> of the state (1/sqrt(M)) sum_y |y> Q^y F|0>
+before the inverse QFT by applying the Grover operator on F's wires, gate
+by gate, and then runs the inverse QFT gate by gate; the controlled blocks
+and the H layer of the estimation circuit (see ``bench.resource_rows``) are
+not simulated.  The tests pin both paths against a brute-force oracle.
+``bench`` counts F, controlled-Q block 0 and the inverse QFT.
 """
 
 from __future__ import annotations
@@ -161,15 +162,8 @@ def build_R_linear(m: int, params: LinearRParams) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# Grover operator and its controlled form
+# Grover operator
 # ---------------------------------------------------------------------------
-
-
-def _ancilla_z_gates(ancilla: int):
-    # Pauli-Z with no global-phase slop: H X H = Z exactly.
-    yield Gate("h", (ancilla,))
-    yield Gate("x", (ancilla,))
-    yield Gate("h", (ancilla,))
 
 
 def _zero_reflection_gates(system: list[int], control: int | None = None):
@@ -193,60 +187,28 @@ def _zero_reflection_gates(system: list[int], control: int | None = None):
         yield Gate("x", (q,))
 
 
-def grover_operator(f_circuit: Circuit) -> Circuit:
-    """Q = (F Z0 F^dag V)^2 as an explicit circuit.
+def grover_operator(f_circuit: Circuit, control: int | None = None) -> Circuit:
+    """Q = (F Z0 F^dag V)^2 on F's wires, or controlled-Q with ``control``.
 
     V is Pauli-Z on the ancilla (last F wire); Z0 reflects about the system
     all-zeros state.  Exact including global phase, so dense eigenphases can
-    be read off directly.
-    """
-    system = list(range(f_circuit.num_qubits))
-    ancilla = system[-1]
-    circ = Circuit(len(system))
-    f_dagger = f_circuit.inverse()
-    for _ in range(2):
-        circ.extend(_ancilla_z_gates(ancilla))
-        circ.extend(f_dagger)
-        circ.extend(_zero_reflection_gates(system))
-        circ.extend(f_circuit)
-    return circ
-
-
-def build_controlled_Q(f_circuit: Circuit, control: int) -> Circuit:
-    """Controlled Grover operator without a controlled version of F.
-
-    Only the two reflections need the control: controlled-V collapses to a CZ
-    between the control and the ancilla, and the zero reflection gains the
-    control as one more MCX control.  With the control off, the F / F^dag
-    pairs cancel to the identity.
+    be read off directly.  Controlled-Q needs no controlled F: only the two
+    reflections take the control, V as a CZ between the control and the
+    ancilla and Z0 as one more MCX control, and with the control off the
+    F / F^dag pairs cancel to the identity.  Those are the only gates on the
+    control, so the same arithmetic runs on the control-on half of a state
+    as Q runs on F's wires alone.
     """
     system = list(range(f_circuit.num_qubits))
     ancilla = system[-1]
     if control in system:
         raise ValueError(f"control qubit {control} overlaps the encoding register")
+    v = (Gate("z", (ancilla,)) if control is None
+         else Gate("cz", (ancilla,), (control,)))
     # every gate lies on F's wires or the control, so none is checked again
-    half = [Gate("cz", (ancilla,), (control,)), *f_circuit.inverse().gates,
-            *_zero_reflection_gates(system, control=control), *f_circuit.gates]
-    return Circuit(max(system + [control]) + 1, half * 2)
-
-
-def phase_estimation(f_circuit: Circuit, n: int) -> tuple[Circuit, Circuit]:
-    """Controlled-Q block 0, ``build_controlled_Q(f, est[0])``, on F's s
-    wires and est[0]; and the inverse QFT on est = s..s+n-1.
-
-    The estimation circuit is F, an H on each estimation wire, block k, which
-    is block 0 with est[0] and est[k] exchanged, run 2**(n-1-k) times for
-    k = 0..n-1 (2**n - 1 oracle applications), and the inverse QFT.  F is
-    the caller's, and only block 0 is built: ``bench`` counts the H layer
-    and the other blocks by that rule, and the ``circuit`` method uses that
-    est[0] is only a control to apply Q^y from block 0, so it simulates
-    neither.  Each controlled zero reflection is one MCX with s controls,
-    whose lowering needs s - 2 clean work wires.
-    """
-    if n < 1:
-        raise ValueError(f"need at least one estimation qubit, got {n}")
-    s = f_circuit.num_qubits
-    return build_controlled_Q(f_circuit, s), inverse_qft(range(s, s + n))
+    half = [v, *f_circuit.inverse().gates,
+            *_zero_reflection_gates(system, control), *f_circuit.gates]
+    return Circuit(len(system) if control is None else control + 1, half * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -495,18 +457,18 @@ def _simulate_distribution(config, f_circuit, n):
     under ``auto``) and the encoded probability p1.
 
     Both methods take p1 from F's statevector.  The ``circuit`` method keeps
-    it as column 0 of a (2**s, 2**n) array, whose column y is block 0 applied
-    on s + 1 wires, est[0] set to |1>, to column y - 1: Q^y F|0>.  Over
-    sqrt(2**n), the array is the state before the inverse QFT, system wires
-    first; the estimation wires read in reverse order undo the QFT's bit
-    reversal.  Its memory is checked before block 0 or a state is built: five
-    statevectors of 16 * 2**(s + n) bytes (the array, the inverse QFT's
-    working copy and a gate's two half-state temporaries: a peak of 3.1-4.1
-    statevectors traced at n = 3-12; at n = 1 the s + 1 wire state and its
-    copy are as large as the array), 32 per gate stored (F; block 0 of twice
-    a CZ, F's inverse, a zero reflection of 2s + 3 gates and F; the inverse
-    QFT), 64 per multiplexor angle (in F and its inverse) and 1 MiB for
-    numpy's buffers and small objects.
+    it as column 0 of a (2**s, 2**n) array, whose column y is Q applied on
+    F's wires to column y - 1: Q^y F|0>.  Over sqrt(2**n), the array is the
+    state before the inverse QFT, system wires first; the estimation wires
+    read in reverse order undo the QFT's bit reversal.  Its memory is checked
+    before Q or a state is built: five statevectors of 16 * 2**(s + n) bytes
+    (the array, the inverse QFT's working copy and a gate's two half-state
+    temporaries; the peak traced on the stress and neoclassical apps was
+    3.0-3.2 statevectors at n = 5 and 12, 4.1-4.7 at n = 2 and 4.4-5.6 at
+    n = 1, where F's own simulation, angles and grid make 2.8-3.6), 32 per
+    gate stored (F; Q of twice V, F's inverse, a zero reflection of 2s + 3
+    gates and F; the inverse QFT), 64 per multiplexor angle (in F and its
+    inverse) and 1 MiB for numpy's buffers and small objects.
     """
     s, f_len = f_circuit.num_qubits, len(f_circuit)
     circuit = config.method == "circuit"
@@ -515,21 +477,17 @@ def _simulate_distribution(config, f_circuit, n):
         angles = sum(len(g.angle) for g in f_circuit.gates if g.kind == "ucry")
         check_memory(f"phase estimation on {s + n} qubits",
                      80 * (1 << (s + n)) + 32 * stored + 64 * angles + (1 << 20))
-        block, iqft = phase_estimation(f_circuit, n)
+        q, iqft = grover_operator(f_circuit), inverse_qft(range(s, s + n))
     state = apply_circuit(init_state(s), f_circuit)
     p1 = float(probabilities(state, [s - 1])[1])
     if not circuit:
         return None, p1
     columns = np.empty((1 << s, 1 << n), dtype=np.complex128)
     columns[:, 0] = state.amplitudes
-    del state
     for y in range(1, 1 << n):
-        # F's wires, then est[0] in |1>, where block 0 keeps it
-        pair = np.zeros((1 << s, 2), dtype=np.complex128)
-        pair[:, 1] = columns[:, y - 1]
-        pair = apply_circuit(StateVector(s + 1, pair.reshape(-1)), block).amplitudes
-        columns[:, y] = pair[1::2]
-    del pair
+        state = apply_circuit(state, q)
+        columns[:, y] = state.amplitudes
+    del state
     columns /= math.sqrt(1 << n)
     state = apply_circuit(StateVector(s + n, columns.reshape(-1)), iqft)
     del columns

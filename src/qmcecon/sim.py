@@ -68,6 +68,7 @@ _KINDS = {
     "rz": (0, _turn(lambda c, s: ((c - 1j * s, 0), (0, c + 1j * s)))),
     "h": (0, ((_H, _H), (_H, -_H))),
     "x": (0, _X),
+    "z": (0, ((1, 0), (0, -1))),
     "cnot": (1, _X),
     "cz": (1, ((1, 0), (0, -1))),
     "cry": (1, _RY),

@@ -25,8 +25,8 @@ from qmcecon.bench import (
 from qmcecon.circuits import (ELEMENTARY_KINDS, count_resources, count_stream,
                               decompose, lower_gates, transfer_matrix)
 from qmcecon.distributions import discretize_normal
-from qmcecon.engine import (LinearRParams, assemble_f, build_controlled_Q,
-                            normalize_rv, phase_estimation)
+from qmcecon.engine import (LinearRParams, assemble_f, grover_operator,
+                            normalize_rv)
 from qmcecon.sim import Circuit
 
 from util import fit_r_squared, flat_phase_estimation, write_stress_config
@@ -221,12 +221,12 @@ class TestResources:
 
         def recording(*args):
             calls.append(args[1])
-            return phase_estimation(*args)
+            return grover_operator(*args)
 
-        monkeypatch.setattr(bench, "phase_estimation", recording)
+        monkeypatch.setattr(bench, "grover_operator", recording)
         monkeypatch.setattr(sim, "check_memory", lambda what, *size: checks.append(what))
         resource_rows(5, range(3, 11), layers=10)
-        assert calls == [1]
+        assert calls == [6]
         assert checks == ["counting 10 ansatz layers at n=10"]
 
     def test_table_scans_only_the_h_layer(self, monkeypatch):
@@ -270,14 +270,14 @@ class TestResources:
         s = m + 1
         work = range(s + n, s + n + m - 1)
         f = _benchmark_f(m, n, 2)
-        block, _ = phase_estimation(f, n)
+        block = grover_operator(f, s)
         first = list(lower_gates(block.gates, work))
         for k in range(n):
             swap = {s: s + k, s + k: s}
             exchanged = [replace(g, targets=tuple(swap.get(q, q) for q in g.targets),
                                  controls=tuple(swap.get(q, q) for q in g.controls))
                          for g in first]
-            own = build_controlled_Q(f, s + k)
+            own = grover_operator(f, s + k)
             assert list(lower_gates(own.gates, work)) == exchanged, k
 
     def test_count_past_int64_headroom_rejected(self):

@@ -156,7 +156,7 @@ class TestExitCodes:
 
         for n in (1000, 2000):
             with monkeypatch.context() as patch:
-                patch.setattr(bench, "phase_estimation", refuse)
+                patch.setattr(bench, "grover_operator", refuse)
                 start = time.perf_counter()
                 code, out, err = run_cli(["resources", "--m", "5", "--n-min",
                                           str(n), "--n-max", str(n)], capsys)
@@ -196,13 +196,13 @@ class TestExitCodes:
         ids=["run-30-qubits", "run-large-F"])
     def test_circuit_method_over_cap_exit_2_before_building(
             self, capsys, monkeypatch, args, message):
-        # refused from F's length and angles alone: block 0 (and the inverse
-        # of F's 2**s angles in it) is not built first
+        # refused from F's length and angles alone: Q (and the inverse of
+        # F's 2**s angles in it) is not built first
         def refuse(*a, **k):
-            raise Reached("block 0 built before the memory check")
+            raise Reached("Q built before the memory check")
 
         refuse_simulation(monkeypatch)
-        monkeypatch.setattr(engine, "phase_estimation", refuse)
+        monkeypatch.setattr(engine, "grover_operator", refuse)
         code, _, err = run_cli(args, capsys)
         assert code == 2
         assert message in err
@@ -220,7 +220,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("n", [16, 17])
     def test_long_blocks_reach_simulation(self, tmp_path, monkeypatch, n):
-        # A trained-ansatz F of 11 gates per layer makes controlled-Q block 0
+        # A trained-ansatz F of 11 gates per layer makes the Grover operator
         # long; it is stored once and applied 2**n - 1 times, so only the
         # state term, 80 * 2**(4 + n) bytes, bounds the request
         refuse_simulation(monkeypatch)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,12 +21,10 @@ from qmcecon.engine import (
     assemble_f,
     build_R_exact,
     build_R_linear,
-    build_controlled_Q,
     denormalize_mu,
     extract_theta,
     grover_operator,
     normalize_rv,
-    phase_estimation,
     run_qmc,
     spectral_distribution,
     spectral_theta_hat,
@@ -33,6 +32,7 @@ from qmcecon.engine import (
 )
 from qmcecon.sim import (
     Circuit,
+    Gate,
     ResourceLimitError,
     apply_circuit,
     dense_unitary,
@@ -300,7 +300,7 @@ class TestGroverOperator:
                   Circuit(4).extend(ansatz_circuit(ansatz)).extend(linear)):
             s = f.num_qubits
             q = dense_unitary(grover_operator(f))
-            cq = dense_unitary(build_controlled_Q(f, control=s))
+            cq = dense_unitary(grover_operator(f, control=s))
             # control is the least significant wire here
             np.testing.assert_allclose(cq[0::2, 0::2], np.eye(1 << s), atol=1e-9)
             np.testing.assert_allclose(cq[1::2, 1::2], q, atol=1e-9)
@@ -312,7 +312,7 @@ class TestGroverOperator:
         rv = normalize_rv(np.arange(4.0))
         f = assemble_f([dist], rv)
         with pytest.raises(ValueError):
-            build_controlled_Q(f, control=1)
+            grover_operator(f, control=1)
 
 
 def small_problem(m, seed=0):
@@ -326,7 +326,7 @@ class TestPhaseEstimationCircuit:
     def test_oracle_call_counts(self):
         dist, rv = small_problem(2)
         f = assemble_f([dist], rv)
-        block = build_controlled_Q(f, control=3)
+        block = grover_operator(f, control=3)
         circ6 = flat_phase_estimation(f, 6)
         # gate-count identity: F + n Hadamards + 63 blocks + inverse QFT
         iqft_gates = 6 + 15
@@ -334,18 +334,17 @@ class TestPhaseEstimationCircuit:
         assert len(circ6.gates) == expected
 
     def test_block_0_and_inverse_qft(self):
-        # block 0 spans F's wires and est[0] only; the inverse QFT spans
-        # F's wires and est
+        # block 0 spans F's wires and est[0] only, and Q F's wires alone;
+        # the inverse QFT spans F's wires and est
         dist, rv = small_problem(2)
         f = assemble_f([dist], rv)
-        block, iqft = phase_estimation(f, 4)
-        assert [c.num_qubits for c in (block, iqft)] == [3 + 1, 3 + 4]
-        assert block == build_controlled_Q(f, 3)
-        assert iqft.gates == inverse_qft(range(3, 7)).gates
+        circuits = grover_operator(f, 3), grover_operator(f), inverse_qft(range(3, 7))
+        assert [c.num_qubits for c in circuits] == [3 + 1, 3, 3 + 4]
 
     @pytest.mark.parametrize("case", ["exact", "trained_linear"])
     def test_block_0_touches_est_0_only_as_a_control(self, case):
-        # what lets the circuit method build Q^y F|0> on F's wires and est[0]
+        # what lets the circuit method build Q^y F|0> on F's wires alone:
+        # block 0 is Q with V and Z0 controlled on est[0]
         rng = np.random.default_rng(3)
         dist = random_distribution(3, rng)
         if case == "exact":
@@ -355,12 +354,16 @@ class TestPhaseEstimationCircuit:
             ansatz = VariationalAnsatz(3, 2, rng.uniform(-math.pi, math.pi, 18))
             f = assemble_f([dist], rv, ansatz, LinearRParams.for_oracle_budget(rv, 5))
         s = f.num_qubits
-        block, _ = phase_estimation(f, 5)
+        block = grover_operator(f, s)
         touching = [g for g in block.gates if s in g.qubits]
         # the CZ and the zero reflection's MCX, in each of the two halves
         assert [g.kind for g in touching] == ["cz", "mcx"] * 2
         assert all(s in g.controls for g in touching)
         assert max(q for g in block.gates for q in g.qubits) == s
+        released = [Gate("z", g.targets) if g.kind == "cz"
+                    else replace(g, controls=tuple(c for c in g.controls if c != s))
+                    for g in block.gates]
+        assert grover_operator(f).gates == released
 
     def test_work_register_size(self):
         dist, rv = small_problem(3)

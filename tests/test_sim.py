@@ -198,7 +198,7 @@ def turn(pauli):
 TEXTBOOK = {
     "rx": (0, turn(X)), "ry": (0, turn(Y)), "rz": (0, turn(Z)),
     "h": (0, np.array([[1, 1], [1, -1]]) / math.sqrt(2)), "x": (0, X),
-    "cnot": (1, X), "cz": (1, Z), "cry": (1, turn(Y)),
+    "z": (0, Z), "cnot": (1, X), "cz": (1, Z), "cry": (1, turn(Y)),
     "cphase": (1, lambda t: np.diag([1, np.exp(1j * t)])), "mcx": (None, X)}
 
 # (wires, controls, target): the target below, between and above its controls
@@ -401,29 +401,29 @@ class TestFormulasCoverPeaks:
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_circuit_method_counts_before_building(self, checked, monkeypatch, n):
-        # the stored gates are reckoned from F's length, before block 0 is
+        # the stored gates are reckoned from F's length, before Q is
         # built, and equal those of F and the two circuits
         rng = np.random.default_rng(n)
         f = random_circuit(5, 40, rng)
         f.ucry([0, 1, 2], 4, rng.uniform(-3, 3, 8))
         config = engine.QMCConfig(m=4, n=n, method="circuit")
-        build, checks_before = engine.phase_estimation, []
+        build, checks_before = engine.grover_operator, []
 
         def circuits(*args):
             checks_before.append(len(checked))
             return build(*args)
 
         checked.clear()
-        monkeypatch.setattr(engine, "phase_estimation", circuits)
+        monkeypatch.setattr(engine, "grover_operator", circuits)
         engine._simulate_distribution(config, f, n)
-        stored = len(f) + sum(map(len, build(f, n)))
+        stored = len(f) + len(build(f)) + n * (n + 1) // 2
         assert checks_before == [1]
         assert checked[0] == (f"phase estimation on {5 + n} qubits",
                               80 * (1 << 5 + n) + 32 * stored + 64 * 8 + (1 << 20))
 
     def test_circuit_method_gate_list(self, checked):
-        # a trained-ansatz F of 11 gates per layer makes the stored
-        # controlled-Q block 0 long, and it runs 2**n - 1 times
+        # a trained-ansatz F of 11 gates per layer makes the stored Grover
+        # operator long, and it runs 2**n - 1 times
         m, n = 3, 2
         config = engine.QMCConfig(m=m, n=n, r_mode="linear", method="circuit")
         dist = econ.neoclassical_shock_grid(m)

@@ -7,7 +7,7 @@ import numpy as np
 
 from qmcecon.circuits import inverse_qft
 from qmcecon.distributions import _layer_unitaries
-from qmcecon.engine import build_controlled_Q
+from qmcecon.engine import grover_operator
 from qmcecon.sim import Circuit, Gate, _apply_gate_tensor
 
 
@@ -93,18 +93,17 @@ def lowering_error(reference: np.ndarray, lowered: Circuit) -> float:
 
 def flat_phase_estimation(f_circuit: Circuit, n: int) -> Circuit:
     """The whole estimation circuit written out gate by gate: F, the H layer,
-    ``build_controlled_Q(f, s + k)`` 2**(n-1-k) times for each k, and the
-    inverse QFT.  Every part is built here, independently of
-    ``engine.phase_estimation``, which returns block 0 and the inverse QFT
-    only: F is its caller's, and the H layer and blocks 1..n-1 follow from
-    block 0 by rule."""
+    ``grover_operator(f, s + k)`` 2**(n-1-k) times for each k, and the
+    inverse QFT.  Every block is built here on its own wire, where
+    ``bench.resource_rows`` counts block 0 only and the ``circuit`` method
+    applies Q on F's wires, and both take the rest by rule."""
     s = f_circuit.num_qubits
     est = range(s, s + n)
     circ = Circuit(s + n).extend(f_circuit)
     for q in est:
         circ.h(q)
     for k in range(n):
-        circ.extend(build_controlled_Q(f_circuit, s + k).gates * 2 ** (n - 1 - k))
+        circ.extend(grover_operator(f_circuit, s + k).gates * 2 ** (n - 1 - k))
     return circ.extend(inverse_qft(est))
 
 

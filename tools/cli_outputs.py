@@ -70,16 +70,16 @@ def commands():
     yield "run_params_m_mismatch", ["run", "neoclassical", "--r-mode", "linear",
                                     "--m", "3", "--n", "8", "--params",
                                     "trained.txt"]
-    # the reference path: controlled-Q block 0 and the inverse QFT simulated
+    # the reference path: the Grover operator and the inverse QFT simulated
     # gate by gate
     yield "run_stress_circuit", ["run", "stress", "--m", "3", "--n", "6",
                                  "--method", "circuit"]
-    # the reference path with a long controlled-Q block 0, applied 2**n - 1
-    # times on F's wires and est[0]
+    # the reference path with a long Grover operator, applied 2**n - 1 times
+    # on F's wires
     yield "run_linear_trained_circuit", [
         "run", "neoclassical", "--r-mode", "linear", "--m", "5", "--n", "6",
         "--params", "trained.txt", "--method", "circuit"]
-    # 30 qubits, five 16 GiB statevectors: refused before block 0 is built
+    # 30 qubits, five 16 GiB statevectors: refused before Q is built
     yield "run_stress_circuit_over_memory", ["run", "stress", "--m", "5", "--n",
                                              "19", "--method", "circuit"]
     yield "resources_m3_layers2", ["resources", "--m", "3", "--layers", "2",
