@@ -160,11 +160,11 @@ class TestDecompose:
     @pytest.mark.parametrize("builder", [
         lambda c: c.h(0),
         lambda c: c.x(1),
-        lambda c: c.add(Gate("z", (1,))),
         lambda c: c.add(Gate("cz", (1,), (0,))),
         lambda c: c.cphase(1, 0, 0.9),
         lambda c: c.mcx([0, 1], 2),
         lambda c: c.mcx([0, 1, 2], 3),
+        lambda c: c.add(Gate("z", (1,))),
     ])
     def test_each_rule_sound(self, builder):
         circ = Circuit(4)
