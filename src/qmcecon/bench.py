@@ -109,8 +109,7 @@ def _classical_point(workload, n_samples, errors, times, seed):
 
     def work(w):
         for rep in range(w, repeats, workers):
-            run = econ.classical_mc(workload.sampler, workload.f, n_samples,
-                                    seed=seed + 7919 * rep, oracle=workload.mean)
+            run = econ.classical_mc(workload, n_samples, seed=seed + 7919 * rep)
             errors[rep], times[rep] = run.abs_error, run.wall_time
 
     def spawned(w):

@@ -442,22 +442,20 @@ def train_ansatz(target: DiscretizedDistribution, layers: int,
 
     Parameters start at seeded uniform values in [-0.1, 0.1].  Returns the
     trained ansatz and the per-epoch cost trace (deterministic given seed).
-    Before anything is allocated, the memory budget is checked for the
-    (layers + 1) * 2**m * 16 bytes of states that the reverse sweep keeps;
-    on its own for the chunk matrices and overlap blocks, two 2**k x 2**k
-    complex arrays per layer and chunk; and on its own for the cost trace of
-    8 bytes per epoch.
+    Before anything is allocated, one memory check counts the training's
+    peak: the (layers + 1) states of 16 * 2**m bytes that the reverse sweep
+    keeps and five more for an epoch's temporaries, the chunk matrices and
+    overlap blocks (two 2**k x 2**k complex arrays per layer and chunk), the
+    cost trace of 8 bytes per epoch, and 1 MiB.
     """
     if layers < 1:
         raise ValueError(f"need at least one layer, got {layers}")
     m = target.m
-    check_memory(f"training m={m} with {layers} layers", (layers + 1) * 16, m)
-    # Checks of their own: adding the blocks or the trace to the states'
-    # bytes would move the boundary above (m=20 trains 63 layers, not 64).
-    check_memory(f"the chunk matrices and overlap blocks of {layers} layers "
-                 f"at m={m}", _chunk_bytes(m, layers))
-    check_memory(f"a cost trace of {schedule.total_epochs()} epochs",
-                 8 * schedule.total_epochs())
+    # the part that does not scale with 2**m, in units of 2**m rounded up,
+    # so that a huge m is refused from its exponent
+    fixed = _chunk_bytes(m, layers) + 8 * schedule.total_epochs() + (1 << 20)
+    check_memory(f"training m={m} with {layers} layers",
+                 (layers + 1 + 5) * 16 + -(-fixed >> m), m)
     rng = np.random.default_rng(schedule.seed)
     params = rng.uniform(-0.1, 0.1, size=VariationalAnsatz.num_params(m, layers))
     trace = np.empty(schedule.total_epochs())

@@ -4,7 +4,7 @@ A ``Workload`` is one expectation problem: a discretized shock per register
 and a variable on their product grid, whose mean ``estimate`` reads back by
 amplitude estimation, with its closed-form grid mean, its mean under the
 continuous shock, and the sampler of the seeded classical Monte Carlo
-baseline.  ``workload(app)`` returns one of:
+baseline, which takes the entry whole.  ``workload(app)`` returns one of:
 
 * ``simple``: E[sin^2 x] for a standard normal x.
 * ``stress``: a two-bank, two-period stress test.  Each period the banks
@@ -87,9 +87,6 @@ class StressTestParams:
             if bank.equity + 1e-12 < self.beta_lev * bank.total_assets:
                 raise ValueError("bank starts below the leverage requirement")
 
-    def shock_distribution(self, m: int) -> DiscretizedDistribution:
-        return discretize_beta(m, self.shock_a, self.shock_b)
-
 
 # Reference two-bank calibration.  Reproduces the published coefficient chain
 # (fire-sales term 0.0060, credit-risk term 0.0053, combined constant 0.0064,
@@ -147,32 +144,6 @@ def stress_combined_constant(coeffs: StressCoefficients, beta_lev: float) -> flo
     """K = gamma1 (1 + gamma0 (1-beta)/beta): per-period loss per unit
     cumulative default growth."""
     return coeffs.gamma1 * (1.0 + coeffs.gamma0 * (1.0 - beta_lev) / beta_lev)
-
-
-def stress_loss_rv(d1, d2, coeffs: StressCoefficients, beta_lev: float):
-    """Two-period system-wide loss fraction for loss-rate draws (d1, d2).
-
-    K * [(1 + d1) + (1 + d1)(1 + d2)], which factors as K (1 + d1)(2 + d2).
-    Accepts scalars or arrays.
-    """
-    k = stress_combined_constant(coeffs, beta_lev)
-    growth1 = 1.0 + np.asarray(d1, dtype=float)
-    growth2 = 1.0 + np.asarray(d2, dtype=float)
-    out = k * (growth1 + growth1 * growth2)
-    return float(out) if np.isscalar(d1) else out
-
-
-def stress_theoretical_mean(coeffs: StressCoefficients, beta_lev: float,
-                            mean_d: float) -> float:
-    """Expected two-period loss fraction K (1 + E)(2 + E) for i.i.d. loss
-    rates of mean E = ``mean_d``.
-
-    Independence factorizes the expectation.  With E = a/(a+b) of the Beta
-    shock it is the continuous mean; with the mean of the discretized masses
-    it is the grid oracle the quantum estimate is judged against.
-    """
-    k = stress_combined_constant(coeffs, beta_lev)
-    return k * (1.0 + mean_d) * (2.0 + mean_d)
 
 
 def stress_qmc(params: StressTestParams, m: int, n: int,
@@ -254,12 +225,11 @@ class MCRun:
 CLASSICAL_CHUNK = 1 << 13
 
 
-def classical_mc(sampler, f, num_samples: int, seed: int,
-                 oracle: float | None = None) -> MCRun:
-    """Plain Monte Carlo mean of f over draws from ``sampler``.
+def classical_mc(workload: Workload, num_samples: int, seed: int) -> MCRun:
+    """Plain Monte Carlo mean of the entry's ``f`` over draws from its
+    ``sampler``, scored against ``workload.mean``.
 
-    ``sampler(rng, size)`` returns draws, ``f`` maps them to values.  No
-    array spans the run: the values are summed with ``np.add.reduce`` in
+    No array spans the run: the values are summed with ``np.add.reduce`` in
     leaves of at most ``CLASSICAL_CHUNK`` samples, and the leaf sums are
     added up the tree of numpy's ``pairwise_sum``, which splits a run of
     n > 128 values after its first n // 2 rounded down to a multiple of 8
@@ -276,26 +246,14 @@ def classical_mc(sampler, f, num_samples: int, seed: int,
 
     def tree_sum(size):
         if size <= CLASSICAL_CHUNK:
-            return float(np.add.reduce(f(sampler(rng, size))))
+            return float(np.add.reduce(workload.f(workload.sampler(rng, size))))
         half = size // 2 - size // 2 % 8
         return tree_sum(half) + tree_sum(size - half)
 
     start = time.perf_counter()
     estimate = tree_sum(num_samples) / num_samples
     elapsed = time.perf_counter() - start
-    err = abs(estimate - oracle) if oracle is not None else math.nan
-    return MCRun(num_samples, seed, estimate, err, elapsed)
-
-
-def simple_problem_sampler(rng, size):
-    return rng.standard_normal(size)
-
-
-def simple_problem_f(x):
-    return np.sin(x) ** 2
-
-
-SIMPLE_ANALYTIC_MEAN = math.sinh(1.0) / math.e
+    return MCRun(num_samples, seed, estimate, abs(estimate - workload.mean), elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +268,8 @@ class Workload:
     ``shock(m)`` discretizes the shock of each of the ``dims`` registers on
     2**m points, and ``grid_mean(dist)`` is the variable's exact mean on
     their product grid.  ``mean`` is the expectation under the continuous
-    shock, which the classical estimate of ``f(sampler(rng, size))`` targets.
+    shock: the classical baseline ``classical_mc`` takes the entry whole and
+    scores its estimate of ``f(sampler(rng, size))`` against it.
     ``f`` maps draws to values: a draw is a scalar when ``dims`` is 1 and a
     row of ``dims`` scalars otherwise.  ``classical_mc`` draws in leaves, so
     ``f`` must be elementwise over draws and the sampler's stream must not
@@ -342,25 +301,36 @@ class Workload:
 
 def simple_workload() -> Workload:
     """E[sin^2 x] for a standard normal x, gridded over [-pi, pi]."""
+    def f(x):
+        return np.sin(x) ** 2
+
     return Workload(
         dims=1, m=5,
         shock=lambda m: discretize_normal(m, 0.0, 1.0, -math.pi, math.pi),
-        grid_mean=lambda dist: float(np.dot(dist.masses, simple_problem_f(dist.grid))),
-        mean=SIMPLE_ANALYTIC_MEAN,
-        sampler=simple_problem_sampler, f=simple_problem_f)
+        grid_mean=lambda dist: float(np.dot(dist.masses, f(dist.grid))),
+        mean=math.sinh(1.0) / math.e,
+        sampler=lambda rng, size: rng.standard_normal(size), f=f)
 
 
 def stress_workload(params: StressTestParams) -> Workload:
-    """Expected two-period system-wide loss fraction of the scenario."""
-    coeffs = stress_coefficients(params)
-    beta, a, b = params.beta_lev, params.shock_a, params.shock_b
+    """Expected two-period system-wide loss fraction of the scenario: a draw
+    (d1, d2) of loss rates loses K [(1 + d1) + (1 + d1)(1 + d2)], whose mean
+    over i.i.d. rates of mean E factorizes as K (1 + E)(2 + E)."""
+    k = stress_combined_constant(stress_coefficients(params), params.beta_lev)
+    a, b = params.shock_a, params.shock_b
+
+    def f(d):
+        g1 = 1.0 + d[:, 0]
+        return k * (g1 + g1 * (1.0 + d[:, 1]))
+
+    def mean(e):
+        return k * (1.0 + e) * (2.0 + e)
+
     return Workload(
-        dims=2, m=5, shock=params.shock_distribution,
-        grid_mean=lambda dist: stress_theoretical_mean(coeffs, beta, dist.mean()),
-        mean=stress_theoretical_mean(coeffs, beta, a / (a + b)),
+        dims=2, m=5, shock=lambda m: discretize_beta(m, a, b),
+        grid_mean=lambda dist: mean(dist.mean()), mean=mean(a / (a + b)),
         sampler=lambda rng, size: rng.beta(a, b, size=(size, 2)),
-        f=lambda d: stress_loss_rv(d[:, 0], d[:, 1], coeffs, beta),
-        sweep_against_continuous=True)
+        f=f, sweep_against_continuous=True)
 
 
 def neoclassical_workload(c1: float = BENCH_C1, c2: float = BENCH_C2,

@@ -170,9 +170,6 @@ class Circuit:
     def h(self, q):
         return self.add(Gate("h", (q,)))
 
-    def x(self, q):
-        return self.add(Gate("x", (q,)))
-
     def cnot(self, control, target):
         return self.add(Gate("cnot", (target,), (control,)))
 
@@ -181,9 +178,6 @@ class Circuit:
 
     def cphase(self, control, target, angle):
         return self.add(Gate("cphase", (target,), (control,), angle))
-
-    def mcx(self, controls, target):
-        return self.add(Gate("mcx", (target,), tuple(controls)))
 
     def ucry(self, controls, target, angles):
         angles = tuple(np.asarray(angles, dtype=float).tolist())

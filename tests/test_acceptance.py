@@ -32,6 +32,7 @@ from qmcecon.distributions import (
     VariationalAnsatz,
     _cost_and_gradient,
     ansatz_cost,
+    discretize_beta,
     discretize_normal,
     train_ansatz,
 )
@@ -165,11 +166,9 @@ def test_criterion_03_stress_test(stress_runs):
 
 def test_criterion_04_stress_plateau():
     params = econ.DEFAULT_STRESS
-    coeffs = econ.stress_coefficients(params)
-    cont = econ.stress_theoretical_mean(
-        coeffs, params.beta_lev, params.shock_a / (params.shock_a + params.shock_b))
-    grid = econ.stress_theoretical_mean(
-        coeffs, params.beta_lev, params.shock_distribution(5).mean())
+    entry = econ.stress_workload(params)
+    cont = entry.mean
+    grid = entry.grid_mean(discretize_beta(5, params.shock_a, params.shock_b))
     bias = abs(grid - cont) / cont
     errors = {}
     for n in (6, 10, 14, 20, 21, 22):

@@ -96,9 +96,7 @@ def _serial_rows(spec):
     """The classical rows of ``spec`` from a plain loop over its repeats."""
     w, rows = spec.workload, []
     for n_samples in spec.range:
-        errors = [econ.classical_mc(w.sampler, w.f, n_samples,
-                                    seed=spec.seed + 7919 * rep,
-                                    oracle=w.mean).abs_error
+        errors = [econ.classical_mc(w, n_samples, seed=spec.seed + 7919 * rep).abs_error
                   for rep in range(spec.repeats)]
         rows.append({"app": spec.app, "estimator": "classical", "n": "",
                      "N": n_samples, "error": float(np.mean(errors))})

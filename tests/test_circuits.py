@@ -47,55 +47,60 @@ class TestInverseQft:
             inverse_qft([])
 
 
+def mcx(width, controls, target):
+    """A ``width``-qubit circuit of one native MCX."""
+    return Circuit(width).add(Gate("mcx", (target,), tuple(controls)))
+
+
 class TestMcx:
     """Lowering of a native k-control MCX; k >= 3 borrows k-2 work wires."""
 
     def test_single_control_is_cnot(self):
-        out = decompose(Circuit(2).mcx([0], 1))
+        out = decompose(mcx(2, [0], 1))
         assert [(g.kind, g.targets, g.controls) for g in out.gates] == [
             ("cnot", (1,), (0,))]
         assert lowering_error(controlled_oracle(2, [0], 1, X), out) < 1e-12
 
     def test_two_controls_is_toffoli(self):
-        out = decompose(Circuit(3).mcx([0, 1], 2))
+        out = decompose(mcx(3, [0, 1], 2))
         assert Counter(g.kind for g in out.gates)["cnot"] == 6
         assert lowering_error(controlled_oracle(3, [0, 1], 2, X), out) < 1e-12
 
     def test_ladder_with_work(self):
         # exact on the work = |0> inputs, work wires returned to |0>
         for k in (3, 4, 5):
-            out = decompose(Circuit(k + 1).mcx(range(k), k),
+            out = decompose(mcx(k + 1, range(k), k),
                             work=range(k + 1, 2 * k - 1))
             assert out.num_qubits == 2 * k - 1
             assert lowering_error(controlled_oracle(k + 1, range(k), k, X),
                                   out) < 1e-10
 
     def test_ladder_gate_count(self):
-        toffoli = len(decompose(Circuit(3).mcx([0, 1], 2)).gates)
+        toffoli = len(decompose(mcx(3, [0, 1], 2)).gates)
         for k in (3, 4, 5, 6):
-            out = decompose(Circuit(k + 1).mcx(range(k), k),
+            out = decompose(mcx(k + 1, range(k), k),
                             work=range(k + 1, 2 * k - 1))
             assert len(out.gates) == (2 * k - 3) * toffoli
             # surplus work wires stay untouched
-            wide = decompose(Circuit(k + 1).mcx(range(k), k),
+            wide = decompose(mcx(k + 1, range(k), k),
                              work=range(k + 1, 2 * k + 2))
             assert wide.gates == out.gates
 
     def test_missing_work_rejected(self):
         with pytest.raises(ValueError, match="needs 1 work wires, got 0"):
-            decompose(Circuit(4).mcx([0, 1, 2], 3))
+            decompose(mcx(4, [0, 1, 2], 3))
         with pytest.raises(ValueError, match="needs 2 work wires, got 1"):
-            decompose(Circuit(5).mcx([0, 1, 2, 3], 4), work=[5])
+            decompose(mcx(5, [0, 1, 2, 3], 4), work=[5])
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError, match="overlap mcx wires"):
-            decompose(Circuit(5).mcx([0, 1, 2], 3), work=[3])
+            decompose(mcx(5, [0, 1, 2], 3), work=[3])
         # work wire 3 is also a control: no single Toffoli of the ladder
         # would repeat a wire, so only the explicit check catches it
         with pytest.raises(ValueError, match="overlap mcx wires"):
-            decompose(Circuit(7).mcx([0, 1, 2, 3], 4), work=[3, 6])
+            decompose(mcx(7, [0, 1, 2, 3], 4), work=[3, 6])
         with pytest.raises(ValueError, match="duplicate"):
-            decompose(Circuit(5).mcx([0, 1, 2, 3], 4), work=[5, 5])
+            decompose(mcx(5, [0, 1, 2, 3], 4), work=[5, 5])
 
 
 class TestUcry:
@@ -159,11 +164,11 @@ class TestDecompose:
 
     @pytest.mark.parametrize("builder", [
         lambda c: c.h(0),
-        lambda c: c.x(1),
+        lambda c: c.add(Gate("x", (1,))),
         lambda c: c.add(Gate("cz", (1,), (0,))),
         lambda c: c.cphase(1, 0, 0.9),
-        lambda c: c.mcx([0, 1], 2),
-        lambda c: c.mcx([0, 1, 2], 3),
+        lambda c: c.add(Gate("mcx", (2,), (0, 1))),
+        lambda c: c.add(Gate("mcx", (3,), (0, 1, 2))),
         lambda c: c.add(Gate("z", (1,))),
     ])
     def test_each_rule_sound(self, builder):

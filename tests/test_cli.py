@@ -289,14 +289,16 @@ class TestExitCodes:
         params = tmp_path / "params.txt"
         base = ["train-a", "--m", "20", "--stages", "1:0.1",
                 "--params-out", str(params)]
-        # 65 stored states of 2**20 amplitudes are 1040 MiB
-        code, _, err = run_cli([*base, "--layers", "64"], capsys)
+        # 58 + 1 stored states and 5 temporaries of 2**20 amplitudes are
+        # 1 GiB before the chunk matrices, overlap blocks and trace
+        code, _, err = run_cli([*base, "--layers", "58"], capsys)
         assert code == 2
+        assert "training m=20 with 58 layers" in err
         assert "exceeding the cap of 1073741824" in err
         assert not params.exists()
-        # 64 states are exactly 1 GiB, which the cap admits
+        # 57 layers count 1008 MiB of states and 9 MiB more, which the cap admits
         with pytest.raises(Reached):
-            main([*base, "--layers", "63"])
+            main([*base, "--layers", "57"])
 
     def test_train_huge_epoch_count_exit_2_before_allocating(self, tmp_path, capsys,
                                                              monkeypatch):
@@ -309,14 +311,17 @@ class TestExitCodes:
         monkeypatch.setattr(distributions, "_cost_and_gradient", refuse)
         params = tmp_path / "params.txt"
         base = ["train-a", "--m", "3", "--layers", "1", "--params-out", str(params)]
-        # 8 B of cost trace per epoch: 2**27 epochs are exactly 1 GiB
-        for stages in ("134217729:0.1", "1000000000000:0.1", "134217728:0.1,1:0.1"):
+        # 8 B of cost trace per epoch beside 2944 B of states and blocks and
+        # 1 MiB: 134086288 epochs are exactly 1 GiB, and 2**27 are refused
+        for stages in ("134086289:0.1", "134217728:0.1", "1000000000000:0.1",
+                       "134086288:0.1,1:0.1"):
             code, _, err = run_cli([*base, "--stages", stages], capsys)
             assert code == 2
-            assert "cost trace" in err and "exceeding the cap of 1073741824" in err
+            assert "training m=3 with 1 layers" in err
+            assert "exceeding the cap of 1073741824" in err
             assert not params.exists()
         with pytest.raises(Reached):
-            main([*base, "--stages", "134217728:0.1"])
+            main([*base, "--stages", "134086288:0.1"])
 
     @pytest.mark.parametrize("command", [
         ["oracle", "simple"], ["oracle", "stress"], ["oracle", "neoclassical"],

@@ -320,12 +320,14 @@ class TestFusedKernel:
 
         monkeypatch.setattr(distributions, "_cost_and_gradient", refuse)
         # 10 layers of one 32x32 chunk matrix and one overlap block: 327680 B,
-        # far above the 5632 B of stored states
-        monkeypatch.setattr(sim, "MEMORY_BUDGET", 2 * 10 * 16 * 32 * 32 - 1)
+        # far above the 8192 B of 16 statevectors; with one epoch's 8 B and
+        # 1 MiB, rounded up to 32 B, the training counts 1384480 B
+        needed = 16 * 16 * 32 + 2 * 10 * 16 * 32 * 32 + 8 + (1 << 20) + 24
+        monkeypatch.setattr(sim, "MEMORY_BUDGET", needed - 1)
         with pytest.raises(ResourceLimitError,
-                           match="chunk matrices and overlap blocks of 10 layers"):
+                           match="training m=5 with 10 layers needs 1384480 bytes"):
             train_ansatz(uniform_dist(5), 10, TrainingSchedule([(1, 0.1)]))
-        monkeypatch.setattr(sim, "MEMORY_BUDGET", 2 * 10 * 16 * 32 * 32)
+        monkeypatch.setattr(sim, "MEMORY_BUDGET", needed)
         with pytest.raises(AssertionError, match="an epoch ran"):
             train_ansatz(uniform_dist(5), 10, TrainingSchedule([(1, 0.1)]))
 

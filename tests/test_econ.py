@@ -6,7 +6,11 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from qmcecon.distributions import DiscretizedDistribution, VariationalAnsatz
+from qmcecon.distributions import (
+    DiscretizedDistribution,
+    VariationalAnsatz,
+    discretize_beta,
+)
 from qmcecon.econ import (
     APPS,
     BENCH_C1,
@@ -16,7 +20,6 @@ from qmcecon.econ import (
     CLASSICAL_CHUNK,
     BankBalanceSheet,
     ModelDegeneracyError,
-    SIMPLE_ANALYTIC_MEAN,
     StressTestParams,
     classical_mc,
     estimate,
@@ -24,13 +27,10 @@ from qmcecon.econ import (
     neoclassical_qmc,
     neoclassical_shock_grid,
     neoclassical_workload,
-    simple_problem_f,
-    simple_problem_sampler,
+    simple_workload,
     stress_coefficients,
     stress_combined_constant,
-    stress_loss_rv,
     stress_qmc,
-    stress_theoretical_mean,
     stress_workload,
     workload,
 )
@@ -90,55 +90,58 @@ class TestStressCoefficients:
                 5e-5, 0.03, 0.005, 0.01)
 
 
+def stress_loss(d1, d2):
+    """The default scenario's loss at one draw, from its entry's f."""
+    return float(stress_workload(DEFAULT_STRESS).f(np.array([[d1, d2]]))[0])
+
+
+def stress_grid(m):
+    return discretize_beta(m, DEFAULT_STRESS.shock_a, DEFAULT_STRESS.shock_b)
+
+
 class TestStressLoss:
     def test_zero_shock_value(self):
         co = stress_coefficients(DEFAULT_STRESS)
         k = stress_combined_constant(co, DEFAULT_STRESS.beta_lev)
-        loss = stress_loss_rv(0.0, 0.0, co, DEFAULT_STRESS.beta_lev)
+        loss = stress_loss(0.0, 0.0)
         assert loss == pytest.approx(2 * k)
         assert loss == pytest.approx(0.0128, rel=0.01)
 
     def test_full_shock_value(self):
-        co = stress_coefficients(DEFAULT_STRESS)
-        loss = stress_loss_rv(1.0, 1.0, co, DEFAULT_STRESS.beta_lev)
+        loss = stress_loss(1.0, 1.0)
         assert loss == pytest.approx(0.0384, rel=0.01)
 
     def test_monotone_in_both_shocks(self):
-        co = stress_coefficients(DEFAULT_STRESS)
-        base = stress_loss_rv(0.2, 0.3, co, DEFAULT_STRESS.beta_lev)
-        assert stress_loss_rv(0.25, 0.3, co, DEFAULT_STRESS.beta_lev) > base
-        assert stress_loss_rv(0.2, 0.35, co, DEFAULT_STRESS.beta_lev) > base
+        base = stress_loss(0.2, 0.3)
+        assert stress_loss(0.25, 0.3) > base
+        assert stress_loss(0.2, 0.35) > base
 
     def test_gamma_form_equals_factored_form(self):
         co = stress_coefficients(DEFAULT_STRESS)
         k = stress_combined_constant(co, DEFAULT_STRESS.beta_lev)
         d = np.linspace(0, 1, 10)
         d1, d2 = np.meshgrid(d, d, indexing="ij")
-        via_gamma = stress_loss_rv(d1.ravel(), d2.ravel(), co,
-                                   DEFAULT_STRESS.beta_lev)
+        via_gamma = stress_workload(DEFAULT_STRESS).f(
+            np.stack([d1.ravel(), d2.ravel()], axis=1))
         factored = k * (1 + d1.ravel()) * (2 + d2.ravel())
         np.testing.assert_allclose(via_gamma, factored, rtol=1e-9)
 
     def test_entry_grid_is_the_broadcast_loss(self):
         # the entry evaluates its f on the product grid, register 1 index
         # most significant, bit for bit as the broadcast loss over the grid
-        dist = DEFAULT_STRESS.shock_distribution(3)
+        dist = stress_grid(3)
         g = dist.grid
         co = stress_coefficients(DEFAULT_STRESS)
-        broadcast = stress_loss_rv(g[:, None], g[None, :], co,
-                                   DEFAULT_STRESS.beta_lev).reshape(-1)
+        k = stress_combined_constant(co, DEFAULT_STRESS.beta_lev)
+        g1, g2 = 1.0 + g[:, None], 1.0 + g[None, :]
+        broadcast = (k * (g1 + g1 * g2)).reshape(-1)
         assert np.array_equal(stress_workload(DEFAULT_STRESS).values(dist),
                               broadcast)
 
 
-# mean loss rate a / (a + b) of the default Beta(2, 10) shock
-BETA_MEAN = DEFAULT_STRESS.shock_a / (DEFAULT_STRESS.shock_a + DEFAULT_STRESS.shock_b)
-
-
 class TestStressMeans:
     def test_continuous_value_near_published(self):
-        co = stress_coefficients(DEFAULT_STRESS)
-        mean = stress_theoretical_mean(co, DEFAULT_STRESS.beta_lev, BETA_MEAN)
+        mean = stress_workload(DEFAULT_STRESS).mean
         assert abs(mean - 0.01618) / 0.01618 < 0.01
 
     def test_point_mass_grid(self):
@@ -147,21 +150,19 @@ class TestStressMeans:
         masses = np.zeros(8)
         masses[0] = 1.0
         dist = DiscretizedDistribution(3, np.linspace(0, 1, 8), masses)
-        mean = stress_theoretical_mean(co, DEFAULT_STRESS.beta_lev, dist.mean())
+        mean = stress_workload(DEFAULT_STRESS).grid_mean(dist)
         assert mean == pytest.approx(2 * k)
         assert mean == pytest.approx(0.0128, rel=0.01)
 
     def test_grid_within_half_percent_of_continuous(self):
-        co = stress_coefficients(DEFAULT_STRESS)
-        cont = stress_theoretical_mean(co, DEFAULT_STRESS.beta_lev, BETA_MEAN)
-        grid = stress_theoretical_mean(co, DEFAULT_STRESS.beta_lev,
-                                       DEFAULT_STRESS.shock_distribution(5).mean())
+        w = stress_workload(DEFAULT_STRESS)
+        cont, grid = w.mean, w.grid_mean(stress_grid(5))
         assert abs(grid - cont) / cont < 0.005
 
     def test_grid_oracle_consistency_with_encoding(self):
         # the encoded ancilla probability de-normalizes to the grid oracle
         m = 3
-        dist = DEFAULT_STRESS.shock_distribution(m)
+        dist = stress_grid(m)
         rv = normalize_rv(stress_workload(DEFAULT_STRESS).values(dist))
         result = stress_qmc(DEFAULT_STRESS, m, 2)
         mu_from_p1 = denormalize_mu(result.estimate.p1, rv)
@@ -181,7 +182,7 @@ class TestStressMeans:
         # p1 comes from a 2**13-amplitude statevector; a dense 2**13 x 2**13
         # operator would take 1 GiB
         m = 6
-        dist = DEFAULT_STRESS.shock_distribution(m)
+        dist = stress_grid(m)
         rv = normalize_rv(stress_workload(DEFAULT_STRESS).values(dist))
         tracemalloc.start()
         try:
@@ -346,27 +347,27 @@ class TestNeoclassical:
 
 class TestClassicalMc:
     def test_point_mass_exact(self):
-        run = classical_mc(lambda rng, size: np.full(size, 2.5),
-                           lambda x: x, 1, seed=0, oracle=2.5)
+        point = replace(simple_workload(), mean=2.5, f=lambda x: x,
+                        sampler=lambda rng, size: np.full(size, 2.5))
+        run = classical_mc(point, 1, seed=0)
         assert run.estimate == 2.5
         assert run.abs_error == 0.0
 
     def test_deterministic_given_seed(self):
-        a = classical_mc(simple_problem_sampler, simple_problem_f, 1000, seed=5)
-        b = classical_mc(simple_problem_sampler, simple_problem_f, 1000, seed=5)
+        a = classical_mc(simple_workload(), 1000, seed=5)
+        b = classical_mc(simple_workload(), 1000, seed=5)
         assert a.estimate == b.estimate
 
     def test_unbiased(self):
-        runs = [classical_mc(simple_problem_sampler, simple_problem_f, 1000,
-                             seed=i, oracle=SIMPLE_ANALYTIC_MEAN)
-                for i in range(200)]
+        w = simple_workload()
+        runs = [classical_mc(w, 1000, seed=i) for i in range(200)]
         estimates = np.array([r.estimate for r in runs])
         stderr = estimates.std(ddof=1) / math.sqrt(len(runs))
-        assert abs(estimates.mean() - SIMPLE_ANALYTIC_MEAN) < 4 * stderr
+        assert abs(estimates.mean() - w.mean) < 4 * stderr
 
     def test_requires_samples(self):
         with pytest.raises(ValueError):
-            classical_mc(simple_problem_sampler, simple_problem_f, 0, seed=0)
+            classical_mc(simple_workload(), 0, seed=0)
 
     @staticmethod
     def one_shot_mean(w, n, seed):
@@ -383,7 +384,7 @@ class TestClassicalMc:
                   2 * c + 1, 2 * c + 15, 2 * c + 16, 2 * c + 17, 3 * c + 5,
                   4 * c - 1, 4 * c, 4 * c + 1, 10**6):
             for seed in (0, 388_034):
-                run = classical_mc(w.sampler, w.f, n, seed, oracle=w.mean)
+                run = classical_mc(w, n, seed)
                 assert run.estimate == self.one_shot_mean(w, n, seed), (n, seed)
 
     @pytest.mark.parametrize("app", APPS)
@@ -392,7 +393,7 @@ class TestClassicalMc:
         w, n = workload(app), 1 << 20
         tracemalloc.start()
         try:
-            classical_mc(w.sampler, w.f, n, 0)
+            classical_mc(w, n, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -411,7 +412,7 @@ class TestClassicalMc:
             raise Reached
 
         with pytest.raises(Reached):
-            classical_mc(stop, simple_problem_f, 2**27 + 1, seed=0)
+            classical_mc(replace(simple_workload(), sampler=stop), 2**27 + 1, seed=0)
         assert sizes == [CLASSICAL_CHUNK]
 
 

@@ -51,7 +51,7 @@ class TestApplyGate:
 
     def test_cnot_on_10(self):
         # control qubit 0 set: |10> -> |11>
-        st = apply_circuit(init_state(2), Circuit(2).x(0))
+        st = apply_circuit(init_state(2), Circuit(2).add(Gate("x", (0,))))
         st = apply_circuit(st, Circuit(2).cnot(0, 1))
         np.testing.assert_allclose(st.amplitudes, [0, 0, 0, 1], atol=1e-12)
 
@@ -126,7 +126,7 @@ class TestProbabilities:
         np.testing.assert_allclose(probabilities(st, [0]), [0.5, 0.5], atol=1e-12)
 
     def test_ordering_first_listed_is_msb(self):
-        st = apply_circuit(init_state(2), Circuit(2).x(1))  # |01>
+        st = apply_circuit(init_state(2), Circuit(2).add(Gate("x", (1,))))  # |01>
         np.testing.assert_allclose(probabilities(st, [0, 1]), [0, 1, 0, 0])
         np.testing.assert_allclose(probabilities(st, [1, 0]), [0, 0, 1, 0])
 
@@ -388,6 +388,14 @@ class TestFormulasCoverPeaks:
         monkeypatch.setattr(engine, "apply_circuit", simulate)
         monkeypatch.setattr(engine, "spectral_distribution", readout)
         econ.estimate(econ.workload("stress"), 3, 4).estimate.distribution
+
+    @pytest.mark.parametrize("m,layers", [(16, 31), (18, 7)])
+    def test_training(self, checked, m, layers):
+        # one epoch: the stored states, the epoch's temporaries and blocks
+        target = distributions.discretize_normal(m, 0.0, 1.0, -3.0, 3.0)
+        schedule = distributions.TrainingSchedule([(1, 0.1)])
+        peak = traced_peak(lambda: distributions.train_ansatz(target, layers, schedule))
+        assert peak <= checked_bytes(checked, "training")
 
     @pytest.mark.parametrize("app,m,n", [("stress", 6, 1), ("simple", 12, 2),
                                          ("neoclassical", 13, 2),

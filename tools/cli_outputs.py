@@ -118,7 +118,8 @@ def commands():
     yield "resources_gate_time_zero", [*gate_time, "0"]
     yield "train_nan_rate", ["train-a", "--m", "3", "--layers", "1", "--stages",
                              "5:nan", "--params-out", "nan.txt"]
-    # 65 stored states of 2**20 amplitudes: refused before training starts.
+    # 65 stored states and 5 temporaries of 2**20 amplitudes: refused before
+    # training starts.
     # Code without that check tries to allocate about 120 GiB here.
     yield "train_over_memory", ["train-a", "--m", "20", "--layers", "64",
                                 "--stages", "1:0.1", "--params-out", "big.txt"]
